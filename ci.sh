@@ -18,6 +18,8 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Docs build warning-free: no broken or private intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # Bench smoke: re-measures the hot-path kernels and validates the
 # committed BENCH_hotpath.json baseline (fails on malformed JSON or a

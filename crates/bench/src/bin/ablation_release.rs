@@ -53,7 +53,7 @@ fn detections(
     let lat = e.metrics().mean_stability_latency_ns() as f64 / 1e6;
     (
         det.into_iter()
-            .map(|d| (d.name, d.occ.time.to_string()))
+            .map(|d| (d.name.to_string(), d.occ.time.to_string()))
             .collect(),
         lat,
     )

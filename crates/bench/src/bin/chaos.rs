@@ -88,7 +88,10 @@ fn run_case(drop_ppm: u32, w: &[(u64, u32, &'static str)], horizon_secs: u64) ->
         e.inject(Nanos::from_millis(ms), site, ev, vec![]).unwrap();
     }
     let det = e.run_for(Nanos::from_secs(horizon_secs));
-    let keys: Keys = det.into_iter().map(|d| (d.name, d.occ.time)).collect();
+    let keys: Keys = det
+        .into_iter()
+        .map(|d| (d.name.to_string(), d.occ.time))
+        .collect();
     let m = e.metrics();
     let c = e.fault_counters();
     let row = Row {
@@ -184,7 +187,7 @@ fn run_crash_case(s: &Schedule, w: &[(u64, u32, &'static str)], horizon_secs: u6
         }
         e.run_for(Nanos::from_secs(horizon_secs))
             .into_iter()
-            .map(|d| (d.name, d.occ.time))
+            .map(|d| (d.name.to_string(), d.occ.time))
             .collect()
     };
 
@@ -218,7 +221,10 @@ fn run_crash_case(s: &Schedule, w: &[(u64, u32, &'static str)], horizon_secs: u6
     let m = e.metrics();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let keys: Keys = det.into_iter().map(|d| (d.name, d.occ.time)).collect();
+    let keys: Keys = det
+        .into_iter()
+        .map(|d| (d.name.to_string(), d.occ.time))
+        .collect();
     let post_released = m.events_released - at_rejoin.events_released;
     let post_sum = m.stability_latency_sum_ns - at_rejoin.stability_latency_sum_ns;
     CrashRow {

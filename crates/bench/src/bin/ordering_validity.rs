@@ -1,5 +1,5 @@
 //! E5 — mechanical validity check of every candidate ordering
-//! (Section 5.1's analysis + the counterexample against [10]).
+//! (Section 5.1's analysis + the counterexample against \[10\]).
 //!
 //! For each candidate we search randomized universes of (a) normalized
 //! composite timestamps and (b) raw Schwiderski-style sets for

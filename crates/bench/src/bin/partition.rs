@@ -161,7 +161,9 @@ fn workload(events: usize, span_ms: u64) -> Vec<(u64, u32, String)> {
 }
 
 fn keys(det: Vec<decs_distrib::Detection>) -> Keys {
-    det.into_iter().map(|d| (d.name, d.occ)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ))
+        .collect()
 }
 
 fn run_case(

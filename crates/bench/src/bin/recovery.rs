@@ -102,7 +102,9 @@ fn inject_all(e: &mut Engine, w: &[(u64, u32, &'static str)]) {
 }
 
 fn keys(det: Vec<decs_distrib::Detection>) -> Keys {
-    det.into_iter().map(|d| (d.name, d.occ)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ))
+        .collect()
 }
 
 fn run_case(interval: u64, w: &[(u64, u32, &'static str)], horizon_secs: u64, clean: &Keys) -> Row {

@@ -27,7 +27,7 @@ pub fn random_composite(
     CompositeTimestamp::from_primitives((0..n).map(|_| random_primitive(rng, sites, horizon)))
 }
 
-/// Sample a *raw* (possibly non-maximal) timestamp set, as [10] would
+/// Sample a *raw* (possibly non-maximal) timestamp set, as \[10\] would
 /// carry.
 pub fn random_raw_set(
     rng: &mut SplitMix64,

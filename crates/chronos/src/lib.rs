@@ -4,7 +4,7 @@
 //! the *approximated global time base* on which the formal semantics of
 //! distributed composite events is built.
 //!
-//! The model (after Kopetz [7] and Schwiderski [10]):
+//! The model (after Kopetz \[7\] and Schwiderski \[10\]):
 //!
 //! * There is a unique **reference clock** `z` with granularity `g_z`, in
 //!   perfect agreement with the international standard of time

@@ -1,6 +1,6 @@
 //! The candidate composite orderings analyzed (and mostly rejected) in
 //! Section 5.1, implemented over [`RawTimestampSet`] so they can also be
-//! applied to non-normalized (Schwiderski-style [10]) timestamp sets.
+//! applied to non-normalized (Schwiderski-style \[10\]) timestamp sets.
 //!
 //! The paper's quantifier analysis enumerates the ways of lifting the
 //! primitive `<` to sets:
@@ -68,7 +68,7 @@ pub fn lt_p3(a: &RawTimestampSet, b: &RawTimestampSet) -> bool {
 }
 
 /// A reconstruction of the "happen before" of Schwiderski's dissertation
-/// [10] on (possibly non-normalized) timestamp sets: the later set must
+/// \[10\] on (possibly non-normalized) timestamp sets: the later set must
 /// contain a member that dominates *some* member of the earlier set, and no
 /// member of the earlier set may dominate any member of the later set:
 ///
@@ -80,7 +80,7 @@ pub fn lt_p3(a: &RawTimestampSet, b: &RawTimestampSet) -> bool {
 /// like every definition built from existential witnesses over sets that may
 /// contain stale (non-maximal) members, it fails transitivity — the
 /// `ordering_validity` experiment finds counterexamples mechanically, which
-/// is the paper's Section 5.1 point against [10].
+/// is the paper's Section 5.1 point against \[10\].
 pub fn lt_schwiderski(a: &RawTimestampSet, b: &RawTimestampSet) -> bool {
     lt_p1(a, b) && !lt_p1(b, a)
 }
@@ -98,7 +98,7 @@ pub enum Candidate {
     ForallForall,
     /// Min-anchored (`<_p3`).
     MinAnchored,
-    /// Reconstructed ordering of [10].
+    /// Reconstructed ordering of \[10\].
     Schwiderski,
 }
 

@@ -20,7 +20,7 @@
 //! properties the paper stresses are carried by the type itself.
 //!
 //! [`RawTimestampSet`] is the *unnormalized* counterpart used to model the
-//! timestamp sets of Schwiderski's dissertation [10], which does not enforce
+//! timestamp sets of Schwiderski's dissertation \[10\], which does not enforce
 //! maximality; the Section 5.1 counterexample experiments need it.
 
 use crate::error::{CoreError, Result};
@@ -510,7 +510,7 @@ impl fmt::Display for CompositeTimestamp {
 }
 
 /// An *unnormalized* set of primitive timestamps — the shape of composite
-/// timestamps in Schwiderski's dissertation [10], which does not enforce the
+/// timestamps in Schwiderski's dissertation \[10\], which does not enforce the
 /// maximality/concurrency invariant. Used by [`crate::alt`] to reproduce the
 /// paper's Section 5.1 comparison and counterexamples.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

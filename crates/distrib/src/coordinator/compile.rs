@@ -9,13 +9,14 @@ use crate::config::EngineConfig;
 use decs_core::CompositeTimestamp;
 use decs_snoop::{Context, EventExpr, EventId, PlanDetector, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A freshly compiled coordinator detector plus the name→id table and
 /// the full coordinator-visible event-name list it was compiled with.
 pub(crate) type CompiledDetector = (
     PlanDetector<CompositeTimestamp>,
     HashMap<String, EventId>,
-    Vec<String>,
+    Vec<Arc<str>>,
 );
 
 /// An empty detector in the configured sharing mode: the shared plan, or
@@ -56,11 +57,12 @@ pub(crate) fn build_detector(
     Ok((detector, name_ids, names))
 }
 
-/// The detector's full catalog as an id-indexed name list.
-pub(crate) fn catalog_names(detector: &PlanDetector<CompositeTimestamp>) -> Vec<String> {
+/// The detector's full catalog as an id-indexed name list, each name
+/// allocated once and shared by every detection that reports it.
+pub(crate) fn catalog_names(detector: &PlanDetector<CompositeTimestamp>) -> Vec<Arc<str>> {
     let cat = detector.catalog();
     (0..cat.len())
-        .map(|i| cat.name(EventId(i as u32)).to_string())
+        .map(|i| Arc::from(cat.name(EventId(i as u32))))
         .collect()
 }
 
@@ -82,7 +84,7 @@ pub(crate) struct ReplicaPlan {
 /// deterministic: a recovered replica rebuilds the identical plan.
 pub(crate) fn build_replica_detector(
     config: &EngineConfig,
-    full_names: &[String],
+    full_names: &[Arc<str>],
     inputs: &std::collections::BTreeSet<u32>,
     owned_defs: &[(String, EventExpr, Context)],
 ) -> Result<ReplicaPlan> {
@@ -110,7 +112,7 @@ pub(crate) fn build_replica_detector(
         // the full catalog by construction.
         let full = full_names
             .iter()
-            .position(|n| n == name)
+            .position(|n| **n == **name)
             .expect("owned definition in full catalog") as u32;
         to_local.insert(full, local.0);
         set(&mut to_global, local, full);

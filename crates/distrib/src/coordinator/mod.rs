@@ -13,15 +13,15 @@
 //!
 //! The implementation is split by concern:
 //!
-//! * [`compile`] — building the detector from definition lists (shared by
+//! * `compile` — building the detector from definition lists (shared by
 //!   engine construction and crash recovery);
-//! * [`delivery`] — per-site FIFO reassembly, incarnation epochs, acks,
+//! * `delivery` — per-site FIFO reassembly, incarnation epochs, acks,
 //!   stall detection and eviction;
-//! * [`release`] — the stability buffer (one FIFO per site, merged at
+//! * `release` — the stability buffer (one FIFO per site, merged at
 //!   release into the canonical order), operator GC and detector feeding
 //!   (including timer fires);
-//! * [`recovery`] — WAL appends, snapshots, and crash recovery;
-//! * [`partition`] — the multi-replica detection plane: partition keys,
+//! * `recovery` — WAL appends, snapshots, and crash recovery;
+//! * `partition` — the multi-replica detection plane: partition keys,
 //!   the promise protocol, and replica → replica relays.
 
 pub(crate) mod compile;

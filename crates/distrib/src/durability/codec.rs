@@ -265,12 +265,17 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
         for v in self {
             v.encode(out);
         }
+    }
+}
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -441,7 +446,7 @@ impl Encode for Occurrence<CompositeTimestamp> {
         self.ty.encode(out);
         self.time.encode(out);
         self.uid.encode(out);
-        self.params.as_ref().encode(out);
+        self.params.encode(out);
     }
 }
 impl Decode for Occurrence<CompositeTimestamp> {
@@ -453,7 +458,7 @@ impl Decode for Occurrence<CompositeTimestamp> {
         Ok(Occurrence {
             ty,
             time,
-            params: Arc::new(params),
+            params: params.into(),
             uid,
         })
     }

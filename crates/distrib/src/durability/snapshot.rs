@@ -242,7 +242,7 @@ impl SnapshotStore {
         Ok(out)
     }
 
-    /// Persist `snap` atomically and prune all but the [`KEEP`] newest.
+    /// Persist `snap` atomically and prune all but the `KEEP` newest.
     pub fn save(&self, snap: &CoordinatorSnapshot) -> io::Result<()> {
         let payload = to_bytes(snap);
         let mut bytes = Vec::with_capacity(payload.len() + 4);

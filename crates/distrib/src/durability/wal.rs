@@ -419,7 +419,7 @@ impl WalWriter {
         }
     }
 
-    /// Append one record; syncs every [`SYNC_EVERY`] appends.
+    /// Append one record; syncs every `SYNC_EVERY` appends.
     pub fn append<R: Encode>(&mut self, rec: &R) -> io::Result<()> {
         let payload = to_bytes(rec);
         debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);

@@ -19,6 +19,7 @@ use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, LinkConfig, NodeIdx, Scenario, Simulation};
 use decs_snoop::{Context, Detector, EventExpr, Occurrence, Result, SnoopError, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Either role in the star topology.
 #[derive(Debug)]
@@ -58,12 +59,26 @@ impl Actor for Node {
 /// A named composite event detection.
 #[derive(Debug, Clone)]
 pub struct Detection {
-    /// The composite event's name.
-    pub name: String,
+    /// The composite event's name, shared with every other detection of
+    /// the same event.
+    pub name: Arc<str>,
     /// The occurrence (composite timestamp + accumulated parameters).
     pub occ: Occurrence<CompositeTimestamp>,
     /// True time at which the coordinator produced it.
     pub detected_at: Nanos,
+}
+
+/// A coordinator detection under its shared name (`e<id>` for an id
+/// outside the name table).
+fn detection(names: &[Arc<str>], d: RawDetection) -> Detection {
+    Detection {
+        name: names
+            .get(d.occ.ty.0 as usize)
+            .cloned()
+            .unwrap_or_else(|| format!("e{}", d.occ.ty.0).into()),
+        occ: d.occ,
+        detected_at: d.detected_at,
+    }
 }
 
 /// The distributed detection engine.
@@ -77,7 +92,9 @@ pub struct Engine {
     /// keyed by partition key, awaiting the promise cut that proves their
     /// prefix of the canonical order complete.
     pending: BTreeMap<PartKey, Detection>,
-    names: Vec<String>,
+    /// Event id → name, built once in construction; detections share
+    /// these names.
+    names: Vec<Arc<str>>,
     name_ids: std::collections::HashMap<String, decs_snoop::EventId>,
     /// Everything needed to rebuild the coordinator after a crash: the
     /// detector is *not* serialized into snapshots (its compiled plan is
@@ -294,23 +311,23 @@ impl Engine {
             // The partitioned plane's scope cuts, enforced up front (each
             // would otherwise fail subtly at runtime).
             if config.site_durability {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::InvalidConfig(
                     "coordinator_replicas > 1 is incompatible with site_durability".to_string(),
                 ));
             }
             if !local_defs.is_empty() {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::InvalidConfig(
                     "coordinator_replicas > 1 is incompatible with site-local definitions"
                         .to_string(),
                 ));
             }
             if config.release_policy == crate::config::ReleasePolicy::Immediate {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::InvalidConfig(
                     "coordinator_replicas > 1 requires ReleasePolicy::Stable".to_string(),
                 ));
             }
             if replicas > 13 {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::InvalidConfig(
                     "coordinator_replicas is limited to 13 (site timer-tag space)".to_string(),
                 ));
             }
@@ -482,7 +499,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn build_replica(
         config: &EngineConfig,
-        names: &[String],
+        names: &[Arc<str>],
         layout: &PartitionLayout,
         global_defs: &[(String, EventExpr, Context)],
         r: usize,
@@ -787,19 +804,12 @@ impl Engine {
         let Node::Coordinator(c) = self.sim.node_mut(self.coordinator) else {
             unreachable!("coordinator index")
         };
-        let raw: Vec<RawDetection> = c.detections.drain(..).collect();
         // Durability: log the drain so a recovered coordinator does not
         // re-report detections this engine already returned.
-        c.note_drained(raw.len() as u64);
-        raw.into_iter()
-            .map(|d| Detection {
-                name: names
-                    .get(d.occ.ty.0 as usize)
-                    .cloned()
-                    .unwrap_or_else(|| format!("e{}", d.occ.ty.0)),
-                occ: d.occ,
-                detected_at: d.detected_at,
-            })
+        c.note_drained(c.detections.len() as u64);
+        c.detections
+            .drain(..)
+            .map(|d| detection(names, d))
             .collect()
     }
 
@@ -811,30 +821,17 @@ impl Engine {
     /// pending for the next drain.
     fn drain_partitioned(&mut self) -> Vec<Detection> {
         let mut cut = PlanePos::MAX;
-        for &node in &self.coordinators.clone() {
+        for &node in &self.coordinators {
             let Node::Coordinator(c) = self.sim.node_mut(node) else {
                 unreachable!("coordinator index")
             };
-            let raw: Vec<RawDetection> = c.detections.drain(..).collect();
-            let keys: Vec<PartKey> = {
-                let part = c.part.as_mut().expect("partitioned");
-                part.keys.drain(..).collect()
-            };
-            debug_assert_eq!(raw.len(), keys.len(), "keys misaligned with detections");
-            c.note_drained(raw.len() as u64);
+            let drained = c.detections.len();
+            let part = c.part.as_mut().expect("partitioned");
+            debug_assert_eq!(drained, part.keys.len(), "keys misaligned with detections");
+            let dets = c.detections.drain(..).map(|d| detection(&self.names, d));
+            self.pending.extend(part.keys.drain(..).zip(dets));
+            c.note_drained(drained as u64);
             cut = cut.min(c.promise_floor());
-            for (key, d) in keys.into_iter().zip(raw) {
-                let det = Detection {
-                    name: self
-                        .names
-                        .get(d.occ.ty.0 as usize)
-                        .cloned()
-                        .unwrap_or_else(|| format!("e{}", d.occ.ty.0)),
-                    occ: d.occ,
-                    detected_at: d.detected_at,
-                };
-                self.pending.insert(key, det);
-            }
         }
         let mut out = Vec::new();
         while let Some((key, _)) = self.pending.iter().next() {
@@ -995,6 +992,61 @@ mod tests {
         .unwrap()
     }
 
+    /// The reason `Engine::with_local` refuses `config` with, over one
+    /// global `SEQ` and the given site-local definitions.
+    fn refusal(config: EngineConfig, local: &[(&str, EventExpr, Context)]) -> String {
+        let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
+        let global = [("X", ab, Context::Chronicle)];
+        match Engine::with_local(&scenario(2, 1), config, &["A", "B"], local, &global) {
+            Err(SnoopError::InvalidConfig(why)) => why,
+            Err(e) => panic!("expected a configuration error, got: {e}"),
+            Ok(_) => panic!("expected a configuration error, got an engine"),
+        }
+    }
+
+    fn partitioned(replicas: usize) -> EngineConfig {
+        EngineConfig {
+            coordinator_replicas: replicas,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn partitioned_plane_refuses_site_durability() {
+        let config = EngineConfig {
+            site_durability: true,
+            ..partitioned(2)
+        };
+        let why = refusal(config, &[]);
+        assert!(why.contains("site_durability"), "{why}");
+        assert!(SnoopError::InvalidConfig(why)
+            .to_string()
+            .starts_with("invalid engine configuration: "));
+    }
+
+    #[test]
+    fn partitioned_plane_refuses_site_local_definitions() {
+        let local = [("L", EventExpr::prim("A"), Context::Unrestricted)];
+        let why = refusal(partitioned(2), &local);
+        assert!(why.contains("site-local definitions"), "{why}");
+    }
+
+    #[test]
+    fn partitioned_plane_refuses_immediate_release() {
+        let config = EngineConfig {
+            release_policy: crate::config::ReleasePolicy::Immediate,
+            ..partitioned(2)
+        };
+        let why = refusal(config, &[]);
+        assert!(why.contains("ReleasePolicy::Stable"), "{why}");
+    }
+
+    #[test]
+    fn partitioned_plane_refuses_more_than_13_replicas() {
+        let why = refusal(partitioned(14), &[]);
+        assert!(why.contains("limited to 13"), "{why}");
+    }
+
     #[test]
     fn cross_site_sequence_detects_when_clearly_ordered() {
         let mut e = seq_engine(2, 42);
@@ -1004,7 +1056,7 @@ mod tests {
         e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
         let det = e.run_for(Nanos::from_secs(4));
         assert_eq!(det.len(), 1, "metrics: {:?}", e.metrics());
-        assert_eq!(det[0].name, "X");
+        assert_eq!(&*det[0].name, "X");
         // The detection's timestamp members come from both sites… B's
         // stamp dominates A's (gap ≫ 1), so Max keeps only B's member.
         assert_eq!(det[0].occ.time.len(), 1);
@@ -1183,7 +1235,7 @@ mod tests {
         e.inject(Nanos::from_secs(5), 1, "B", vec![]).unwrap();
         let det = e.run_for(Nanos::from_secs(8));
         assert_eq!(det.len(), 2, "metrics: {:?}", e.metrics());
-        assert!(det.iter().all(|d| d.name == "X"));
+        assert!(det.iter().all(|d| &*d.name == "X"));
         let m = e.metrics();
         assert_eq!(m.site_restarts, 1);
         assert!(m.rejoins >= 1, "coordinator never saw the Hello: {m:?}");

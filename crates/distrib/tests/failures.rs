@@ -143,7 +143,7 @@ fn evict_with_flushed_batches_buffered_preserves_them() {
     e.evict_site(Nanos::from_secs(6), 1);
     let det = e.run_for(Nanos::from_secs(3));
     assert_eq!(det.len(), 1, "flushed-before-crash events must detect");
-    assert_eq!(det[0].name, "X");
+    assert_eq!(&*det[0].name, "X");
     assert_eq!(e.buffered(), 0);
 }
 

@@ -82,7 +82,7 @@ fn global_composite_over_local_composites() {
     e.inject(Nanos::from_secs(3), 1, "req", vec![]).unwrap();
     e.inject(Nanos::from_secs(4), 1, "resp", vec![]).unwrap();
     let det = e.run_for(Nanos::from_secs(7));
-    let cascades: Vec<_> = det.iter().filter(|d| d.name == "cascade").collect();
+    let cascades: Vec<_> = det.iter().filter(|d| &*d.name == "cascade").collect();
     assert_eq!(cascades.len(), 1, "detections: {det:?}");
     // The cascade's parameters accumulate all four constituents.
     assert_eq!(cascades[0].occ.params.len(), 4);
@@ -120,7 +120,7 @@ fn concurrent_local_composites_do_not_form_a_global_sequence() {
     assert_eq!(e.local_detections(0), 1);
     assert_eq!(e.local_detections(1), 1);
     assert!(
-        det.iter().all(|d| d.name != "cascade"),
+        det.iter().all(|d| &*d.name != "cascade"),
         "concurrent local composites must not sequence: {det:?}"
     );
 }
@@ -154,7 +154,7 @@ fn global_and_over_locals_carries_multi_member_timestamp() {
     let det = e.run_for(Nanos::from_secs(4));
     let and_det: Vec<_> = det
         .iter()
-        .filter(|d| d.name == "both_sites_active")
+        .filter(|d| &*d.name == "both_sites_active")
         .collect();
     assert_eq!(and_det.len(), 1);
     // The Max of two concurrent local timestamps keeps a member per site —
@@ -180,7 +180,10 @@ fn local_temporal_operator_uses_site_clock() {
     .unwrap();
     e.inject(Nanos::from_secs(1), 1, "req", vec![]).unwrap();
     let det = e.run_for(Nanos::from_secs(3));
-    let timeouts: Vec<_> = det.iter().filter(|d| d.name == "request_timeout").collect();
+    let timeouts: Vec<_> = det
+        .iter()
+        .filter(|d| &*d.name == "request_timeout")
+        .collect();
     assert_eq!(timeouts.len(), 1);
     let member = timeouts[0].occ.time.members()[0];
     assert_eq!(member.site().get(), 1, "stamped by site 1's clock");

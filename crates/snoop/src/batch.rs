@@ -89,7 +89,7 @@ impl ParamArena {
             self.bare.resize(i + 1, None);
         }
         if self.bare[i].is_none() {
-            self.bare[i] = Some(Arc::new(vec![ParamTuple::new(ty, Vec::new())]));
+            self.bare[i] = Some(Arc::from([ParamTuple::new(ty, Vec::new())]));
         }
         ParamHandle::Bare(ty)
     }
@@ -98,7 +98,7 @@ impl ParamArena {
     pub fn alloc(&mut self, ty: EventId, values: Vec<Value>) -> ParamHandle {
         self.payload_bytes += values.len() * std::mem::size_of::<Value>();
         let index = self.slots.len() as u32;
-        self.slots.push(Arc::new(vec![ParamTuple::new(ty, values)]));
+        self.slots.push(Arc::from([ParamTuple::new(ty, values)]));
         ParamHandle::Owned {
             index,
             generation: self.generation,

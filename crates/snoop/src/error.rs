@@ -27,6 +27,8 @@ pub enum SnoopError {
     /// detector it is being restored into (different definitions, sharing
     /// mode, or a corrupted snapshot).
     SnapshotMismatch(String),
+    /// An engine configuration combines options that cannot work together.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for SnoopError {
@@ -45,6 +47,7 @@ impl fmt::Display for SnoopError {
             SnoopError::SnapshotMismatch(what) => {
                 write!(f, "snapshot does not match this detector: {what}")
             }
+            SnoopError::InvalidConfig(what) => write!(f, "invalid engine configuration: {what}"),
         }
     }
 }

@@ -143,11 +143,13 @@ impl ParamTuple {
 }
 
 /// The accumulated parameter tuples of an occurrence (constituents in
-/// detection order). Shared via `Arc`: cloning an occurrence during graph
+/// detection order), in one shared slice. Cloning an occurrence during
 /// fan-out (one clone per subscriber/parent edge) costs one reference-count
 /// increment instead of a heap copy of the tuple list. Operators that build
-/// a *new* list (combination, accumulation) allocate once and re-wrap.
-pub type ParamList = Arc<Vec<ParamTuple>>;
+/// a *new* list (combination, accumulation) count the tuples first and fill
+/// the slice in one allocation — a composite emission's only one, since each
+/// tuple's values are themselves shared.
+pub type ParamList = Arc<[ParamTuple]>;
 
 /// An event occurrence: type, timestamp, parameters, and a process-unique
 /// identity.
@@ -181,7 +183,7 @@ impl<T: EventTime> Occurrence<T> {
         Occurrence {
             ty,
             time,
-            params: Arc::new(vec![ParamTuple::new(ty, values)]),
+            params: Arc::from([ParamTuple::new(ty, values)]),
             uid: fresh_uid(),
         }
     }
@@ -191,44 +193,48 @@ impl<T: EventTime> Occurrence<T> {
         Occurrence {
             ty,
             time,
-            params: Arc::new(vec![ParamTuple::new(ty, Vec::new())]),
+            params: Arc::from([ParamTuple::new(ty, Vec::new())]),
             uid: fresh_uid(),
         }
     }
 
     /// Combine two constituent occurrences into a composite one:
-    /// `time = Max(t1, t2)`, parameters concatenated.
+    /// `time = Max(t1, t2)`, parameters concatenated. The concatenation
+    /// is an exact-length iterator, so the list costs one allocation.
     pub fn combine(ty: EventId, a: &Occurrence<T>, b: &Occurrence<T>) -> Self {
-        let mut params = Vec::with_capacity(a.params.len() + b.params.len());
-        params.extend(a.params.iter().cloned());
-        params.extend(b.params.iter().cloned());
         Occurrence {
             ty,
             time: a.time.max(&b.time),
-            params: Arc::new(params),
+            params: a.params.iter().chain(b.params.iter()).cloned().collect(),
             uid: fresh_uid(),
         }
     }
 
     /// Combine many constituents (cumulative contexts, `A*`, `ANY`):
     /// `time = Max` over all, parameters concatenated in the given order.
+    /// The tuples are counted first and then filled from an iterator of
+    /// that exact length, so the list costs one allocation.
     ///
     /// # Panics
     /// Panics if `parts` is empty.
-    pub fn combine_all(ty: EventId, parts: &[&Occurrence<T>]) -> Self {
-        assert!(!parts.is_empty(), "combine_all needs at least one part");
-        let mut time = parts[0].time.clone();
-        let mut params = Vec::new();
-        for p in parts {
-            if !std::ptr::eq(*p, parts[0]) {
-                time = time.max(&p.time);
-            }
-            params.extend(p.params.iter().cloned());
-        }
+    pub fn combine_all<'p, I>(ty: EventId, parts: I) -> Self
+    where
+        I: IntoIterator<Item = &'p Occurrence<T>>,
+        I::IntoIter: Clone,
+        T: 'p,
+    {
+        let parts = parts.into_iter();
+        let mut times = parts.clone().map(|p| &p.time);
+        let first = times.next().expect("combine_all needs at least one part");
+        let time = times.fold(first.clone(), |t, u| t.max(u));
+        let total = parts.clone().map(|p| p.params.len()).sum();
+        let mut tuples = parts.flat_map(|p| p.params.iter());
         Occurrence {
             ty,
             time,
-            params: Arc::new(params),
+            params: (0..total)
+                .map(|_| tuples.next().expect("counted").clone())
+                .collect(),
             uid: fresh_uid(),
         }
     }
@@ -370,7 +376,7 @@ mod tests {
         let a = Occurrence::bare(EventId(0), CentralTime(3));
         let b = Occurrence::bare(EventId(1), CentralTime(9));
         let c = Occurrence::bare(EventId(2), CentralTime(5));
-        let m = Occurrence::combine_all(EventId(7), &[&a, &b, &c]);
+        let m = Occurrence::combine_all(EventId(7), [&a, &b, &c]);
         assert_eq!(m.time, CentralTime(9));
         assert_eq!(m.params.len(), 3);
     }
@@ -378,7 +384,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one part")]
     fn combine_all_empty_panics() {
-        let _ = Occurrence::<CentralTime>::combine_all(EventId(0), &[]);
+        let _ = Occurrence::<CentralTime>::combine_all(EventId(0), []);
     }
 
     #[test]

@@ -64,18 +64,17 @@ impl<T: EventTime> OperatorNode<T> for AnyNode<T> {
         }
         slots.sort_unstable();
         // Most recent occurrence of each participating slot, borrowed in
-        // place (no per-detection clones — `emit_all` copies what the
-        // emitted occurrence needs); the terminator (the arriving
+        // place (no per-detection clones or staging vec — `emit_all` copies
+        // what the emitted occurrence needs); the terminator (the arriving
         // occurrence) goes last.
-        {
-            let refs: Vec<&Occurrence<T>> = slots
+        let bufs = &self.bufs;
+        sink.emit_all(
+            slots
                 .iter()
                 .filter(|&&s| s != slot)
-                .map(|&s| self.bufs[s].last().expect("non-empty"))
-                .chain(std::iter::once(occ))
-                .collect();
-            sink.emit_all(&refs);
-        }
+                .map(|&s| bufs[s].last().expect("non-empty"))
+                .chain([occ]),
+        );
         // Consumption.
         match self.ctx {
             Context::Unrestricted | Context::Recent => {}

@@ -116,6 +116,13 @@ struct StarWindow<T: EventTime> {
     mids: Vec<Occurrence<T>>,
 }
 
+impl<T: EventTime> StarWindow<T> {
+    /// The window's constituents: the opener, then its mids in order.
+    fn parts(&self) -> impl Iterator<Item = &Occurrence<T>> + Clone {
+        std::iter::once(&self.opener).chain(&self.mids)
+    }
+}
+
 /// State machine for the cumulative `A*(E1, E2, E3)`.
 #[derive(Debug)]
 pub struct AStarNode<T: EventTime> {
@@ -181,21 +188,13 @@ impl<T: EventTime> OperatorNode<T> for AStarNode<T> {
                     Context::Cumulative => {
                         // One merged detection across all closed windows.
                         if !closed.is_empty() {
-                            let mut parts: Vec<&Occurrence<T>> = Vec::new();
-                            for w in &closed {
-                                parts.push(&w.opener);
-                                parts.extend(w.mids.iter());
-                            }
-                            parts.push(occ);
-                            sink.emit_all(&parts);
+                            let windows = closed.iter().flat_map(|w| w.parts());
+                            sink.emit_all(windows.chain([occ]));
                         }
                     }
                     Context::Chronicle => {
                         if let Some(w) = closed.first() {
-                            let mut parts: Vec<&Occurrence<T>> = vec![&w.opener];
-                            parts.extend(w.mids.iter());
-                            parts.push(occ);
-                            sink.emit_all(&parts);
+                            sink.emit_all(w.parts().chain([occ]));
                         }
                         // Later windows are discarded with the closer in
                         // chronicle (consumed unpaired).
@@ -204,10 +203,7 @@ impl<T: EventTime> OperatorNode<T> for AStarNode<T> {
                         // Unrestricted / Recent / Continuous: one detection
                         // per closed window.
                         for w in &closed {
-                            let mut parts: Vec<&Occurrence<T>> = vec![&w.opener];
-                            parts.extend(w.mids.iter());
-                            parts.push(occ);
-                            sink.emit_all(&parts);
+                            sink.emit_all(w.parts().chain([occ]));
                         }
                     }
                 }

@@ -128,8 +128,13 @@ impl<'a, T: EventTime> Sink<'a, T> {
         self.emissions.push(Occurrence::combine(self.emit_ty, a, b));
     }
 
-    /// Emit the combination of many constituents.
-    pub fn emit_all(&mut self, parts: &[&Occurrence<T>]) {
+    /// Emit the combination of many constituents, in iteration order.
+    pub fn emit_all<'p, I>(&mut self, parts: I)
+    where
+        I: IntoIterator<Item = &'p Occurrence<T>>,
+        I::IntoIter: Clone,
+        T: 'p,
+    {
         self.emissions
             .push(Occurrence::combine_all(self.emit_ty, parts));
     }
@@ -228,9 +233,7 @@ pub(crate) fn pair_terminator<T, F>(
             }
             *inits = kept;
             if !used.is_empty() {
-                let mut parts: Vec<&Occurrence<T>> = used.iter().collect();
-                parts.push(term);
-                sink.emit_all(&parts);
+                sink.emit_all(used.iter().chain([term]));
             }
         }
     }
@@ -403,10 +406,8 @@ impl<T: EventTime> BandedBuffer<T> {
                         sink.emit_pair(&self.entries[i].occ, term);
                     }
                 } else if !scratch.is_empty() {
-                    let mut parts: Vec<&Occurrence<T>> =
-                        scratch.iter().map(|&i| &self.entries[i].occ).collect();
-                    parts.push(term);
-                    sink.emit_all(&parts);
+                    let entries = &self.entries;
+                    sink.emit_all(scratch.iter().map(|&i| &entries[i].occ).chain([term]));
                 }
                 // Consume the matched entries in place (recomputing the
                 // match predicate positionally); the survivors are a

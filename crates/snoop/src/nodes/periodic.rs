@@ -183,7 +183,7 @@ impl<T: EventTime> OperatorNode<T> for PNode<T> {
         Some(self.core.period)
     }
 
-    /// See [`PeriodicCore::save_state`] for the encoding.
+    /// See `PeriodicCore::save_state` for the encoding.
     fn save_state(&self) -> crate::state::NodeState<T> {
         self.core.save_state()
     }
@@ -226,12 +226,12 @@ impl<T: EventTime> OperatorNode<T> for PStarNode<T> {
                     for f in &w.fires {
                         time = time.max(f);
                     }
-                    let mut params = (*w.opener.params).clone();
-                    params.push(crate::event::ParamTuple::new(
+                    let fires = crate::event::ParamTuple::new(
                         occ.ty,
                         vec![Value::Int(w.fires.len() as i64)],
-                    ));
-                    sink.emit(Occurrence::with_params(occ.ty, time, params.into()));
+                    );
+                    let params = w.opener.params.iter().cloned().chain([fires]).collect();
+                    sink.emit(Occurrence::with_params(occ.ty, time, params));
                 }
             }
             _ => debug_assert!(false, "P* has two event operands"),
@@ -257,7 +257,7 @@ impl<T: EventTime> OperatorNode<T> for PStarNode<T> {
         Some(self.core.period)
     }
 
-    /// See [`PeriodicCore::save_state`] for the encoding.
+    /// See `PeriodicCore::save_state` for the encoding.
     fn save_state(&self) -> crate::state::NodeState<T> {
         self.core.save_state()
     }

@@ -14,7 +14,7 @@ use crate::time::EventTime;
 
 /// State machine for `E1 ; E2`.
 ///
-/// Initiators live in a [`BandedBuffer`] sorted by the cached max-global
+/// Initiators live in a `BandedBuffer` sorted by the cached max-global
 /// bound: a terminator binary-searches the band-separated
 /// "certainly-before" prefix and only runs full `<_p` relation checks on
 /// the initiators inside the `2g_g` uncertainty band. Behaviorally

@@ -3,10 +3,12 @@
 //!
 //! [`PlanDetector`] compiles all definitions into **one** plan of unique
 //! operator nodes: structurally identical subexpressions (same operator,
-//! same context, same children) hash-cons to a single [`PlanNode`] with
-//! multi-parent fan-out, and each definition keeps a lightweight
-//! [`DefView`] of *positions* (one per subexpression occurrence) that
-//! routes the shared node's output to the definition's own parents.
+//! same context, same children) hash-cons to a single `PlanNode` with
+//! multi-parent fan-out, and each definition keeps a lightweight view of
+//! *positions* (one per subexpression occurrence) that routes the shared
+//! node's output to the definition's own parents. One route table,
+//! indexed by event type, lists every `(definition, position, slot)` a
+//! trigger enters at; triggers are delivered from it by reference.
 //!
 //! [`PlanDetector::unshared`] is the same engine with the cons-table
 //! lookup skipped: every definition compiles into private nodes, exactly
@@ -117,6 +119,9 @@ enum ConsKey {
     Any(Context, usize, Vec<ChildKey>),
     Mask(Mask, ChildKey),
 }
+
+/// A root subscription: definition, position within it, operand slot.
+type Route = (u32, u32, usize);
 
 /// One unique operator instance in the shared plan.
 pub(crate) struct PlanNode<T: EventTime> {
@@ -229,12 +234,8 @@ pub(crate) struct Position {
 pub(crate) struct DefView {
     /// The named composite event this definition detects.
     pub(crate) emits: EventId,
-    /// Event types that can make this definition react.
-    pub(crate) subscribed: BTreeSet<EventId>,
     /// Subexpression positions in build (bottom-up) order.
     pub(crate) positions: Vec<Position>,
-    /// Leaf event type → subscribing positions `(position, slot)`.
-    pub(crate) subs: HashMap<EventId, Vec<(u32, usize)>>,
     /// Outstanding timers → `(position, node-internal tag)`.
     pub(crate) timers: HashMap<TimerId, (u32, u64)>,
     pub(crate) next_timer: u64,
@@ -256,38 +257,17 @@ fn key_of(def: &DefView, s: Src) -> ChildKey {
     }
 }
 
-/// Reusable buffers of the per-definition BFS: the delivery queue and
-/// one delivery's emissions and timer requests. Every buffer is empty
-/// between deliveries, so one instance serves every definition and every
-/// trigger without allocating once warm.
-#[derive(Debug)]
-pub(crate) struct Bfs<T> {
-    queue: VecDeque<(u32, usize, Occurrence<T>)>,
-    emissions: Vec<Occurrence<T>>,
-    timer_reqs: Vec<(u64, u64)>,
-}
-
-impl<T> Default for Bfs<T> {
-    fn default() -> Self {
-        Bfs {
-            queue: VecDeque::new(),
-            emissions: Vec::new(),
-            timer_reqs: Vec::new(),
-        }
-    }
-}
-
 /// Deliver `occ` to `pos`'s plan node on operand `slot`, appending the
 /// emissions (typed for this position) and any timer requests to the
-/// (empty) buffers.
+/// (empty) scratch buffers.
 fn deliver<T: EventTime>(
     nodes: &mut [PlanNode<T>],
     pos: &mut Position,
     slot: usize,
     occ: &Occurrence<T>,
-    emissions: &mut Vec<Occurrence<T>>,
-    timer_reqs: &mut Vec<(u64, u64)>,
+    s: &mut Scratch<T>,
 ) {
+    let (emissions, timer_reqs) = (&mut s.emissions, &mut s.timer_reqs);
     debug_assert!(emissions.is_empty() && timer_reqs.is_empty());
     let node = &mut nodes[pos.node];
     if node.stateless {
@@ -335,104 +315,64 @@ fn deliver<T: EventTime>(
     }
 }
 
-/// Route one delivery's emissions from position `p`, draining both
-/// buffers: register timers, enqueue parent deliveries, record named
-/// detections. Each emission is cloned once per subscriber *minus one* —
-/// the last parent (or, for a named position with no parents, the
-/// detection list) receives it by move.
-fn postprocess_def<T: EventTime>(
-    def: &mut DefView,
-    p: u32,
-    emissions: &mut Vec<Occurrence<T>>,
-    timer_reqs: &mut Vec<(u64, u64)>,
-    queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
-    detected: &mut Vec<Occurrence<T>>,
-    timers: &mut Vec<TimerRequest>,
-) {
-    for (tag, delay) in timer_reqs.drain(..) {
+/// Route one delivery's emissions from position `p`, draining the
+/// scratch's emission and timer-request buffers: register timers, enqueue
+/// parent deliveries, record named detections in the round. Each emission
+/// is cloned once per subscriber *minus one* — the last parent (or, for a
+/// named position with no parents, the round) receives it by move.
+fn postprocess_def<T: EventTime>(def: &mut DefView, p: u32, s: &mut Scratch<T>) {
+    for (tag, delay) in s.timer_reqs.drain(..) {
         let id = TimerId(def.next_timer);
         def.next_timer += 1;
         def.timers.insert(id, (p, tag));
-        timers.push(TimerRequest {
+        s.timers.push(TimerRequest {
             id,
             delay_ticks: delay,
         });
     }
     let pos = &def.positions[p as usize];
     let named = pos.named;
-    for occ in emissions.drain(..) {
+    for occ in s.emissions.drain(..) {
         match pos.parents.split_last() {
             Some((&(last, lslot), rest)) => {
                 for &(parent, slot) in rest {
-                    queue.push_back((parent, slot, occ.clone()));
+                    s.queue.push_back((parent, slot, occ.clone()));
                 }
                 if named {
-                    queue.push_back((last, lslot, occ.clone()));
-                    detected.push(occ);
+                    s.queue.push_back((last, lslot, occ.clone()));
+                    s.round.push(occ);
                 } else {
-                    queue.push_back((last, lslot, occ));
+                    s.queue.push_back((last, lslot, occ));
                 }
             }
             None => {
                 if named {
-                    detected.push(occ);
+                    s.round.push(occ);
                 }
             }
         }
     }
 }
 
-/// BFS over one definition's queued deliveries, appending its named
-/// detections and timer requests to the caller's vectors. The queue is
-/// empty again on return.
-fn drain_def<T: EventTime>(
+/// Deliver `occ` to position `p` on `slot` and route the emissions.
+fn step<T: EventTime>(
     nodes: &mut [PlanNode<T>],
     def: &mut DefView,
-    bfs: &mut Bfs<T>,
-    detected: &mut Vec<Occurrence<T>>,
-    timers: &mut Vec<TimerRequest>,
+    (p, slot): (u32, usize),
+    occ: &Occurrence<T>,
+    s: &mut Scratch<T>,
 ) {
-    let Bfs {
-        queue,
-        emissions,
-        timer_reqs,
-    } = bfs;
-    while let Some((p, slot, occ)) = queue.pop_front() {
-        deliver(
-            nodes,
-            &mut def.positions[p as usize],
-            slot,
-            &occ,
-            emissions,
-            timer_reqs,
-        );
-        postprocess_def(def, p, emissions, timer_reqs, queue, detected, timers);
-    }
+    deliver(nodes, &mut def.positions[p as usize], slot, occ, s);
+    postprocess_def(def, p, s);
 }
 
-/// Feed one occurrence through one definition's view of the plan,
-/// appending the definition's named detections and timer requests to
-/// `detected` and `timers`. The trigger is taken by move: the last
-/// subscribing position receives the original, the rest clones — the
-/// common single-subscriber route never clones at all.
-fn feed_def<T: EventTime>(
-    nodes: &mut [PlanNode<T>],
-    def: &mut DefView,
-    occ: Occurrence<T>,
-    bfs: &mut Bfs<T>,
-    detected: &mut Vec<Occurrence<T>>,
-    timers: &mut Vec<TimerRequest>,
-) {
-    let Some(subs) = def.subs.get(&occ.ty) else {
-        return;
-    };
-    debug_assert!(bfs.queue.is_empty(), "scratch queue must start empty");
-    let (&(last, lslot), rest) = subs.split_last().expect("sub lists are non-empty");
-    for &(p, slot) in rest {
-        bfs.queue.push_back((p, slot, occ.clone()));
+/// BFS over one definition's queued deliveries, appending its named
+/// detections to the round and its timer requests to `s.timers`. The
+/// queue is empty again on return.
+fn drain_def<T: EventTime>(nodes: &mut [PlanNode<T>], def: &mut DefView, s: &mut Scratch<T>) {
+    while let Some((p, slot, occ)) = s.queue.pop_front() {
+        step(nodes, def, (p, slot), &occ, s);
     }
-    bfs.queue.push_back((last, lslot, occ));
-    drain_def(nodes, def, bfs, detected, timers);
 }
 
 /// Counts describing a compiled plan's degree of sharing.
@@ -450,18 +390,21 @@ pub struct PlanStats {
     pub sharing_ratio: f64,
 }
 
-/// Reusable hot-path buffers for the serial cascade. Kept on the
-/// detector so the per-event loop of a batch feed allocates nothing:
-/// the current wave, the next wave, the per-trigger detection round, one
-/// definition's timer requests and the BFS buffers all recycle their
-/// capacity across triggers. Every buffer is empty between public calls.
+/// Reusable hot-path buffers, kept on the detector so the per-event loop
+/// of a batch feed allocates nothing once warm: the current and next
+/// cascade waves, the per-trigger detection round, the drained
+/// definition's timer requests, and the BFS queue with one delivery's
+/// emissions and timer requests. Every buffer is empty between public
+/// calls.
 #[derive(Debug)]
 struct Scratch<T> {
     wave: Vec<Occurrence<T>>,
     next: Vec<Occurrence<T>>,
     round: Vec<Occurrence<T>>,
     timers: Vec<TimerRequest>,
-    bfs: Bfs<T>,
+    queue: VecDeque<(u32, usize, Occurrence<T>)>,
+    emissions: Vec<Occurrence<T>>,
+    timer_reqs: Vec<(u64, u64)>,
 }
 
 impl<T> Default for Scratch<T> {
@@ -471,7 +414,9 @@ impl<T> Default for Scratch<T> {
             next: Vec::new(),
             round: Vec::new(),
             timers: Vec::new(),
-            bfs: Bfs::default(),
+            queue: VecDeque::new(),
+            emissions: Vec::new(),
+            timer_reqs: Vec::new(),
         }
     }
 }
@@ -493,10 +438,11 @@ pub struct PlanDetector<T: EventTime> {
     /// [`Self::unshared`]).
     unshared: bool,
     defs: Vec<DefView>,
-    /// Event type → definitions subscribed to it, ascending. Indexed
-    /// densely by `EventId` (an empty slot = unrouted) so the hot path
-    /// routes with one bounds-checked load instead of a hash.
-    routes: Vec<Vec<ShardId>>,
+    /// Event type → every root subscription `(definition, position,
+    /// slot)`, grouped by ascending definition, each definition's in bind
+    /// order. Indexed densely by `EventId` (an empty slot = unrouted), so
+    /// a trigger routes with one bounds-checked load.
+    route_table: Vec<Vec<Route>>,
     /// Reusable hot-path buffers (empty between public calls), boxed to
     /// keep the detector small; calls move the contents out and back, so
     /// the box itself is allocated once.
@@ -518,7 +464,7 @@ impl<T: EventTime> PlanDetector<T> {
             cons: HashMap::new(),
             unshared: false,
             defs: Vec::new(),
-            routes: Vec::new(),
+            route_table: Vec::new(),
             scratch: Box::default(),
             levels: Vec::new(),
             severed: false,
@@ -568,9 +514,7 @@ impl<T: EventTime> PlanDetector<T> {
         let d = self.defs.len();
         let mut def = DefView {
             emits,
-            subscribed: BTreeSet::new(),
             positions: Vec::new(),
-            subs: HashMap::new(),
             timers: HashMap::new(),
             next_timer: 0,
         };
@@ -599,28 +543,19 @@ impl<T: EventTime> PlanDetector<T> {
                     parents: Vec::new(),
                     seen,
                 });
-                def.subs.entry(e).or_default().push((p, 0));
+                self.subscribe(e, (d as u32, p, 0));
             }
         }
-        def.subscribed = def.subs.keys().copied().collect();
-        let level = def
-            .subscribed
-            .iter()
+        let level = self
+            .shard_subscriptions(d)
             .filter_map(|ty| {
                 self.defs
                     .iter()
-                    .position(|dv| dv.emits == *ty)
+                    .position(|dv| dv.emits == ty)
                     .map(|j| self.levels[j] + 1)
             })
             .max()
             .unwrap_or(0);
-        for &ty in &def.subscribed {
-            let slot = ty.0 as usize;
-            if slot >= self.routes.len() {
-                self.routes.resize_with(slot + 1, Vec::new);
-            }
-            self.routes[slot].push(d);
-        }
         self.levels.push(level);
         self.defs.push(def);
         Ok(emits)
@@ -650,6 +585,17 @@ impl<T: EventTime> PlanDetector<T> {
         let n = self.fresh_node(children, label, stateless, mk());
         self.cons.insert(key, n);
         n
+    }
+
+    /// Append a root subscription to `e`'s route. Definitions are built
+    /// in index order, so appending keeps the table grouped by ascending
+    /// definition.
+    fn subscribe(&mut self, e: EventId, route: Route) {
+        let i = e.0 as usize;
+        if i >= self.route_table.len() {
+            self.route_table.resize_with(i + 1, Vec::new);
+        }
+        self.route_table[i].push(route);
     }
 
     /// Push a node no later define can reuse (temporal operators, and
@@ -694,7 +640,7 @@ impl<T: EventTime> PlanDetector<T> {
         });
         for &(src, slot) in children {
             match src {
-                Src::Event(e) => def.subs.entry(e).or_default().push((p, slot)),
+                Src::Event(e) => self.subscribe(e, (d as u32, p, slot)),
                 Src::Pos(c) => def.positions[c as usize].parents.push((p, slot)),
             }
         }
@@ -964,7 +910,9 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Event types definition `d` subscribes to, ascending.
     pub fn shard_subscriptions(&self, d: ShardId) -> impl Iterator<Item = EventId> + '_ {
-        self.defs[d].subscribed.iter().copied()
+        (0..self.route_table.len() as u32)
+            .map(EventId)
+            .filter(move |&ty| self.route(ty).iter().any(|r| r.0 as usize == d))
     }
 
     /// Whether some definition references another definition's named
@@ -973,9 +921,12 @@ impl<T: EventTime> PlanDetector<T> {
         self.defs.iter().any(|dv| !self.route(dv.emits).is_empty())
     }
 
-    /// The definitions subscribed to `ty`, ascending (empty = unrouted).
-    fn route(&self, ty: EventId) -> &[ShardId] {
-        self.routes.get(ty.0 as usize).map_or(&[], Vec::as_slice)
+    /// The root subscriptions of `ty`, grouped by ascending definition
+    /// (empty = unrouted).
+    fn route(&self, ty: EventId) -> &[Route] {
+        self.route_table
+            .get(ty.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Smallest timer delay any node can request, or `None` when no
@@ -1041,53 +992,32 @@ impl<T: EventTime> PlanDetector<T> {
     /// Feed one occurrence, cascading named detections (canonical order)
     /// into the definitions that reference them.
     pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
-        self.pump_one(occ, &mut out);
-        self.trim_logs();
-        out
+        self.feed_each([occ])
     }
 
     /// Deliver a previously requested timer on the definition that owns
-    /// it. Temporal nodes are always private, so this never touches the
-    /// shared log.
+    /// it, on the same scratch buffers as a trigger. Temporal nodes are
+    /// always private, so this never touches the shared log.
     pub fn fire_timer(&mut self, d: ShardId, id: TimerId, time: T) -> Result<ShardFeedResult<T>> {
         let (p, tag) = self.defs[d]
             .timers
             .remove(&id)
             .ok_or(SnoopError::UnknownTimer(id.0))?;
-        let mut bfs = Bfs::default();
-        let mut round = Vec::new();
-        let mut timers = Vec::new();
-        {
-            let def = &self.defs[d];
-            let pos = &def.positions[p as usize];
-            let node = &mut self.nodes[pos.node];
-            debug_assert_eq!(node.bound.len(), 1, "timer nodes are private");
-            let mut sink = Sink::new(pos.emits, &mut bfs.emissions, &mut bfs.timer_reqs);
-            node.op.on_timer(tag, &time, &mut sink);
-        }
+        let mut s = std::mem::take(&mut *self.scratch);
         let def = &mut self.defs[d];
-        let Bfs {
-            queue,
-            emissions,
-            timer_reqs,
-        } = &mut bfs;
-        postprocess_def(
-            def,
-            p,
-            emissions,
-            timer_reqs,
-            queue,
-            &mut round,
-            &mut timers,
-        );
-        drain_def(&mut self.nodes, def, &mut bfs, &mut round, &mut timers);
+        let pos = &def.positions[p as usize];
+        let node = &mut self.nodes[pos.node];
+        debug_assert_eq!(node.bound.len(), 1, "timer nodes are private");
+        let mut sink = Sink::new(pos.emits, &mut s.emissions, &mut s.timer_reqs);
+        node.op.on_timer(tag, &time, &mut sink);
+        postprocess_def(def, p, &mut s);
+        drain_def(&mut self.nodes, def, &mut s);
         let mut out = ShardFeedResult::default();
-        out.timers.extend(timers.into_iter().map(|t| (d, t)));
-        sort_canonical(&mut round);
-        let mut wave = Vec::new();
-        self.cascade(round, &mut wave, &mut out);
-        self.pump(wave, &mut out);
+        out.timers.extend(s.timers.drain(..).map(|t| (d, t)));
+        self.merge_round(&mut s, &mut out);
+        std::mem::swap(&mut s.wave, &mut s.next);
+        self.run_waves(&mut s, &mut out);
+        *self.scratch = s;
         self.trim_logs();
         Ok(out)
     }
@@ -1095,12 +1025,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// Feed a whole batch; semantically identical to feeding each
     /// occurrence in order, but the logs are trimmed once per batch.
     pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
-        for occ in occs {
-            self.pump_one(occ, &mut out);
-        }
-        self.trim_logs();
-        out
+        self.feed_each(occs)
     }
 
     /// Feed a columnar batch: only routed rows are ever materialized into
@@ -1122,25 +1047,21 @@ impl<T: EventTime> PlanDetector<T> {
         self.feed_batch(occs)
     }
 
-    /// BFS cascade for a single trigger, on the detector scratch: the
-    /// per-event loop of a serial batch feed allocates nothing.
-    fn pump_one(&mut self, occ: Occurrence<T>, out: &mut ShardFeedResult<T>) {
+    /// Run each trigger's whole cascade, in order, on the detector
+    /// scratch, then trim the logs once.
+    fn feed_each(&mut self, occs: impl IntoIterator<Item = Occurrence<T>>) -> ShardFeedResult<T> {
+        let mut out = ShardFeedResult::default();
         let mut s = std::mem::take(&mut *self.scratch);
-        debug_assert!(s.wave.is_empty());
-        s.wave.push(occ);
-        self.run_waves(&mut s, out);
+        for occ in occs {
+            s.wave.push(occ);
+            self.run_waves(&mut s, &mut out);
+        }
         *self.scratch = s;
+        self.trim_logs();
+        out
     }
 
     /// BFS cascade: serial waves until no detections remain.
-    fn pump(&mut self, wave: Vec<Occurrence<T>>, out: &mut ShardFeedResult<T>) {
-        let mut s = std::mem::take(&mut *self.scratch);
-        debug_assert!(s.wave.is_empty());
-        s.wave.extend(wave);
-        self.run_waves(&mut s, out);
-        *self.scratch = s;
-    }
-
     fn run_waves(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
         while !s.wave.is_empty() {
             self.wave_step(s, out);
@@ -1148,58 +1069,48 @@ impl<T: EventTime> PlanDetector<T> {
         }
     }
 
-    /// Move one canonically sorted detection round into `out`, cloning
-    /// into `next` each detection whose type some definition routes (an
-    /// unrouted one could trigger nothing in the next wave). Severed
-    /// cascades clone nothing.
-    fn cascade(
-        &self,
-        round: impl IntoIterator<Item = Occurrence<T>>,
-        next: &mut Vec<Occurrence<T>>,
-        out: &mut ShardFeedResult<T>,
-    ) {
-        for det in round {
+    /// Sort one trigger's detection round canonically and move it into
+    /// `out`, cloning into `s.next` each detection whose type some
+    /// definition routes (an unrouted one could trigger nothing in the next
+    /// wave). Severed cascades clone nothing.
+    fn merge_round(&self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+        sort_canonical(&mut s.round);
+        for det in s.round.drain(..) {
             if !self.severed && !self.route(det.ty).is_empty() {
-                next.push(det.clone());
+                s.next.push(det.clone());
             }
             out.detected.push(det);
         }
     }
 
-    /// Run one cascade wave serially: route each occurrence of `s.wave`
-    /// to the subscribed definitions (ascending), canonically merge the
-    /// per-trigger detections into `out` and `s.next`. Each trigger moves
-    /// into the *last* subscribed definition — the common single-route
-    /// case never clones it.
+    /// Run one cascade wave serially: deliver each occurrence of `s.wave`
+    /// by reference to its route's positions, one definition at a time
+    /// (ascending), draining that definition's BFS before the next; then
+    /// merge the trigger's round into `out` and `s.next`.
     fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
-        let Scratch {
-            wave,
-            next,
-            round,
-            timers,
-            bfs,
-        } = s;
+        let mut wave = std::mem::take(&mut s.wave);
         for occ in wave.drain(..) {
             let PlanDetector {
-                routes,
+                route_table,
                 nodes,
                 defs,
                 ..
             } = self;
-            let route: &[ShardId] = routes.get(occ.ty.0 as usize).map_or(&[], Vec::as_slice);
-            let Some((&last, rest)) = route.split_last() else {
-                continue;
-            };
-            debug_assert!(round.is_empty());
-            for &d in rest {
-                feed_def(nodes, &mut defs[d], occ.clone(), bfs, round, timers);
-                out.timers.extend(timers.drain(..).map(|t| (d, t)));
+            let route = route_table
+                .get(occ.ty.0 as usize)
+                .map_or(&[][..], Vec::as_slice);
+            debug_assert!(s.round.is_empty() && s.queue.is_empty());
+            for roots in route.chunk_by(|a, b| a.0 == b.0) {
+                let d = roots[0].0 as usize;
+                for &(_, p, slot) in roots {
+                    step(nodes, &mut defs[d], (p, slot), &occ, s);
+                }
+                drain_def(nodes, &mut defs[d], s);
+                out.timers.extend(s.timers.drain(..).map(|t| (d, t)));
             }
-            feed_def(nodes, &mut defs[last], occ, bfs, round, timers);
-            out.timers.extend(timers.drain(..).map(|t| (last, t)));
-            sort_canonical(round);
-            self.cascade(round.drain(..), next, out);
+            self.merge_round(s, out);
         }
+        s.wave = wave;
     }
 
     /// Drop fully-replayed log entries. At the end of every public call
@@ -2113,8 +2024,9 @@ mod tests {
             assert!(d.has_cross_shard_routes()); // Z references X
             let id = |n: &str| d.catalog().lookup(n).unwrap();
             // A routes only to X; C to Y and Z.
-            assert_eq!(d.route(id("A")), &[0]);
-            assert_eq!(d.route(id("C")), &[1, 2]);
+            let defs_of = |n: &str| d.route(id(n)).iter().map(|r| r.0).collect::<Vec<_>>();
+            assert_eq!(defs_of("A"), [0]);
+            assert_eq!(defs_of("C"), [1, 2]);
             // And each definition subscribes only to what it references.
             let subs0: Vec<EventId> = d.shard_subscriptions(0).collect();
             let subs2: Vec<EventId> = d.shard_subscriptions(2).collect();
@@ -2225,6 +2137,68 @@ mod tests {
             assert!(!want.detected.is_empty());
             assert_eq!(got.detected, want.detected, "sharing={sharing}");
             assert_eq!(got.timers, want.timers, "sharing={sharing}");
+        }
+    }
+
+    /// One trigger reaching several positions of one definition and
+    /// several definitions — `SEQ(A, A)`, `A ∧ (A ; B)`, `ANY(2; A, A, B)`
+    /// — detects in exactly this order in both sharing modes: routes
+    /// deliver in bind order per definition, a definition's BFS drains
+    /// before the next definition's roots, and each trigger's round is
+    /// merged canonically. Each detection lists its constituents' ticks.
+    #[test]
+    fn multi_position_triggers_keep_detection_order() {
+        let (a, b) = (E::prim("A"), E::prim("B"));
+        let defs = [
+            ("S", E::seq(a.clone(), a.clone())),
+            ("X", E::and(a.clone(), E::seq(a.clone(), b.clone()))),
+            ("Y", E::any(2, vec![a.clone(), a, b])),
+        ];
+        let want: Vec<(String, u64, Vec<i64>)> = [
+            ("Y", 1, &[1, 1][..]),
+            ("S", 2, &[1, 2]),
+            ("Y", 2, &[1, 2]),
+            ("Y", 2, &[2, 2]),
+            ("X", 3, &[1, 1, 3]),
+            ("X", 3, &[2, 1, 3]),
+            ("X", 3, &[1, 2, 3]),
+            ("X", 3, &[2, 2, 3]),
+            ("Y", 3, &[2, 3]),
+            ("S", 4, &[1, 4]),
+            ("S", 4, &[2, 4]),
+            ("X", 4, &[1, 3, 4]),
+            ("X", 4, &[2, 3, 4]),
+            ("Y", 4, &[2, 4]),
+            ("Y", 4, &[4, 4]),
+        ]
+        .map(|(n, t, ticks)| (n.to_owned(), t, ticks.to_vec()))
+        .to_vec();
+        for shared in [false, true] {
+            let mut d = mode(shared);
+            for n in ["A", "B"] {
+                d.register(n).unwrap();
+            }
+            for (name, e) in &defs {
+                d.define(name, e, Context::Unrestricted).unwrap();
+            }
+            let mut got = Vec::new();
+            for (n, t) in [("A", 1), ("A", 2), ("B", 3), ("A", 4)] {
+                let ty = d.catalog().lookup(n).unwrap();
+                let o = Occurrence::primitive(
+                    ty,
+                    CentralTime(t),
+                    vec![crate::event::Value::Int(t as i64)],
+                );
+                for det in d.feed(o).detected {
+                    let ticks: Vec<i64> = det
+                        .params
+                        .iter()
+                        .map(|p| p.values[0].as_int().unwrap())
+                        .collect();
+                    got.push((d.catalog().name(det.ty).to_owned(), det.time.get(), ticks));
+                }
+            }
+            assert_eq!(got, want, "shared={shared}");
         }
     }
 }

@@ -206,7 +206,7 @@ const FRONTIER_SITES: usize = 64;
 /// any *other* site. The frontier keeps the first per site, and the top
 /// two globals from distinct sites for the second: if the top global sits
 /// at `p`'s site, the runner-up from another site is the one that counts.
-/// Both are over singleton members at sites below [`FRONTIER_SITES`];
+/// Both are over singleton members at sites below `FRONTIER_SITES`;
 /// any other member sets `spill`, and queries scan those members
 /// literally. Wide queries scan the whole set.
 #[derive(Debug, Clone)]

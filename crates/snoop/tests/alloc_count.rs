@@ -5,21 +5,25 @@
 //! no concurrent traffic.
 //!
 //! The fixtures use *bare* occurrences (one empty parameter tuple) under
-//! `CentralTime`, so the allocations inherent to an emission are its
-//! concatenated parameter vec and the `Arc` wrapping it — every other
-//! count is join-site staging. What it pins:
+//! `CentralTime`, so the one allocation inherent to an emission is its
+//! concatenated parameter slice (`Arc<[ParamTuple]>`) — every other count
+//! is join-site or routing overhead. What it pins:
 //!
-//! * `SeqNode` termination (the banded buffer) allocates exactly two
-//!   counts per emitted pairing (params vec + `Arc`) — the matched-index
-//!   staging reuses the buffer's scratch, independent of how many
-//!   initiators match;
-//! * `AnyNode` m-of-n detection allocates the emission plus one
-//!   borrowed-parts vec — no per-part occurrence clones, no slot vec;
+//! * `SeqNode` termination (the banded buffer) allocates exactly one
+//!   count per emitted pairing — the matched-index staging reuses the
+//!   buffer's scratch, independent of how many initiators match;
+//! * `AnyNode` m-of-n detection allocates exactly the emission — no
+//!   per-part occurrence clones, no parts or slot vec;
 //! * a warm `PlanDetector` batch through two definitions sharing a `SEQ`
-//!   body plus a `NOT` allocates exactly params vec + `Arc` per operator
-//!   emission, plus the returned detection vec — no per-delivery emission
-//!   vec, no per-definition result vec, no replay-log entry, and no
-//!   cascade clone of a detection no definition subscribes to;
+//!   body plus a `NOT` allocates exactly one count per operator emission,
+//!   plus the returned detection vec — no per-delivery emission vec, no
+//!   per-definition result vec, no replay-log entry, and no cascade clone
+//!   of a detection no definition subscribes to;
+//! * a warm batch through a `wide_plan`-shaped plan (`AND`/`SEQ` under
+//!   Recent and Chronicle over shared bodies, `NOT`, `ANY(2)` and one
+//!   cascade level) allocates exactly one params slice per executed
+//!   emission plus the result vec: triggers and cascaded detections route
+//!   by reference, and a replayed shared emission is free;
 //! * `CompositeTimestamp::singleton` — the stamp of every event a site
 //!   emits and every coordinator timer fire — allocates nothing.
 
@@ -91,14 +95,13 @@ fn join_sites_allocate_only_per_emission() {
     });
     assert_eq!(em.len(), M);
     assert_eq!(
-        n,
-        2 * M,
-        "SEQ termination with {M} matches must allocate exactly params + Arc per emission"
+        n, M,
+        "SEQ termination with {M} matches must allocate exactly one params slice per emission"
     );
 
     // --- ANY(2 of N): Unrestricted re-fires on every arrival once m slots
-    // are populated; a detection must cost one borrowed-parts vec plus the
-    // emission Arc, regardless of how many slots the node has.
+    // are populated; a detection must cost exactly the emission's params
+    // slice, regardless of how many slots the node has.
     const N: usize = 64;
     let mut any: AnyNode<CentralTime> = AnyNode::new(Context::Unrestricted, 2, N);
     let mut em: Vec<Occurrence<CentralTime>> = Vec::new();
@@ -117,10 +120,7 @@ fn join_sites_allocate_only_per_emission() {
         any.on_child(N - 1, &arrival, &mut sink);
     });
     assert_eq!(em.len(), 1);
-    assert!(
-        n <= 5,
-        "ANY detection must allocate at most the parts vec + one emission, got {n}"
-    );
+    assert_eq!(n, 1, "ANY detection must allocate exactly one params slice");
 
     // --- Plan path: `SEQ(A, B)` is one node shared by S1 and S2 (S1
     // executes it, S2 replays its log), and N negates over A..C. Each round
@@ -162,13 +162,84 @@ fn join_sites_allocate_only_per_emission() {
     assert_eq!(out.detected.len(), DETECTIONS);
     assert_eq!(
         n,
-        2 * EMISSIONS + 1,
-        "a warm plan batch must allocate exactly params + Arc per emission plus the result vec"
+        EMISSIONS + 1,
+        "a warm plan batch must allocate exactly one params slice per emission plus the result vec"
     );
+
+    wide_plan_allocates_once_per_emission();
 
     // --- Singleton stamps live in the inline member buffer.
     let t = pts(3, 41, 410);
     let (n, stamp) = allocs_during(|| CompositeTimestamp::singleton(t));
     assert_eq!(stamp.members(), &[t]);
     assert_eq!(n, 0, "a singleton stamp must not allocate");
+}
+
+/// A `wide_plan`-shaped plan: `AND` and `SEQ` definitions under Recent and
+/// Chronicle over shared `SEQ(T0, T1)` bodies, a `NOT`, an `ANY(2)`, and a
+/// cascade level `C = AND(A1, Q1)` over two named composites. In a warm
+/// batch every allocation is either a detection's params slice, one of the
+/// two bodies' executed emissions (their second binders replay the log for
+/// free), or the growth of the returned detection vec: a trigger or a
+/// cascaded detection is never copied into a definition on its way in.
+fn wide_plan_allocates_once_per_emission() {
+    let mut plan: PlanDetector<CentralTime> = PlanDetector::new();
+    let t = ["T0", "T1", "T2", "T3", "T4", "T5"].map(|n| plan.register(n).unwrap());
+    let p = E::prim;
+    let body = || E::seq(p("T0"), p("T1"));
+    let (recent, chronicle) = (Context::Recent, Context::Chronicle);
+    plan.define("A1", &E::and(body(), p("T2")), recent).unwrap();
+    plan.define("A2", &E::and(body(), p("T3")), recent).unwrap();
+    plan.define("Q1", &E::seq(body(), p("T4")), chronicle)
+        .unwrap();
+    plan.define("Q2", &E::seq(body(), p("T5")), chronicle)
+        .unwrap();
+    plan.define("N", &E::not(p("T5"), p("T0"), p("T2")), chronicle)
+        .unwrap();
+    let any = E::any(2, vec![p("T0"), p("T2"), p("T4")]);
+    plan.define("Y", &any, recent).unwrap();
+    plan.define("C", &E::and(p("A1"), p("Q1")), recent).unwrap();
+    assert_eq!(
+        plan.shared_node_count(),
+        2,
+        "fixture drifted: bodies not shared"
+    );
+    assert_eq!(plan.stage_count(), 2, "fixture drifted: no cascade level");
+    let round = |t0: u64| -> Vec<Occurrence<CentralTime>> {
+        [0, 1, 2, 3, 4, 5, 2, 3, 4]
+            .iter()
+            .zip(t0..)
+            .map(|(&i, at)| bare(t[i].0, at))
+            .collect()
+    };
+    let named =
+        ["A1", "A2", "Q1", "Q2", "N", "Y", "C"].map(|n| (n, plan.catalog().lookup(n).unwrap()));
+    for r in 0..4 {
+        let out = plan.feed_batch(round(10 * r));
+        for (n, id) in named {
+            assert!(
+                out.detected.iter().any(|o| o.ty == id),
+                "fixture drifted: round {r} detects no {n}"
+            );
+        }
+        plan.advance_watermark(10 * r + 10);
+    }
+    let batch = round(40);
+    let (n, out) = allocs_during(|| plan.feed_batch(batch));
+    const BODY_EMISSIONS: usize = 2;
+    let detections = out.detected.len();
+    // What pushing the detections one by one into a fresh vec costs.
+    let (result_vec, _) = allocs_during(|| {
+        let mut v = Vec::new();
+        for o in &out.detected {
+            v.push(o.clone());
+        }
+        v
+    });
+    assert_eq!(
+        n,
+        detections + BODY_EMISSIONS + result_vec,
+        "a warm wide_plan-shaped batch must allocate exactly one params slice per executed \
+         emission plus the result vec ({detections} detections)"
+    );
 }

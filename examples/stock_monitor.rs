@@ -87,7 +87,7 @@ fn main() {
 
     // A burst detection accumulates price updates between two trades —
     // show one with its parameter count.
-    if let Some(b) = detections.iter().find(|d| d.name == "burst") {
+    if let Some(b) = detections.iter().find(|d| &*d.name == "burst") {
         println!(
             "\nexample burst: {} constituents, stamped {}",
             b.occ.params.len(),

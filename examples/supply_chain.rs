@@ -76,7 +76,7 @@ fn main() {
         engine.local_detections(1)
     );
 
-    let count = |n: &str| detections.iter().filter(|d| d.name == n).count();
+    let count = |n: &str| detections.iter().filter(|d| &*d.name == n).count();
     assert_eq!(engine.local_detections(0), 1);
     assert_eq!(engine.local_detections(1), 1);
     assert_eq!(count("dispatch_cycle"), 2, "both local cycles reported");

@@ -97,7 +97,7 @@ fn network_permutation_invariance() {
         }
         e.run_for(Nanos::from_secs(6))
             .into_iter()
-            .map(|d| (d.name, d.occ.time))
+            .map(|d| (d.name.to_string(), d.occ.time))
             .collect::<Vec<_>>()
     };
     // Same scenario seed (same clocks!) but wildly different networks.
@@ -247,7 +247,7 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
         let det: Vec<(String, u64)> = e
             .run_until(Nanos::from_secs(70))
             .into_iter()
-            .map(|d| (d.name, d.occ.time.max_global()))
+            .map(|d| (d.name.to_string(), d.occ.time.max_global()))
             .collect();
         let mut times = vec![Vec::new(); 3];
         for entry in e.trace().entries() {

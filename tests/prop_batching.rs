@@ -62,7 +62,7 @@ fn run(
     let det = e
         .run_for(Nanos::from_secs(8))
         .into_iter()
-        .map(|d| (d.name, d.occ.time))
+        .map(|d| (d.name.to_string(), d.occ.time))
         .collect();
     (det, e.metrics())
 }

@@ -69,7 +69,9 @@ fn inject_all(e: &mut Engine, w: &[(u64, u32, &'static str)]) {
 }
 
 fn keys(det: Vec<Detection>) -> Vec<(String, decs::core::CompositeTimestamp)> {
-    det.into_iter().map(|d| (d.name, d.occ.time)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ.time))
+        .collect()
 }
 
 /// One chaos case: identical workload, one clean run, one run under a

@@ -203,7 +203,7 @@ mod banded_seq {
                     if !used.is_empty() {
                         let mut parts: Vec<&Occurrence<CompositeTimestamp>> = used.iter().collect();
                         parts.push(&term);
-                        out.push(Occurrence::combine_all(x, &parts));
+                        out.push(Occurrence::combine_all(x, parts.iter().copied()));
                     }
                 }
             }
@@ -296,7 +296,7 @@ fn run(
     let det = e
         .run_for(Nanos::from_secs(8))
         .into_iter()
-        .map(|d| (d.name, d.occ.time))
+        .map(|d| (d.name.to_string(), d.occ.time))
         .collect();
     (det, e.metrics())
 }

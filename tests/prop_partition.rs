@@ -104,7 +104,9 @@ fn inject_all(e: &mut Engine, w: &[(u64, u32, &'static str)]) {
 type Key = (String, Occurrence<decs::core::CompositeTimestamp>);
 
 fn keys(det: Vec<Detection>) -> Vec<Key> {
-    det.into_iter().map(|d| (d.name, d.occ)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ))
+        .collect()
 }
 
 /// One partition-invariance case: N = 1 vs N = 2 vs N = 4.

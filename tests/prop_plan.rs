@@ -94,7 +94,7 @@ fn run(
     let det = e
         .run_for(Nanos::from_secs(6))
         .into_iter()
-        .map(|d| (d.name, d.occ))
+        .map(|d| (d.name.to_string(), d.occ))
         .collect();
     (det, e.metrics())
 }

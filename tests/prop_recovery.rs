@@ -103,7 +103,9 @@ fn inject_all(e: &mut Engine, w: &[(u64, u32, &'static str)]) {
 type Key = (String, Occurrence<decs::core::CompositeTimestamp>);
 
 fn keys(det: Vec<Detection>) -> Vec<Key> {
-    det.into_iter().map(|d| (d.name, d.occ)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ))
+        .collect()
 }
 
 /// One kill-anywhere case. The kill point is the true time of a

@@ -97,7 +97,9 @@ fn inject_all(e: &mut Engine, w: &[(u64, u32, &'static str)]) {
 }
 
 fn keys(det: Vec<Detection>) -> Vec<(String, decs::core::CompositeTimestamp)> {
-    det.into_iter().map(|d| (d.name, d.occ.time)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ.time))
+        .collect()
 }
 
 fn wal_dir(tag: &str) -> std::path::PathBuf {
@@ -281,7 +283,7 @@ fn evicted_backlog_arriving_after_its_release_slot_is_refused_as_stale() {
     // Exactly one X: the post-rejoin (A, B) pair. The stranded A is gone —
     // its composite was the price of evicting — and the 3.5 s B cannot
     // pair backwards.
-    let xs: Vec<&Detection> = det.iter().filter(|d| d.name == "X").collect();
+    let xs: Vec<&Detection> = det.iter().filter(|d| &*d.name == "X").collect();
     assert_eq!(xs.len(), 1, "{det:?}");
     assert!(
         xs[0].occ.time.max_global() >= 60,

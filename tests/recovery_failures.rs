@@ -90,7 +90,9 @@ fn keys(
     String,
     decs::snoop::Occurrence<decs::core::CompositeTimestamp>,
 )> {
-    det.into_iter().map(|d| (d.name, d.occ)).collect()
+    det.into_iter()
+        .map(|d| (d.name.to_string(), d.occ))
+        .collect()
 }
 
 const HORIZON: Nanos = Nanos(10_000_000_000);
