@@ -93,8 +93,12 @@ pub struct EngineConfig {
     /// counter, staged batch) to a per-site WAL under
     /// `<wal_dir>/site-<i>`, so a restarted site resumes retransmission
     /// where the crashed incarnation stopped instead of restarting its
-    /// sequence space. Requires [`EngineConfig::wal_dir`]. Off by default
-    /// — site logging syncs per append (log-before-send).
+    /// sequence space. Requires [`EngineConfig::wal_dir`]. Off by default:
+    /// every allocation, ack and staged event is logged before it takes
+    /// effect, and the frames whose loss could lose or duplicate an
+    /// occurrence (staged events, occurrence-carrying sends, epochs and
+    /// Hellos) are synced first. Acks and event-free sends ride along
+    /// with the next sync.
     pub site_durability: bool,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every

@@ -179,8 +179,11 @@ impl CoordinatorNode {
     ///   sequence numbers may collide with the new incarnation's);
     /// * the in-order frontier falls to `min(next, base_seq)` — a
     ///   non-durable restart resets the site's sequence space below the old
-    ///   frontier, a durable one resumes at or above it (so `min` is a
-    ///   no-op there and no delivered prefix is ever re-opened);
+    ///   frontier; a durable one resumes at or above every slot whose
+    ///   message carried occurrences, so it may re-open only slots whose
+    ///   messages carried none (heartbeats and empty batches, whose log
+    ///   frames it does not sync). Consuming such a slot's watermark
+    ///   promise twice is harmless: the tracker keeps the maximum;
     /// * an evicted site is un-evicted: its watermark pin drops from +∞
     ///   back to the Hello's fresh promise and its stall state clears.
     pub(super) fn epoch_transition(

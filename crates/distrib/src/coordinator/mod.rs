@@ -590,6 +590,66 @@ mod tests {
     }
 
     #[test]
+    fn durable_hello_may_reuse_a_consumed_event_free_slot() {
+        // A durable site lost its unsynced heartbeat frame at seq 2 to a
+        // power loss, so its next incarnation announces itself at seq 2
+        // again, a slot the coordinator has already consumed.
+        let mut sim = coordinator_sim(1);
+        let n = decs_simnet::NodeIdx(0);
+        sim.inject(Nanos(10), n, ev(0, 0, 0, 5, 50));
+        sim.inject(Nanos(20), n, hb(1, 5));
+        sim.inject(Nanos(30), n, hb(2, 6));
+        sim.run_to_completion();
+        assert_eq!(sim.node(n).streams[0].next, 3);
+        sim.inject(
+            Nanos(40),
+            n,
+            Msg::Hello {
+                seq: 2,
+                epoch: 1,
+                watermark: 6,
+            },
+        );
+        sim.run_to_completion();
+        {
+            let c = sim.node(n);
+            // The frontier fell back to the Hello's slot, and the Hello
+            // was consumed there.
+            assert_eq!(c.site_epoch(0), 1);
+            assert_eq!(c.metrics.rejoins, 1);
+            assert_eq!(c.streams[0].next, 3);
+            assert_eq!(c.metrics.messages_processed, 4);
+            assert_eq!(c.tracker.site_watermark(0), 6);
+        }
+        // The next event follows at seq 3, and a retransmitted copy of it
+        // is dropped as a duplicate.
+        let b = Msg::Event {
+            seq: 3,
+            epoch: 1,
+            occ: occ(1, 0, 6, 60),
+        };
+        sim.inject(Nanos(50), n, b.clone());
+        sim.inject(Nanos(60), n, b);
+        sim.inject(
+            Nanos(70),
+            n,
+            Msg::Heartbeat {
+                seq: 4,
+                epoch: 1,
+                watermark: 9,
+            },
+        );
+        sim.run_to_completion();
+        let c = sim.node(n);
+        assert_eq!(c.metrics.duplicates_dropped, 1);
+        assert_eq!(c.metrics.events_received, 2);
+        assert_eq!(c.metrics.events_released, 2);
+        assert_eq!(c.buffered(), 0);
+        // A@g5 then B@g6, each released once: SEQ fires exactly once.
+        assert_eq!(c.detections.len(), 1);
+    }
+
+    #[test]
     fn data_ahead_of_its_hello_is_dropped_until_hello_lands() {
         let mut sim = coordinator_sim(1);
         let n = decs_simnet::NodeIdx(0);

@@ -22,8 +22,12 @@
 //! (parked out-of-order messages) are outside the durability boundary on
 //! purpose: the ack/retransmit protocol already guarantees their
 //! redelivery, because the coordinator only acknowledges the in-order
-//! prefix it has logged. See `tests/prop_recovery.rs` for the
-//! kill-anywhere replay-equivalence suite built on these pieces.
+//! prefix it has appended to its log. Appended is not synced: the log is
+//! synced every 64 appends and before each snapshot, so a power loss at
+//! the coordinator (unlike a process crash, which leaves the page cache
+//! intact) can lose messages it has already acked. See
+//! `tests/prop_recovery.rs` for the kill-anywhere replay-equivalence
+//! suite built on these pieces.
 
 pub mod codec;
 pub mod site_wal;

@@ -3,25 +3,34 @@
 //! A site's contribution to end-to-end correctness is its *unacked send
 //! window*: every sequence number it allocated must eventually be
 //! delivered, or the coordinator's in-order frontier stalls forever. With
-//! site durability on, each site logs (and syncs) every allocation
-//! **before** the message leaves, plus every cumulative ack and every
-//! event staged for a future batch. Recovery folds the log back into
-//! exactly the retransmit buffer, sequence counter and pending batch the
-//! crashed incarnation held — so the restarted site resumes retransmission
-//! with no holes in the sequence space.
+//! site durability on, each site logs every allocation **before** the
+//! message leaves, plus every cumulative ack and every event staged for a
+//! future batch. Recovery folds the log back into the retransmit buffer,
+//! sequence counter and pending batch the crashed incarnation held, so
+//! the restarted site resumes retransmission with no holes in the
+//! sequence space that ever carried an occurrence.
 //!
 //! The log shares the coordinator WAL's frame format and torn-tail
 //! discipline ([`super::wal`]); only the record type differs. Each site
 //! logs into its own subdirectory (`<wal_dir>/site-<i>`), so coordinator
 //! and site logs never interleave.
 //!
-//! Unlike the coordinator's batched fsync, sites sync **per append**: the
-//! invariant "logged before sent" is only worth having if the log entry is
-//! durable by the time the message is observable. The write amplification
-//! is bounded by the site's send rate, which batching already throttles.
+//! A frame is synced before the site acts on it only if losing it could
+//! lose or duplicate an occurrence ([`SiteWalRecord::must_sync`]): staged
+//! occurrences, sends that carry occurrences, epochs and Hellos. Acks and
+//! event-free sends (heartbeats, empty batches) are appended unsynced and
+//! reach the disk with the next synced frame or the writer's periodic
+//! sync. Each sync makes its whole prefix durable and the scanner stops
+//! at the first bad frame, so a power loss drops only a suffix of those
+//! unsynced frames. Losing an ack makes the recovered retransmit window a
+//! superset, and the coordinator drops the re-sent copies as duplicates.
+//! Losing an event-free send lets the restarted site reuse its sequence
+//! slot: the coordinator's epoch transition lowers its frontier to the
+//! Hello's sequence number, and consuming a watermark promise twice is
+//! harmless because the tracker keeps the maximum.
 
 use super::codec::{CodecError, Decode, Encode, Reader};
-use super::wal::{read_wal_as, WalScan};
+use super::wal::{read_wal_as, WalScan, WalWriter};
 use crate::protocol::Msg;
 use decs_core::CompositeTimestamp;
 use decs_snoop::Occurrence;
@@ -58,6 +67,38 @@ pub enum SiteWalRecord {
         /// The stamped occurrence awaiting the next flush.
         occ: Occurrence<CompositeTimestamp>,
     },
+}
+
+impl SiteWalRecord {
+    /// Whether the frame must be durable before the site acts on it: true
+    /// when losing it could lose or duplicate an occurrence. A staged
+    /// occurrence exists nowhere else, and a lost occurrence-carrying send
+    /// would be re-staged and re-sent under a reused sequence number.
+    /// Epochs and Hellos are rare and stay synced. Acks and event-free
+    /// sends are safe to lose (see the module docs).
+    pub fn must_sync(&self) -> bool {
+        match self {
+            SiteWalRecord::Acked { .. } => false,
+            SiteWalRecord::Sent { msg } => match msg {
+                Msg::Heartbeat { .. } => false,
+                Msg::Batch { events, .. } => !events.is_empty(),
+                _ => true,
+            },
+            SiteWalRecord::Epoch { .. } | SiteWalRecord::Staged { .. } => true,
+        }
+    }
+
+    /// Append the frame to a site log, syncing it when
+    /// [`SiteWalRecord::must_sync`] says so. A site writes every record
+    /// of its live log through here; compaction images go through
+    /// [`WalWriter::replace`], which syncs the whole image.
+    pub fn log_to(&self, w: &mut WalWriter) -> io::Result<()> {
+        w.append(self)?;
+        if self.must_sync() {
+            w.sync()?;
+        }
+        Ok(())
+    }
 }
 
 impl Encode for SiteWalRecord {
@@ -185,7 +226,7 @@ pub fn compaction_records(st: &SiteWalState) -> Vec<SiteWalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::wal::{frame_record, scan_bytes_as, WalTail};
+    use crate::durability::wal::{frame_record, scan_bytes_as, WalTail, WAL_TMP_FILE};
     use decs_core::cts;
     use decs_snoop::EventId;
 
@@ -283,6 +324,80 @@ mod tests {
         ]);
         let st2 = fold_records(&compaction_records(&st));
         assert_eq!(st2, st);
+    }
+
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("decs-site-wal-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn stale_partial_temp_file_is_ignored_by_recovery() {
+        let dir = temp_dir("stale-tmp");
+        let live = vec![
+            SiteWalRecord::Epoch { epoch: 1 },
+            SiteWalRecord::Sent { msg: ev(0, 1, 1) },
+            SiteWalRecord::Sent { msg: ev(1, 1, 2) },
+        ];
+        drop(WalWriter::replace(&dir, &live).unwrap());
+        // A compaction that crashed mid-write: half an image in the
+        // temporary file, the live log untouched.
+        let mut partial = Vec::new();
+        for r in &[
+            SiteWalRecord::Epoch { epoch: 2 },
+            SiteWalRecord::Acked { cum_seq: 9 },
+        ] {
+            partial.extend_from_slice(&frame_record(r));
+        }
+        partial.truncate(partial.len() - 3);
+        std::fs::write(dir.join(WAL_TMP_FILE), &partial).unwrap();
+        let (st, scan) = recover_site_state(&dir).unwrap();
+        assert_eq!(scan.records, live);
+        assert_eq!(st, fold_records(&live));
+        // The next compaction overwrites the stale temporary file.
+        let img = compaction_records(&st);
+        drop(WalWriter::replace(&dir, &img).unwrap());
+        assert_eq!(recover_site_state(&dir).unwrap().0, st);
+        assert!(!dir.join(WAL_TMP_FILE).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replaced_log_folds_to_the_compaction_image() {
+        let dir = temp_dir("replace");
+        let mut w = WalWriter::create(&dir).unwrap();
+        let history = [
+            SiteWalRecord::Epoch { epoch: 0 },
+            SiteWalRecord::Sent { msg: ev(0, 0, 1) },
+            SiteWalRecord::Sent { msg: ev(1, 0, 2) },
+            SiteWalRecord::Acked { cum_seq: 1 },
+            SiteWalRecord::Sent { msg: ev(2, 0, 3) },
+            SiteWalRecord::Staged {
+                occ: Occurrence::bare(EventId(3), cts(&[(2, 7, 70)])),
+            },
+        ];
+        for r in &history {
+            r.log_to(&mut w).unwrap();
+        }
+        drop(w);
+        let (mut st, _) = recover_site_state(&dir).unwrap();
+        st.epoch += 1;
+        let mut w = WalWriter::replace(&dir, &compaction_records(&st)).unwrap();
+        assert_eq!(recover_site_state(&dir).unwrap().0, st);
+        // The returned writer appends to the replaced log, not the
+        // temporary file it was written as.
+        SiteWalRecord::Sent { msg: ev(3, 1, 4) }
+            .log_to(&mut w)
+            .unwrap();
+        let (after, scan) = recover_site_state(&dir).unwrap();
+        assert_eq!(scan.tail, WalTail::Clean);
+        assert_eq!(after.next_seq, 4);
+        assert_eq!(
+            after.retx.keys().copied().collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

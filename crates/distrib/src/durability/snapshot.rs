@@ -11,8 +11,10 @@
 //! cumulative-ack protocol only acknowledges the in-order prefix, so a
 //! parked message is by construction unacked at its site and will be
 //! retransmitted to the recovered coordinator. This keeps the invariant
-//! *acked ⇒ in the WAL; unacked ⇒ retransmitted* — nothing is ever owed
-//! to both or neither.
+//! *acked ⇒ appended to the WAL; unacked ⇒ retransmitted*. Appended is
+//! not synced: the coordinator acks a message up to 63 appends before it
+//! syncs it, so a power loss (unlike a process crash) can lose a message
+//! from both the log and its site's retransmit window.
 //!
 //! Snapshot files are written atomically (temp file + rename) as
 //! `snap-{wal_records:020}.bin` with a whole-payload CRC-32 header; the

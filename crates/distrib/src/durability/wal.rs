@@ -39,9 +39,19 @@ pub const MAX_FRAME: u32 = 1 << 30;
 
 /// Appends are `sync_data`ed every this many records (and explicitly at
 /// snapshot points), batching fsync cost at the price of a bounded
-/// unsynced suffix — which the torn-tail scan discards and the sites'
-/// retransmission protocol re-supplies.
+/// unsynced suffix, which the torn-tail scan discards after a power loss.
+/// That suffix is not always re-supplied: the coordinator acks a
+/// `Delivered` frame as soon as it is appended, up to `SYNC_EVERY − 1`
+/// appends before the frame is synced, so a power loss can lose messages
+/// their sites have already dropped from their retransmit windows. A
+/// process crash alone loses nothing, because the page cache still holds
+/// the frames. Site logs sync the frames they cannot lose themselves
+/// (`SiteWalRecord::must_sync`); this rule bounds the rest.
 const SYNC_EVERY: u64 = 64;
+
+/// Temporary name of a log image being written by [`WalWriter::replace`]
+/// before it is renamed over [`WAL_FILE`]. Recovery never reads it.
+pub(crate) const WAL_TMP_FILE: &str = "wal.log.tmp";
 
 /// One durable coordinator input.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,6 +360,7 @@ pub struct WalWriter {
     appends: u64,
     bytes: u64,
     since_sync: u64,
+    syncs: u64,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -359,6 +370,7 @@ impl std::fmt::Debug for WalWriter {
             .field("appends", &self.appends)
             .field("bytes", &self.bytes)
             .field("since_sync", &self.since_sync)
+            .field("syncs", &self.syncs)
             .finish()
     }
 }
@@ -379,7 +391,31 @@ impl WalWriter {
             appends: 0,
             bytes: 0,
             since_sync: 0,
+            syncs: 0,
         })
+    }
+
+    /// Atomically replace the log in `dir` with `records`: write them to a
+    /// temporary file, sync it, rename it over the log and sync the
+    /// directory. A crash at any point leaves either the old log or the
+    /// complete new one, never a truncated mix. The returned writer
+    /// appends after `records`.
+    pub fn replace<R: Encode>(dir: &Path, records: &[R]) -> io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let tmp = dir.join(WAL_TMP_FILE);
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let mut w = WalWriter::with_sink(Box::new(file), dir.join(WAL_FILE));
+        for rec in records {
+            w.append(rec)?;
+        }
+        w.sync()?;
+        std::fs::rename(&tmp, &w.path)?;
+        File::open(dir)?.sync_all()?;
+        Ok(w)
     }
 
     /// Reopen the WAL in `dir` after a scan: truncate to the scanned
@@ -403,6 +439,7 @@ impl WalWriter {
             appends: records,
             bytes: valid_len,
             since_sync: 0,
+            syncs: 0,
         })
     }
 
@@ -416,6 +453,7 @@ impl WalWriter {
             appends: 0,
             bytes: 0,
             since_sync: 0,
+            syncs: 0,
         }
     }
 
@@ -442,8 +480,15 @@ impl WalWriter {
         if self.since_sync > 0 {
             self.sink.sync_data()?;
             self.since_sync = 0;
+            self.syncs += 1;
         }
         Ok(())
+    }
+
+    /// Syncs this writer has issued: explicit [`WalWriter::sync`] calls
+    /// that had appends to flush, plus the implicit `SYNC_EVERY` ones.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Lifetime record count of the log file (scanned prefix + appends).

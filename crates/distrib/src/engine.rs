@@ -716,6 +716,16 @@ impl Engine {
         }
     }
 
+    /// Syncs a site's write-ahead log has issued over the run, across
+    /// restarts (0 without [`EngineConfig::site_durability`], and for the
+    /// coordinator index).
+    pub fn site_wal_syncs(&self, site: u32) -> u64 {
+        match self.sim.node(NodeIdx(site)) {
+            Node::Site(s) => s.wal_syncs(),
+            Node::Coordinator(_) => 0,
+        }
+    }
+
     /// Failure injection: crash `site` at true time `at` — it stops
     /// heartbeating and drops later injections. Buffered notifications
     /// that depend on its watermark will stall until [`Self::evict_site`].

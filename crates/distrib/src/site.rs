@@ -166,6 +166,9 @@ pub struct SiteNode {
     /// stops logging (it is no longer crash-recoverable) but keeps
     /// serving — a monitoring concern, not an outage.
     pub wal_errors: u64,
+    /// Syncs issued by the writers of earlier incarnations (see
+    /// [`SiteNode::wal_syncs`]).
+    retired_wal_syncs: u64,
     /// First WAL error message, if logging has failed.
     wal_failed: Option<String>,
     /// Pristine local-detector state captured at configuration time and
@@ -214,6 +217,7 @@ impl SiteNode {
             wal: None,
             wal_dir: None,
             wal_errors: 0,
+            retired_wal_syncs: 0,
             wal_failed: None,
             local_pristine: None,
             uplinks: Vec::new(),
@@ -265,15 +269,29 @@ impl SiteNode {
     }
 
     /// Enable site durability: outbound allocations, acks and staged
-    /// events are logged (and synced) to a WAL in `dir` before they take
-    /// effect, so a restart recovers the unacked send window.
+    /// events are logged to a WAL in `dir` before they take effect, so a
+    /// restart recovers the unacked send window. Only the frames whose
+    /// loss could lose or duplicate an occurrence are synced before the
+    /// site acts on them ([`SiteWalRecord::must_sync`]).
     pub fn set_durability(&mut self, dir: &Path) -> io::Result<()> {
         let mut w = WalWriter::create(dir)?;
-        w.append(&SiteWalRecord::Epoch { epoch: self.epoch })?;
-        w.sync()?;
+        SiteWalRecord::Epoch { epoch: self.epoch }.log_to(&mut w)?;
         self.wal_dir = Some(dir.to_path_buf());
         self.wal = Some(w);
         Ok(())
+    }
+
+    /// Site WAL syncs over the site's lifetime, every incarnation's writer
+    /// included (0 with durability off).
+    pub fn wal_syncs(&self) -> u64 {
+        self.retired_wal_syncs + self.wal.as_ref().map_or(0, WalWriter::syncs)
+    }
+
+    /// Drop the site log's writer, keeping its sync count.
+    fn close_wal(&mut self) {
+        if let Some(w) = self.wal.take() {
+            self.retired_wal_syncs += w.syncs();
+        }
     }
 
     /// The site's current incarnation epoch.
@@ -295,16 +313,16 @@ impl SiteNode {
         if self.wal_failed.is_none() {
             self.wal_failed = Some(e.to_string());
         }
-        self.wal = None;
+        self.close_wal();
     }
 
-    /// Append + sync one record (log-before-send discipline: the entry
-    /// must be durable before its effect is observable). The record is
-    /// built only when a log exists: with durability off, the hot send
-    /// path copies nothing.
+    /// Log one record before its effect is observable, syncing it first
+    /// when its loss could lose or duplicate an occurrence
+    /// ([`SiteWalRecord::log_to`]). The record is built only when a log
+    /// exists: with durability off, the hot send path copies nothing.
     fn wal_log(&mut self, rec: impl FnOnce() -> SiteWalRecord) {
         if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.append(&rec()).and_then(|()| w.sync()) {
+            if let Err(e) = rec().log_to(w) {
                 self.wal_io_error(e);
             }
         }
@@ -676,17 +694,6 @@ impl SiteNode {
         ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
     }
 
-    /// Rewrite the site log to the compaction image of `img` and return
-    /// the fresh writer positioned after it.
-    fn rewrite_wal(dir: &Path, img: &SiteWalState) -> io::Result<WalWriter> {
-        let mut w = WalWriter::create(dir)?;
-        for rec in compaction_records(img) {
-            w.append(&rec)?;
-        }
-        w.sync()?;
-        Ok(w)
-    }
-
     /// Bring a crashed site back up as a new incarnation.
     ///
     /// Volatile state (pending batch, retransmit buffer, sequence counter,
@@ -728,7 +735,7 @@ impl SiteNode {
         // is higher wins and the new epoch strictly exceeds both.
         let mut prior_epoch = self.epoch;
         if let Some(dir) = self.wal_dir.clone() {
-            self.wal = None; // the old handle's position is meaningless now
+            self.close_wal(); // the old handle's position is meaningless now
             match recover_site_state(&dir) {
                 Ok((st, _scan)) => {
                     prior_epoch = prior_epoch.max(st.epoch);
@@ -769,7 +776,9 @@ impl SiteNode {
                 retx: self.retx.to_map(),
                 staged: self.pending.clone(),
             };
-            match Self::rewrite_wal(&dir, &img) {
+            // Compact the log to the recovered image. The replacement is
+            // atomic: a crash mid-rewrite leaves the old log in place.
+            match WalWriter::replace(&dir, &compaction_records(&img)) {
                 Ok(w) => self.wal = Some(w),
                 Err(e) => self.wal_io_error(e),
             }
@@ -1337,6 +1346,69 @@ mod tests {
             .filter(|s| replayed.iter().filter(|t| t == s).count() > 1)
             .count();
         assert!(dups >= 2, "backlog not resent: {replayed:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_batching_site_syncs_only_occurrence_frames() {
+        let dir = std::env::temp_dir().join(format!(
+            "decs-site-wal-test-{}-sync-count",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let coord = NodeIdx(1);
+        let mut site = SiteNode::new(coord, Nanos::from_millis(100))
+            .with_batching(Nanos::from_millis(100))
+            .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
+        site.set_durability(&dir).unwrap();
+        let nodes = vec![
+            (Node::Site(site), source(0)),
+            (Node::Collector(Collector::default()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+        // Three injections: two share one batch window, one has its own.
+        let injects = [1_010_000_000u64, 1_030_000_000, 1_350_000_000];
+        for at in injects {
+            sim.inject(
+                Nanos(at),
+                NodeIdx(0),
+                Msg::Inject {
+                    ty: EventId(7),
+                    values: vec![],
+                },
+            );
+        }
+        // Cumulative acks that each trim the window, so each is logged.
+        for (at, cum_seq) in [
+            (550_000_000u64, 5u64),
+            (1_250_000_000, 12),
+            (1_750_000_000, 17),
+        ] {
+            sim.inject(Nanos(at), NodeIdx(0), Msg::Ack { cum_seq, epoch: 0 });
+        }
+        sim.run_until(Nanos::from_millis(1_950));
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!()
+        };
+        // The collector never acks, so it also sees retransmitted copies:
+        // count each sequence slot once.
+        let flushes: std::collections::BTreeMap<u64, usize> = c
+            .batches
+            .iter()
+            .map(|(seq, _, e)| (*seq, e.len()))
+            .collect();
+        let carrying = flushes.values().filter(|&&n| n > 0).count();
+        assert_eq!(carrying, 2);
+        assert!(flushes.len() - carrying > 10, "{flushes:?}");
+        let Node::Site(s) = sim.node(NodeIdx(0)) else {
+            panic!()
+        };
+        assert_eq!(s.wal_errors, 0, "{:?}", s.wal_failed());
+        assert_eq!(s.unacked(), flushes.len() - 17, "all three acks trimmed");
+        // One for the Epoch, one per staged occurrence, one per
+        // occurrence-carrying flush; none for empty flushes or acks.
+        assert_eq!(s.wal_syncs(), 1 + injects.len() as u64 + carrying as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

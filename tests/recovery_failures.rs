@@ -324,3 +324,28 @@ fn restart_dedup_drops_retransmitted_prefix() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn site_wal_syncs_are_counted_across_restarts() {
+    let dir = tmp_dir("syncs");
+    let mut e = site_durable_engine(41, &dir);
+    e.crash_site(Nanos(1_600_500_000), 0);
+    e.restart_site(Nanos(2_200_500_000), 0);
+    inject_all(&mut e, &workload());
+    e.run_until(Nanos::from_millis(1_600));
+    // The Epoch and site 0's two events (at 0.2 s and 1.5 s), at least.
+    let before = e.site_wal_syncs(0);
+    assert!(before >= 3, "{before} syncs");
+    e.run_until(Nanos::from_millis(2_300));
+    // The new incarnation's compaction image and its Hello add to the
+    // crashed incarnation's count rather than restarting it.
+    assert!(e.site_wal_syncs(0) >= before + 2);
+    assert_eq!(e.site_wal_syncs(SITES), 0, "the coordinator index");
+    assert_eq!(e.metrics().wal_errors, 0);
+
+    let mut plain = engine(41, None, 0);
+    inject_all(&mut plain, &workload());
+    plain.run_until(Nanos::from_millis(2_300));
+    assert_eq!(plain.site_wal_syncs(0), 0, "durability off");
+    let _ = std::fs::remove_dir_all(&dir);
+}
