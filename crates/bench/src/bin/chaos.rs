@@ -23,8 +23,9 @@
 //! `--smoke` runs a reduced workload, hard-asserts detection equality at
 //! every drop rate *and* every crash schedule, and validates the
 //! committed `BENCH_chaos.json` (malformed JSON, a non-matching row, a
-//! schedule row with no rejoin, or zero retransmissions on the lossy
-//! legs fail with a nonzero exit).
+//! schedule row with no rejoin, zero retransmissions on the lossy legs,
+//! or any retransmission or dropped duplicate on the fault-free leg fail
+//! with a nonzero exit).
 
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
@@ -366,6 +367,15 @@ fn smoke(baseline_path: &str) -> i32 {
             eprintln!(
                 "smoke: FAIL — detections diverged from the fault-free run at {} ppm",
                 r.drop_ppm
+            );
+            failed = true;
+        }
+        if r.drop_ppm == 0 && (r.retransmits != 0 || r.duplicates_dropped != 0) {
+            // A healthy link is acked well inside the retransmission
+            // timeout, so it sends no spurious copies.
+            eprintln!(
+                "smoke: FAIL — fault-free leg resent: {} retransmits, {} duplicates dropped",
+                r.retransmits, r.duplicates_dropped
             );
             failed = true;
         }

@@ -20,7 +20,11 @@ pub enum ReleasePolicy {
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// How often each site heartbeats its watermark.
+    /// How often each site heartbeats its watermark. Must be positive
+    /// when [`EngineConfig::batch_interval`] is zero (`Engine::new`
+    /// refuses a zero interval then): without batching, heartbeats are
+    /// the only watermark carrier, and the coordinator acks a site's
+    /// events when it consumes the site's next heartbeat.
     pub heartbeat_interval: Nanos,
     /// How often each site flushes its coalesced notification batch.
     /// `Nanos::ZERO` (the default) disables batching: every occurrence is
@@ -44,6 +48,11 @@ pub struct EngineConfig {
     /// resent only once this long has passed since the last ack that
     /// trimmed the buffer (or since the first send into an empty buffer),
     /// so messages whose acks are still in flight are never resent.
+    /// Without batching, keep it above `heartbeat_interval` plus a round
+    /// trip: events are acked on the heartbeat cadence (or by the
+    /// periodic ack round, when `ack_interval` is shorter), so a shorter
+    /// timeout makes sites resend copies the coordinator then drops as
+    /// duplicates (harmless to detection, wasteful on the wire).
     /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
     /// for lossless links or ablation).
     pub retransmit_timeout: Nanos,

@@ -409,6 +409,7 @@ impl CoordinatorNode {
         match seq.cmp(&stream.next) {
             std::cmp::Ordering::Equal => {
                 stream.next += 1;
+                let mut ack = msg.carries_watermark();
                 self.handle_in_order(site, msg, ctx);
                 // Drain any parked successors.
                 loop {
@@ -421,6 +422,7 @@ impl CoordinatorNode {
                     };
                     self.parked_total -= 1;
                     stream.next += 1;
+                    ack |= m.carries_watermark();
                     self.handle_in_order(site, m, ctx);
                 }
                 if self.wal_failed.is_some() {
@@ -429,9 +431,14 @@ impl CoordinatorNode {
                     // message no recovery will ever see.
                     return;
                 }
-                // Cumulative ack on every in-order delivery: the site trims
-                // its retransmit buffer as soon as the frontier moves.
-                self.send_ack(from, site, ctx);
+                // Cumulative ack on the watermark cadence: only when the
+                // delivery consumed a watermark or promise. Occurrence-only
+                // events are covered by the ack of the site's next
+                // heartbeat, so on a healthy link they stay unacked for at
+                // most a heartbeat interval plus a round trip.
+                if ack {
+                    self.send_ack(from, site, ctx);
+                }
             }
             std::cmp::Ordering::Greater => {
                 if stream.parked.insert(seq, msg).is_some() {

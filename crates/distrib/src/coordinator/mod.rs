@@ -481,6 +481,169 @@ mod tests {
         assert_eq!(c.detections.len(), 1);
     }
 
+    /// A [`CoordCtx`] that records sends, so a test can drive
+    /// [`CoordinatorNode::deliver`] directly and read the acks it emits.
+    #[derive(Default)]
+    struct Probe {
+        sent: Vec<(NodeIdx, Msg)>,
+    }
+
+    impl CoordCtx for Probe {
+        fn true_now(&self) -> Nanos {
+            Nanos(1)
+        }
+        fn set_timer(&mut self, _delay: Nanos, _tag: u64) {}
+        fn send(&mut self, to: NodeIdx, msg: Msg) {
+            self.sent.push((to, msg));
+        }
+    }
+
+    impl Probe {
+        /// Drain the acks sent so far as `(to, cum_seq, epoch)`.
+        fn acks(&mut self) -> Vec<(u32, u64, u64)> {
+            std::mem::take(&mut self.sent)
+                .into_iter()
+                .filter_map(|(to, m)| match m {
+                    Msg::Ack { cum_seq, epoch } => Some((to.0, cum_seq, epoch)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn coordinator(sites: usize) -> CoordinatorNode {
+        CoordinatorNode::new(sites, detector().0, 100_000_000)
+    }
+
+    #[test]
+    fn in_order_events_are_acked_by_the_next_heartbeat() {
+        let mut c = coordinator(1);
+        let mut p = Probe::default();
+        let s0 = NodeIdx(0);
+        for seq in 0..3 {
+            c.deliver(s0, ev(0, seq, 0, 5, 50), &mut p);
+        }
+        assert!(
+            p.acks().is_empty(),
+            "occurrence-only deliveries ack nothing"
+        );
+        c.deliver(s0, hb(3, 6), &mut p);
+        // One cumulative ack covers the events and the heartbeat.
+        assert_eq!(p.acks(), vec![(0, 4, 0)]);
+        assert_eq!(c.metrics.acks_sent, 1);
+        assert_eq!(c.metrics.events_received, 3);
+    }
+
+    #[test]
+    fn parked_heartbeat_acks_once_when_drained() {
+        let mut c = coordinator(1);
+        let mut p = Probe::default();
+        let s0 = NodeIdx(0);
+        // Events only: the drain of a parked event acks nothing.
+        c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
+        c.deliver(s0, ev(0, 2, 0, 5, 52), &mut p);
+        c.deliver(s0, ev(0, 1, 0, 5, 51), &mut p);
+        assert!(p.acks().is_empty());
+        // A heartbeat parked behind a late event: parking acks nothing,
+        // the drain that consumes it acks exactly once.
+        c.deliver(s0, hb(4, 6), &mut p);
+        c.deliver(s0, ev(1, 5, 0, 6, 60), &mut p);
+        assert!(p.acks().is_empty());
+        c.deliver(s0, ev(1, 3, 0, 6, 59), &mut p);
+        assert_eq!(p.acks(), vec![(0, 6, 0)]);
+        assert_eq!(c.metrics.reassembly_parks, 3);
+    }
+
+    #[test]
+    fn duplicate_event_is_reacked_at_once() {
+        let mut c = coordinator(1);
+        let mut p = Probe::default();
+        let s0 = NodeIdx(0);
+        c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
+        c.deliver(s0, ev(0, 1, 0, 5, 51), &mut p);
+        assert!(p.acks().is_empty());
+        c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
+        assert_eq!(p.acks(), vec![(0, 2, 0)]);
+        assert_eq!(c.metrics.duplicates_dropped, 1);
+        assert_eq!(c.metrics.events_received, 2);
+    }
+
+    #[test]
+    fn watermark_bearing_messages_ack_every_in_order_delivery() {
+        let mut c = coordinator(1);
+        let mut p = Probe::default();
+        let s0 = NodeIdx(0);
+        let batch = |seq, events| Msg::Batch {
+            seq,
+            epoch: 0,
+            watermark: 6,
+            events: std::sync::Arc::new(events),
+        };
+        c.deliver(s0, batch(0, vec![occ(0, 0, 5, 50)]), &mut p);
+        assert_eq!(p.acks(), vec![(0, 1, 0)]);
+        c.deliver(s0, batch(1, vec![]), &mut p);
+        assert_eq!(p.acks(), vec![(0, 2, 0)]);
+        let hello = Msg::Hello {
+            seq: 2,
+            epoch: 1,
+            watermark: 7,
+        };
+        c.deliver(s0, hello, &mut p);
+        assert_eq!(p.acks(), vec![(0, 3, 1)], "acked in the new epoch");
+
+        // A replica over one site, with one peer (stream index 2) that
+        // gates its releases: site uplinks and peer relays.
+        let mut r = coordinator(1);
+        let ids: HashMap<u32, u32> = (0..3).map(|i| (i, i)).collect();
+        r.enable_partition(partition::PartitionState::new(
+            0,
+            1,
+            2,
+            vec![0, 1, 2],
+            ids,
+            HashMap::new(),
+            HashMap::new(),
+            0,
+            0b10,
+            1,
+            Nanos::ZERO,
+        ));
+        let routed = |seq, watermark| Msg::Routed {
+            seq,
+            epoch: 0,
+            watermark,
+            events: std::sync::Arc::new(vec![]),
+        };
+        r.deliver(s0, routed(0, 5), &mut p);
+        r.deliver(s0, routed(1, 6), &mut p);
+        assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
+        let relay = |seq, g| Msg::Relay {
+            seq,
+            promise: vec![crate::protocol::PlanePos {
+                g,
+                ..crate::protocol::PlanePos::MIN
+            }],
+            events: std::sync::Arc::new(vec![]),
+        };
+        let peer = NodeIdx(2);
+        r.deliver(peer, relay(0, 5), &mut p);
+        // A relay that advances nothing is still consumed and acked.
+        r.deliver(peer, relay(1, 5), &mut p);
+        assert_eq!(p.acks(), vec![(2, 1, 0), (2, 2, 0)]);
+    }
+
+    #[test]
+    fn ack_round_still_acks_every_stream() {
+        let mut c = coordinator(3);
+        c.set_fault_tolerance(Nanos::from_millis(100), 0, false, 0);
+        let mut p = Probe::default();
+        c.deliver(NodeIdx(1), ev(0, 0, 1, 5, 50), &mut p);
+        c.deliver(NodeIdx(1), ev(1, 1, 1, 6, 60), &mut p);
+        assert!(p.acks().is_empty());
+        c.ack_round(&mut p);
+        assert_eq!(p.acks(), vec![(0, 0, 0), (1, 2, 0), (2, 0, 0)]);
+    }
+
     #[test]
     fn batch_transport_matches_per_event_transport() {
         // The same workload delivered as two batches instead of two events

@@ -306,6 +306,14 @@ impl Engine {
         let (detector, name_ids, names) =
             compile::build_detector(&config, &primitives_owned, &local_defs, &global_defs)?;
 
+        if config.heartbeat_interval.get() == 0 && config.batch_interval.get() == 0 {
+            // Without batching, heartbeats are the only watermark carrier
+            // and the ack cadence; a zero interval would re-arm the
+            // heartbeat timer at the same instant forever.
+            return Err(SnoopError::InvalidConfig(
+                "heartbeat_interval must be positive when batch_interval is zero".to_string(),
+            ));
+        }
         let replicas = config.coordinator_replicas.max(1);
         if replicas > 1 {
             // The partitioned plane's scope cuts, enforced up front (each
@@ -1055,6 +1063,42 @@ mod tests {
     fn partitioned_plane_refuses_more_than_13_replicas() {
         let why = refusal(partitioned(14), &[]);
         assert!(why.contains("limited to 13"), "{why}");
+    }
+
+    #[test]
+    fn zero_heartbeat_without_batching_is_refused() {
+        let config = EngineConfig {
+            heartbeat_interval: Nanos::ZERO,
+            ..EngineConfig::default()
+        };
+        let why = refusal(config.clone(), &[]);
+        assert!(why.contains("heartbeat_interval"), "{why}");
+        // Partitioned sites beacon on the same timer.
+        let why = refusal(
+            EngineConfig {
+                coordinator_replicas: 2,
+                ..config.clone()
+            },
+            &[],
+        );
+        assert!(why.contains("heartbeat_interval"), "{why}");
+        // Batch flushes carry the watermark, so batching needs no
+        // heartbeat: the engine builds and makes progress.
+        let batched = EngineConfig {
+            batch_interval: Nanos::from_millis(20),
+            ..config
+        };
+        let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
+        let mut e = Engine::new(
+            &scenario(2, 1),
+            batched,
+            &["A", "B"],
+            &[("X", ab, Context::Chronicle)],
+        )
+        .unwrap();
+        e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
+        e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
+        assert_eq!(e.run_for(Nanos::from_secs(3)).len(), 1);
     }
 
     #[test]

@@ -172,8 +172,11 @@ pub enum Msg {
     /// Cumulative acknowledgement, coordinator → site: every message with
     /// sequence number `< cum_seq` has been delivered (in order). The site
     /// trims its retransmit buffer on receipt. Sent on every in-order
-    /// delivery, on every duplicate (so a lost ack is repaired by the
-    /// retransmission it failed to suppress), and periodically.
+    /// delivery that consumed a watermark-bearing message (`Heartbeat`,
+    /// `Batch`, `Hello`, `Routed` or `Relay`), on every duplicate (so a
+    /// lost ack is repaired by the retransmission it failed to suppress),
+    /// and periodically. In-order `Msg::Event`s alone are not acked: the
+    /// site's next heartbeat is, and that ack covers them.
     Ack {
         /// The next sequence number the coordinator expects.
         cum_seq: u64,
@@ -251,10 +254,56 @@ pub enum Msg {
     },
 }
 
+impl Msg {
+    /// Whether this message carries a watermark or promise: a
+    /// `Heartbeat`, `Batch`, `Hello`, `Routed` or `Relay`. The coordinator
+    /// acks an in-order delivery only when it consumed such a message; an
+    /// occurrence-only `Msg::Event` is covered by the cumulative ack of
+    /// the site's next heartbeat. Acks only trim the site's retransmit
+    /// window, so their timing changes no detection.
+    pub(crate) fn carries_watermark(&self) -> bool {
+        matches!(
+            self,
+            Msg::Heartbeat { .. }
+                | Msg::Batch { .. }
+                | Msg::Hello { .. }
+                | Msg::Routed { .. }
+                | Msg::Relay { .. }
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use decs_core::cts;
+
+    #[test]
+    fn only_watermark_and_promise_carriers_carry_watermarks() {
+        let hb = Msg::Heartbeat {
+            seq: 0,
+            epoch: 0,
+            watermark: 1,
+        };
+        let relay = Msg::Relay {
+            seq: 0,
+            promise: vec![PlanePos::MIN],
+            events: Arc::new(vec![]),
+        };
+        assert!(hb.carries_watermark() && relay.carries_watermark());
+        let event = Msg::Event {
+            seq: 0,
+            epoch: 0,
+            occ: Occurrence::bare(EventId(1), cts(&[(1, 8, 80)])),
+        };
+        let ack = Msg::Ack {
+            cum_seq: 1,
+            epoch: 0,
+        };
+        for m in [event, ack, Msg::Start, Msg::Crash, Msg::Restart] {
+            assert!(!m.carries_watermark(), "{m:?}");
+        }
+    }
 
     #[test]
     fn messages_are_cloneable_and_debuggable() {

@@ -249,3 +249,101 @@ fn healthy_link_sees_no_retransmits() {
         assert_eq!(m.duplicates_dropped, 0);
     }
 }
+
+/// Bursts of `burst` events, 100 µs apart, every `period_ms` from 0.1 s to
+/// 2.5 s, alternating `A`/`B` and round-robin over `sites`: `(ns, site)`.
+fn bursts(sites: u32, burst: u64, period_ms: u64) -> Vec<(u64, u32)> {
+    let mut out = Vec::new();
+    let mut start = 100_000_000;
+    let mut round = 0u64;
+    while start < 2_500_000_000 {
+        let site = (round % u64::from(sites)) as u32;
+        // Burst sizes vary: 1..=burst.
+        let n = 1 + (round * 7) % burst;
+        for k in 0..n {
+            out.push((start + k * 100_000, site));
+        }
+        start += period_ms * 1_000_000;
+        round += 1;
+    }
+    out
+}
+
+fn inject_bursts(e: &mut Engine, w: &[(u64, u32)]) {
+    for (i, &(ns, site)) in w.iter().enumerate() {
+        let ty = if i % 2 == 0 { "A" } else { "B" };
+        e.inject(Nanos(ns), site, ty, vec![]).unwrap();
+    }
+}
+
+#[test]
+fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
+    // Default non-batching config on a lossless LAN: events are acked on
+    // the heartbeat cadence, well inside the retransmission timeout, so
+    // no copy is ever resent and no duplicate reaches the coordinator.
+    let mut e = seq_engine(4, ReleasePolicy::Stable);
+    let w = bursts(4, 60, 45);
+    inject_bursts(&mut e, &w);
+    e.run_for(Nanos::from_secs(4));
+    let m = e.metrics();
+    assert_eq!(m.events_received, w.len() as u64);
+    assert_eq!(m.retransmits, 0, "healthy link resent");
+    assert_eq!(m.duplicates_dropped, 0);
+    // Occurrence-only events are not acked one by one: every ack answers
+    // a heartbeat or belongs to the periodic round (4 sites × 41 rounds
+    // of 100 ms).
+    assert!(
+        m.acks_sent <= m.heartbeats_received + 4 * 41,
+        "{} acks for {} heartbeats and {} events",
+        m.acks_sent,
+        m.heartbeats_received,
+        w.len()
+    );
+    for site in 0..4 {
+        // At most the latest heartbeat, still in flight.
+        assert!(e.unacked(site) <= 1, "site {site}: {}", e.unacked(site));
+    }
+}
+
+#[test]
+fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
+    // Site 0 on the LAN, site 1 on a WAN link (40 ± 10 ms each way). A
+    // heartbeat sent at `h` is acked by `h + rtt`, and its cumulative ack
+    // covers everything sent before it. So at any instant `t` a site
+    // holds unacked only what it sent in `(t - heartbeat - rtt, t]`: the
+    // events it stamped then, plus the heartbeats in that window.
+    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let wan = LinkConfig::wan();
+    e.set_link_pair(1, wan);
+    let heartbeat = EngineConfig::default().heartbeat_interval.get();
+    let lan = LinkConfig::lan();
+    let rtt = [
+        2 * (lan.base_latency_ns + lan.jitter_ns),
+        2 * (wan.base_latency_ns + wan.jitter_ns),
+    ];
+    let w = bursts(2, 40, 30);
+    inject_bursts(&mut e, &w);
+    let mut peak = [0usize; 2];
+    for ms in 1..=3_000u64 {
+        let t = ms * 1_000_000;
+        e.run_until(Nanos(t));
+        for site in 0..2u32 {
+            let window = heartbeat + rtt[site as usize];
+            let from = t.saturating_sub(window);
+            let stamped = w
+                .iter()
+                .filter(|&&(ns, s)| s == site && ns >= from && ns <= t)
+                .count();
+            let heartbeats = (window / heartbeat + 1) as usize;
+            let unacked = e.unacked(site);
+            assert!(
+                unacked <= stamped + heartbeats,
+                "site {site} at {ms} ms: {unacked} unacked, bound {stamped} + {heartbeats}"
+            );
+            peak[site as usize] = peak[site as usize].max(unacked);
+        }
+    }
+    // The bound is exercised, not vacuous: bursts do sit unacked.
+    assert!(peak[0] > 5 && peak[1] > 20, "peak unacked {peak:?}");
+    assert_eq!(e.metrics().retransmits, 0);
+}
