@@ -21,6 +21,11 @@ cargo fmt --check
 # Docs build warning-free: no broken or private intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
+# E9: detection latency vs g_g and heartbeat, on idle and busy sites.
+# Exits nonzero unless every sequence detects in every cell, idle latency
+# grows with the heartbeat and busy latency does not.
+cargo run --release --offline -p decs-bench --bin detection_latency
+
 # Bench smoke: re-measures the hot-path kernels and validates the
 # committed BENCH_hotpath.json baseline (fails on malformed JSON or a
 # >2x regression of any fast kernel).

@@ -24,14 +24,21 @@ pub struct EngineConfig {
     /// when [`EngineConfig::batch_interval`] is zero (`Engine::new`
     /// refuses a zero interval then): without batching, heartbeats are
     /// the only watermark carrier, and the coordinator acks a site's
-    /// events when it consumes the site's next heartbeat.
+    /// events when it consumes the site's next heartbeat. A site also
+    /// heartbeats at once when it stamps an event in a global tick it has
+    /// not announced yet, so this interval bounds the watermark lag only
+    /// of idle sites; a busy site's lag is a link latency.
     pub heartbeat_interval: Nanos,
     /// How often each site flushes its coalesced notification batch.
     /// `Nanos::ZERO` (the default) disables batching: every occurrence is
     /// sent as its own `Msg::Event` and watermarks travel as separate
     /// `Msg::Heartbeat`s. Any positive interval switches the site to
     /// `Msg::Batch` (which carries the watermark, so heartbeats are
-    /// subsumed). Detections are identical either way.
+    /// subsumed). Detections are identical either way. A site that stamps
+    /// an event in a global tick it has not announced yet flushes at once
+    /// and pushes its next periodic flush one interval out, so, as with
+    /// heartbeats, the interval bounds the watermark lag only of idle
+    /// sites.
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,

@@ -133,6 +133,29 @@ impl CoordinatorNode {
         }
     }
 
+    /// Whether consuming `msg`, the next in-order message of `site`'s
+    /// stream, calls for a cumulative ack. Acks only trim the sender's
+    /// retransmit window, so their timing changes no detection. A message
+    /// that carries a watermark or promise is acked
+    /// ([`Msg::carries_watermark`]), except a `Msg::Routed` from a site
+    /// that does not batch: one such message per event would otherwise be
+    /// acked one by one. It is acked only when it carries no events (a
+    /// beacon) or its watermark raises the site's mark at this replica.
+    /// Each uplink's beacon comes every heartbeat, so its window stays
+    /// within one heartbeat plus a round trip. A batching site's `Routed`
+    /// messages are all periodic flushes, each acked. Call it before the
+    /// message is applied.
+    fn ack_due(&self, site: usize, msg: &Msg) -> bool {
+        match msg {
+            Msg::Routed {
+                watermark, events, ..
+            } if !self.part.as_ref().is_some_and(|p| p.sites_batch) => {
+                events.is_empty() || *watermark > self.tracker.site_watermark(site)
+            }
+            m => m.carries_watermark(),
+        }
+    }
+
     /// Run the release machinery appropriate to this deployment: the
     /// partitioned round when this coordinator is a replica, the classic
     /// stability-buffer walk otherwise.
@@ -409,7 +432,7 @@ impl CoordinatorNode {
         match seq.cmp(&stream.next) {
             std::cmp::Ordering::Equal => {
                 stream.next += 1;
-                let mut ack = msg.carries_watermark();
+                let mut ack = self.ack_due(site, &msg);
                 self.handle_in_order(site, msg, ctx);
                 // Drain any parked successors.
                 loop {
@@ -422,7 +445,7 @@ impl CoordinatorNode {
                     };
                     self.parked_total -= 1;
                     stream.next += 1;
-                    ack |= m.carries_watermark();
+                    ack |= self.ack_due(site, &m);
                     self.handle_in_order(site, m, ctx);
                 }
                 if self.wal_failed.is_some() {
@@ -431,11 +454,11 @@ impl CoordinatorNode {
                     // message no recovery will ever see.
                     return;
                 }
-                // Cumulative ack on the watermark cadence: only when the
-                // delivery consumed a watermark or promise. Occurrence-only
-                // events are covered by the ack of the site's next
-                // heartbeat, so on a healthy link they stay unacked for at
-                // most a heartbeat interval plus a round trip.
+                // Cumulative ack on the watermark cadence (see `ack_due`):
+                // occurrence-only messages are covered by the ack of the
+                // site's next heartbeat, so on a healthy link they stay
+                // unacked for at most a heartbeat interval plus a round
+                // trip.
                 if ack {
                     self.send_ack(from, site, ctx);
                 }

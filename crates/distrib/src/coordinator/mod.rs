@@ -593,30 +593,56 @@ mod tests {
 
         // A replica over one site, with one peer (stream index 2) that
         // gates its releases: site uplinks and peer relays.
-        let mut r = coordinator(1);
-        let ids: HashMap<u32, u32> = (0..3).map(|i| (i, i)).collect();
-        r.enable_partition(partition::PartitionState::new(
-            0,
-            1,
-            2,
-            vec![0, 1, 2],
-            ids,
-            HashMap::new(),
-            HashMap::new(),
-            0,
-            0b10,
-            1,
-            Nanos::ZERO,
-        ));
-        let routed = |seq, watermark| Msg::Routed {
+        let replica = |sites_batch| {
+            let mut r = coordinator(1);
+            let ids: HashMap<u32, u32> = (0..3).map(|i| (i, i)).collect();
+            r.enable_partition(partition::PartitionState::new(
+                0,
+                1,
+                2,
+                vec![0, 1, 2],
+                ids,
+                HashMap::new(),
+                HashMap::new(),
+                0,
+                0b10,
+                1,
+                Nanos::ZERO,
+                sites_batch,
+            ));
+            r
+        };
+        let routed = |seq, watermark, n: u64| Msg::Routed {
             seq,
             epoch: 0,
             watermark,
-            events: std::sync::Arc::new(vec![]),
+            events: std::sync::Arc::new(
+                (0..n)
+                    .map(|i| crate::protocol::RoutedEvent {
+                        ordinal: seq * 10 + i,
+                        occ: occ(0, 0, watermark, 10 * watermark + i),
+                    })
+                    .collect(),
+            ),
         };
-        r.deliver(s0, routed(0, 5), &mut p);
-        r.deliver(s0, routed(1, 6), &mut p);
+        // Per-event uplinks ack on the watermark cadence: a beacon (no
+        // events) always, an event only when its watermark raised the
+        // site's mark here.
+        let mut r = replica(false);
+        r.deliver(s0, routed(0, 5, 0), &mut p);
+        r.deliver(s0, routed(1, 6, 1), &mut p);
         assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
+        r.deliver(s0, routed(2, 6, 1), &mut p);
+        r.deliver(s0, routed(3, 6, 1), &mut p);
+        assert!(p.acks().is_empty(), "same-tick events wait for a beacon");
+        r.deliver(s0, routed(4, 6, 0), &mut p);
+        assert_eq!(p.acks(), vec![(0, 5, 0)]);
+        // Batching uplinks send only periodic flushes: each is acked.
+        let mut rb = replica(true);
+        for seq in 0..3 {
+            rb.deliver(s0, routed(seq, 5, 2), &mut p);
+        }
+        assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0), (0, 3, 0)]);
         let relay = |seq, g| Msg::Relay {
             seq,
             promise: vec![crate::protocol::PlanePos {

@@ -554,6 +554,7 @@ impl Engine {
             gaters,
             layout.max_depth,
             config.retransmit_timeout,
+            config.batch_interval.get() > 0,
         ));
         Ok(node)
     }
@@ -716,7 +717,9 @@ impl Engine {
     }
 
     /// Number of sent-but-unacked messages a site currently holds for
-    /// retransmission (0 for the coordinator index).
+    /// retransmission in its fullest send window: its stream to the
+    /// coordinator, or its fullest replica uplink on the partitioned plane
+    /// (0 for a coordinator index).
     pub fn unacked(&self, site: u32) -> usize {
         match self.sim.node(NodeIdx(site)) {
             Node::Site(s) => s.unacked(),

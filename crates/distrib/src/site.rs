@@ -113,6 +113,15 @@ pub struct SiteNode {
     /// Occurrences coalesced since the last flush (batching mode only),
     /// in send order.
     pending: Vec<Occurrence<CompositeTimestamp>>,
+    /// Earliest true time the periodic batch flush may fire (batching
+    /// mode). A tick-edge flush pushes it one `batch_interval` out; a
+    /// flush timer that fires before it re-arms for the remainder, so the
+    /// periodic chain stays one timer and batches per tick do not grow.
+    next_flush: Nanos,
+    /// Highest watermark this incarnation has announced on the classic
+    /// stream (heartbeat, batch or Hello). An injection stamped at a
+    /// higher global tick announces the new tick at once.
+    announced: u64,
     seq: u64,
     /// Events dropped because the site clock had not started yet.
     pub dropped_pre_epoch: u64,
@@ -178,9 +187,10 @@ pub struct SiteNode {
     /// Subscription-routed uplinks, one per coordinator replica. Empty in
     /// the classic single-coordinator deployment.
     uplinks: Vec<Uplink>,
-    /// Full-catalog event type → subscribing uplink indices, ascending.
-    /// Types no replica subscribes to are dropped at the site.
-    routes: HashMap<u32, Vec<usize>>,
+    /// Subscribing uplink indices, ascending, indexed by full-catalog
+    /// event type. Types no replica subscribes to have an empty list and
+    /// are dropped at the site.
+    routes: Vec<Vec<usize>>,
     /// The site's stamp ordinal: position of each stamped occurrence in
     /// the site's total send order, shared across all uplinks so replicas
     /// receiving disjoint subsets agree on the interleaving. Like `epoch`,
@@ -198,6 +208,8 @@ impl SiteNode {
             heartbeat_interval,
             batch_interval: Nanos::ZERO,
             pending: Vec::new(),
+            next_flush: Nanos::ZERO,
+            announced: 0,
             seq: 0,
             dropped_pre_epoch: 0,
             crashed: false,
@@ -221,7 +233,7 @@ impl SiteNode {
             wal_failed: None,
             local_pristine: None,
             uplinks: Vec::new(),
-            routes: HashMap::new(),
+            routes: Vec::new(),
             ordinal: 0,
         }
     }
@@ -252,7 +264,11 @@ impl SiteNode {
                 deadline: Nanos::ZERO,
             })
             .collect();
-        self.routes = routes;
+        let types = routes.keys().max().map_or(0, |&t| t as usize + 1);
+        self.routes = vec![Vec::new(); types];
+        for (ty, subs) in routes {
+            self.routes[ty as usize] = subs;
+        }
         self
     }
 
@@ -346,9 +362,14 @@ impl SiteNode {
         self
     }
 
-    /// Number of sent-but-unacked messages held for retransmission.
+    /// Number of sent-but-unacked messages held for retransmission in the
+    /// site's fullest send window: its stream to the coordinator or, on
+    /// the partitioned plane, its fullest replica uplink.
     pub fn unacked(&self) -> usize {
-        self.retx.len()
+        self.uplinks
+            .iter()
+            .map(|up| up.retx.len())
+            .fold(self.retx.len(), usize::max)
     }
 
     /// Switch the site to batched notifications flushed every `interval`
@@ -405,9 +426,9 @@ impl SiteNode {
     fn forward_routed(&mut self, occ: Occurrence<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
         let ordinal = self.ordinal;
         self.ordinal += 1;
-        let subs = match self.routes.get(&occ.ty.0) {
-            Some(s) => s.clone(),
-            None => return,
+        let ty = occ.ty.0 as usize;
+        let Some(subs) = self.routes.get_mut(ty).map(std::mem::take) else {
+            return;
         };
         for &u in &subs {
             self.uplinks[u].staged.push(RoutedEvent {
@@ -422,6 +443,8 @@ impl SiteNode {
                 }
             }
         }
+        // The list was moved out, not copied, for the sends above.
+        self.routes[ty] = subs;
     }
 
     /// Send a sequence-numbered message on uplink `u`, retaining it for
@@ -647,51 +670,95 @@ impl SiteNode {
         s
     }
 
+    /// The periodic heartbeat: announce the watermark and re-arm.
     fn heartbeat(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.crashed {
             return; // no beacon, no re-arm: the site is silent.
         }
         if let Ok(parts) = ctx.stamp() {
-            let seq = self.next_seq();
-            self.send_seq(
-                seq,
-                Msg::Heartbeat {
-                    seq,
-                    epoch: self.epoch,
-                    watermark: parts.global.get(),
-                },
-                ctx,
-            );
+            self.send_heartbeat(parts.global.get(), ctx);
         }
         ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
     }
 
-    /// Flush the pending batch: one `Msg::Batch` carrying every occurrence
-    /// coalesced since the previous flush plus the watermark at flush time.
-    /// An empty batch is still sent — it is exactly a heartbeat. A crashed
-    /// site neither flushes nor re-arms, so buffered occurrences die with
-    /// it (the coordinator must evict to make progress).
+    /// Send one heartbeat announcing `watermark`.
+    fn send_heartbeat(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
+        let seq = self.next_seq();
+        let epoch = self.epoch;
+        self.send_seq(
+            seq,
+            Msg::Heartbeat {
+                seq,
+                epoch,
+                watermark,
+            },
+            ctx,
+        );
+        self.announced = self.announced.max(watermark);
+    }
+
+    /// The periodic batch flush (see [`Self::send_batch`]), re-armed one
+    /// `batch_interval` out. A fire before [`Self::next_flush`] (a
+    /// tick-edge flush went out since it was armed) only re-arms for the
+    /// remainder. A crashed site neither flushes nor re-arms, so buffered
+    /// occurrences die with it (the coordinator must evict to make
+    /// progress).
     fn flush_batch(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.crashed {
             return; // pending events are lost: the site is silent.
         }
-        if let Ok(parts) = ctx.stamp() {
-            let seq = self.next_seq();
-            // One Arc wrap at flush: retransmit retention (and any WAL
-            // copy at the coordinator) shares this allocation.
-            let events = std::sync::Arc::new(std::mem::take(&mut self.pending));
-            self.send_seq(
-                seq,
-                Msg::Batch {
-                    seq,
-                    epoch: self.epoch,
-                    watermark: parts.global.get(),
-                    events,
-                },
-                ctx,
-            );
+        let now = ctx.true_now();
+        if now < self.next_flush {
+            let rest = Nanos(self.next_flush.get() - now.get());
+            ctx.set_timer(rest, self.gen_tag(BATCH_TAG));
+            return;
         }
+        if let Ok(parts) = ctx.stamp() {
+            self.send_batch(parts.global.get(), ctx);
+        }
+        self.next_flush = now.saturating_add(self.batch_interval.get());
         ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
+    }
+
+    /// Send the pending batch: one `Msg::Batch` carrying every occurrence
+    /// coalesced since the previous flush plus `watermark`. An empty batch
+    /// is still sent — it is exactly a heartbeat.
+    fn send_batch(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
+        let seq = self.next_seq();
+        let epoch = self.epoch;
+        // One Arc wrap at flush: retransmit retention (and any WAL copy at
+        // the coordinator) shares this allocation.
+        let events = std::sync::Arc::new(std::mem::take(&mut self.pending));
+        self.send_seq(
+            seq,
+            Msg::Batch {
+                seq,
+                epoch,
+                watermark,
+                events,
+            },
+            ctx,
+        );
+        self.announced = self.announced.max(watermark);
+    }
+
+    /// Announce global tick `global`, just stamped on an injection, if no
+    /// earlier message of this incarnation did: a heartbeat right behind
+    /// the forwarded occurrences, or (batching) a flush of the pending
+    /// batch that pushes the next periodic flush one `batch_interval` out.
+    /// So a busy site's watermark lags its clock by a link latency, not by
+    /// up to a heartbeat or batch interval. Partitioned uplinks need no
+    /// edge: every per-event `Msg::Routed` carries the watermark already.
+    fn announce_tick(&mut self, global: u64, ctx: &mut Ctx<'_, Msg>) {
+        if global <= self.announced || self.partitioned() {
+            return;
+        }
+        if self.batching() {
+            self.send_batch(global, ctx);
+            self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
+        } else {
+            self.send_heartbeat(global, ctx);
+        }
     }
 
     /// Bring a crashed site back up as a new incarnation.
@@ -825,6 +892,9 @@ impl SiteNode {
         // transition precedes every retagged message.
         let burst: Vec<Msg> = self.retx.messages().take(RETX_BURST).cloned().collect();
         let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
+        // The announced mark restarts from the Hello, so the incarnation's
+        // first injection at a later tick announces it at once.
+        self.announced = watermark;
         let seq = self.next_seq();
         let epoch = self.epoch;
         self.send_seq(
@@ -843,6 +913,7 @@ impl SiteNode {
         // Restart the beacon chain in the new timer generation. No
         // immediate beacon: the Hello already carried the watermark.
         if self.batching() {
+            self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
             ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
         } else {
             ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
@@ -896,6 +967,7 @@ impl Actor for SiteNode {
                         if let Some(r) = local_result {
                             self.absorb_local(r, ctx);
                         }
+                        self.announce_tick(parts.global.get(), ctx);
                     }
                     Err(_) => self.dropped_pre_epoch += 1,
                 }
@@ -990,12 +1062,14 @@ mod tests {
         batches: Vec<BatchRecord>,
         /// (seq, epoch, watermark) of every Hello received.
         hellos: Vec<(u64, u64, u64)>,
+        /// True arrival time of every Batch received.
+        batch_times: Vec<Nanos>,
     }
 
     impl Actor for Collector {
         type Msg = Msg;
 
-        fn on_message(&mut self, _from: NodeIdx, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
+        fn on_message(&mut self, _from: NodeIdx, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
             match msg {
                 Msg::Event { seq, occ, .. } => self.events.push((seq, occ)),
                 Msg::Heartbeat { seq, watermark, .. } => self.heartbeats.push((seq, watermark)),
@@ -1004,7 +1078,10 @@ mod tests {
                     watermark,
                     events,
                     ..
-                } => self.batches.push((seq, watermark, events)),
+                } => {
+                    self.batches.push((seq, watermark, events));
+                    self.batch_times.push(ctx.true_now());
+                }
                 Msg::Hello {
                     seq,
                     epoch,
@@ -1155,6 +1232,117 @@ mod tests {
         }
         let w: Vec<u64> = c.batches.iter().map(|(_, w, _)| *w).collect();
         assert!(w.windows(2).all(|p| p[0] <= p[1]));
+    }
+
+    fn inject_at(sim: &mut Simulation<Node>, ms: u64) {
+        sim.inject(
+            Nanos::from_millis(ms),
+            NodeIdx(0),
+            Msg::Inject {
+                ty: EventId(7),
+                values: vec![],
+            },
+        );
+    }
+
+    #[test]
+    fn fresh_tick_injection_is_announced_at_once() {
+        // 1 s heartbeats over 100 ms ticks: between beats only the tick
+        // edges of injections announce the watermark.
+        let coord = NodeIdx(1);
+        let nodes = vec![
+            (
+                Node::Site(SiteNode::new(coord, Nanos::from_secs(1))),
+                source(0),
+            ),
+            (Node::Collector(Collector::default()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+        // Tick 10 (announced by the 1.0 s beat), then tick 12 twice.
+        for ms in [1_050, 1_230, 1_270] {
+            inject_at(&mut sim, ms);
+        }
+        sim.run_until(Nanos::from_millis(2_500));
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!("collector expected")
+        };
+        let marks: Vec<u64> = c.heartbeats.iter().map(|&(_, w)| w).collect();
+        assert_eq!(
+            marks,
+            vec![0, 10, 12, 20],
+            "one edge heartbeat, for tick 12"
+        );
+        // The edge heartbeat rides right behind the first tick-12 event.
+        let first_of_tick_12 = c.events[1].0;
+        assert!(c.heartbeats.contains(&(first_of_tick_12 + 1, 12)));
+    }
+
+    #[test]
+    fn batching_edge_flush_pushes_the_next_periodic_flush() {
+        // 40 ms flushes over 100 ms ticks: the 1.08 s flush announces tick
+        // 10, and an injection at 1.105 s (tick 11) flushes at once. The
+        // 1.12 s flush moves to 1.145 s, so the cadence is kept.
+        let coord = NodeIdx(1);
+        let nodes = vec![
+            (
+                Node::Site(
+                    SiteNode::new(coord, Nanos::from_millis(100))
+                        .with_batching(Nanos::from_millis(40)),
+                ),
+                source(0),
+            ),
+            (Node::Collector(Collector::default()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+        inject_at(&mut sim, 1_105);
+        sim.run_until(Nanos::from_millis(1_200));
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!("collector expected")
+        };
+        let tail: Vec<u64> = c.batch_times[c.batch_times.len() - 4..]
+            .iter()
+            .map(|t| t.get() / 1_000_000)
+            .collect();
+        assert_eq!(tail, vec![1_080, 1_105, 1_145, 1_185]);
+        let (_, watermark, events) = &c.batches[c.batches.len() - 3];
+        assert_eq!((*watermark, events.len()), (11, 1));
+    }
+
+    #[test]
+    fn restarted_site_announces_its_first_stamped_tick() {
+        // The announced mark restarts from the Hello (tick 20 at 2.05 s):
+        // a tick-20 injection needs no announcement, the first tick-21
+        // one is announced at once, before the new incarnation's first
+        // periodic heartbeat (2.15 s).
+        let coord = NodeIdx(1);
+        let nodes = vec![
+            (
+                Node::Site(SiteNode::new(coord, Nanos::from_millis(100))),
+                source(0),
+            ),
+            (Node::Collector(Collector::default()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+        sim.inject(Nanos(1_050_000_000), NodeIdx(0), Msg::Crash);
+        sim.inject(Nanos(2_050_000_000), NodeIdx(0), Msg::Restart);
+        for ms in [2_070, 2_120] {
+            inject_at(&mut sim, ms);
+        }
+        sim.run_until(Nanos::from_millis(2_140));
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!("collector expected")
+        };
+        assert_eq!(c.hellos.len(), 1);
+        let (hello_seq, _, hello_wm) = c.hellos[0];
+        assert_eq!(hello_wm, 20);
+        let seqs: Vec<u64> = c.events.iter().map(|&(s, _)| s).collect();
+        assert_eq!(seqs, vec![hello_seq + 1, hello_seq + 2]);
+        // Eleven beats before the crash (0 ms to 1 s), then the edge beat.
+        assert_eq!(c.heartbeats.len(), 12, "{:?}", c.heartbeats);
+        assert_eq!(c.heartbeats[11], (hello_seq + 3, 21));
     }
 
     #[test]

@@ -347,3 +347,74 @@ fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
     assert!(peak[0] > 5 && peak[1] > 20, "peak unacked {peak:?}");
     assert_eq!(e.metrics().retransmits, 0);
 }
+
+#[test]
+fn partitioned_uplink_windows_are_bounded_by_one_beacon_plus_a_round_trip() {
+    // The same bound per replica uplink. A per-event uplink's `Routed`
+    // carrying an event is acked only when its watermark raises the
+    // site's mark at the replica, but every heartbeat beacon is acked; a
+    // batching uplink sends only periodic flushes, each acked. So at any
+    // instant `t` a site's fullest uplink holds unacked only what it sent
+    // in `(t - interval - rtt, t]`, the interval being the heartbeat or
+    // the batch interval.
+    let wan = LinkConfig::wan();
+    let lan = LinkConfig::lan();
+    let rtt = [
+        2 * (lan.base_latency_ns + lan.jitter_ns),
+        2 * (wan.base_latency_ns + wan.jitter_ns),
+    ];
+    for batch_ms in [0u64, 20] {
+        let config = EngineConfig {
+            coordinator_replicas: 2,
+            batch_interval: Nanos::from_millis(batch_ms),
+            ..EngineConfig::default()
+        };
+        let interval = if batch_ms == 0 {
+            config.heartbeat_interval.get()
+        } else {
+            config.batch_interval.get()
+        };
+        let mut e = Engine::new(
+            &scenario(2),
+            config,
+            &["A", "B"],
+            &[
+                ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
+                ("Y", E::seq(E::prim("B"), E::prim("A")), Context::Chronicle),
+            ],
+        )
+        .unwrap();
+        e.set_link_pair(1, wan);
+        let w = bursts(2, 40, 30);
+        inject_bursts(&mut e, &w);
+        let mut peak = [0usize; 2];
+        for ms in 1..=3_000u64 {
+            let t = ms * 1_000_000;
+            e.run_until(Nanos(t));
+            for site in 0..2u32 {
+                let window = interval + rtt[site as usize];
+                let from = t.saturating_sub(window);
+                let stamped = w
+                    .iter()
+                    .filter(|&&(ns, s)| s == site && ns >= from && ns <= t)
+                    .count();
+                let beacons = (window / interval + 1) as usize;
+                let unacked = e.unacked(site);
+                assert!(
+                    unacked <= stamped + beacons,
+                    "batch {batch_ms} ms, site {site} at {ms} ms: \
+                     {unacked} unacked, bound {stamped} + {beacons}"
+                );
+                peak[site as usize] = peak[site as usize].max(unacked);
+            }
+        }
+        // The bound is exercised: per-event bursts sit unacked until a
+        // beacon, and the WAN uplink keeps several flushes in flight.
+        let busy = if batch_ms == 0 { [5, 20] } else { [0, 2] };
+        assert!(
+            peak[0] > busy[0] && peak[1] > busy[1],
+            "batch {batch_ms} ms: peak unacked {peak:?}"
+        );
+        assert_eq!(e.metrics().retransmits, 0, "batch {batch_ms} ms");
+    }
+}

@@ -11,7 +11,7 @@
 //! loss is the spec, not a bug). Detections must be bit-for-bit identical:
 //! same composites, same composite timestamps, same canonical order.
 //!
-//! 24 schedules — 6 seeds × {buffer GC on/off} × {plan sharing on/off} —
+//! 32 schedules — 8 seeds × {buffer GC on/off} × {plan sharing on/off} —
 //! so the equality holds across every coordinator execution mode.
 //!
 //! Two directed properties cover the eviction interaction:
@@ -177,7 +177,7 @@ fn rejoin_schedules_match_filtered_fault_free() {
     let mut retransmits = 0;
     let mut filtered = 0;
     for cfg in CONFIGS {
-        for seed in 0..6u64 {
+        for seed in 0..8u64 {
             let (r, f) = rejoin_case(seed, cfg);
             retransmits += r;
             filtered += f;
