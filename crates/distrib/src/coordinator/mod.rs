@@ -213,6 +213,9 @@ pub struct CoordinatorNode {
     /// pre-crash backlog — and is refused as stale rather than released
     /// out of order.
     pub(crate) release_horizon: u64,
+    /// The last release key this node fed, tracked only in debug builds
+    /// to assert that release never goes backward across rounds.
+    pub(crate) last_released: Option<ReleaseKey>,
     /// Set on the first WAL append/sync failure; from then on the
     /// coordinator is fail-stop: it drops every input unprocessed (and
     /// unacked) so the log prefix stays exactly the consumed-input stream
@@ -283,6 +286,7 @@ impl CoordinatorNode {
             replaying: false,
             drained: 0,
             release_horizon: 0,
+            last_released: None,
             wal_failed: None,
             part: None,
         }
@@ -450,15 +454,16 @@ mod tests {
         sim.run_to_completion();
         {
             let c = sim.node(n);
-            // Watermark 6 releases only g ≤ 4: nothing yet.
-            assert_eq!(c.buffered(), 2);
+            // Watermark 6 releases only g ≤ 5: A, not B, so no SEQ yet.
+            assert_eq!(c.buffered(), 1);
             assert!(c.detections.is_empty());
+            assert_eq!(c.metrics.events_released, 1);
         }
-        sim.inject(Nanos(40), n, hb(3, 8));
+        sim.inject(Nanos(40), n, hb(3, 7));
         sim.run_to_completion();
         {
             let c = sim.node(n);
-            // Watermark 8 releases g ≤ 6: both, in order; SEQ fires.
+            // Watermark 7 releases g ≤ 6: B follows A; SEQ fires.
             assert_eq!(c.buffered(), 0);
             assert_eq!(c.detections.len(), 1);
             assert_eq!(c.metrics.events_released, 2);
@@ -689,9 +694,10 @@ mod tests {
         sim.run_to_completion();
         {
             let c = sim.node(n);
-            // Watermark 6 releases only g ≤ 4: both still buffered.
-            assert_eq!(c.buffered(), 2);
+            // Watermark 6 releases only g ≤ 5: A released, B buffered.
+            assert_eq!(c.buffered(), 1);
             assert!(c.detections.is_empty());
+            assert_eq!(c.metrics.events_released, 1);
             assert_eq!(c.metrics.batches_received, 1);
             assert_eq!(c.metrics.batch_size_max, 2);
         }
@@ -702,7 +708,7 @@ mod tests {
             Msg::Batch {
                 seq: 1,
                 epoch: 0,
-                watermark: 8,
+                watermark: 7,
                 events: std::sync::Arc::new(vec![]),
             },
         );
@@ -712,7 +718,7 @@ mod tests {
         assert_eq!(c.detections.len(), 1);
         assert_eq!(c.metrics.events_received, 2);
         assert_eq!(c.metrics.events_released, 2);
-        assert_eq!(c.metrics.release_batches, 1);
+        assert_eq!(c.metrics.release_batches, 2);
         assert_eq!(c.metrics.messages_processed, 2);
         assert_eq!(c.metrics.heartbeats_received, 0);
         assert_eq!(c.metrics.shard_count, 1);
@@ -909,10 +915,10 @@ mod tests {
         let mut sim = coordinator_sim(1);
         let n = decs_simnet::NodeIdx(0);
         sim.inject(Nanos(10), n, ev(0, 0, 0, 5, 50));
-        sim.inject(Nanos(20), n, hb(1, 6)); // not enough: needs > 6+? g=5 needs w > 6
+        sim.inject(Nanos(20), n, hb(1, 5)); // not enough: g=5 needs w > 5
         sim.run_to_completion();
         assert_eq!(sim.node(n).buffered(), 1);
-        sim.inject(Nanos(30), n, hb(2, 7));
+        sim.inject(Nanos(30), n, hb(2, 6));
         sim.run_to_completion();
         assert_eq!(sim.node(n).buffered(), 0);
     }

@@ -52,11 +52,11 @@
 //! recursion is acyclic in `d`, because a cascade step strictly
 //! increases depth:
 //!
-//! * `own = min((min_watermark − 1, 0, 0, 0), buffer minimum)` — every
+//! * `own = min((min_watermark, 0, 0, 0), buffer minimum)` — every
 //!   future cascade of a root not yet received, or of an item still
-//!   buffered, is strictly after `own` (a site at watermark `w` can
-//!   still deliver stamps at `w − 1`; cascades sit at depth ≥ 1, hence
-//!   strictly after `(w − 1, 0, 0, 0)`);
+//!   buffered, is strictly after `own` (a site at watermark `w` delivers
+//!   only stamps at `≥ w`; cascades sit at depth ≥ 1, hence strictly
+//!   after `(w, 0, 0, 0)`);
 //! * `P[1] = own` — depth-1 relays are cascades of roots only, so the
 //!   bound needs **no peer term** and always advances with the
 //!   watermark;
@@ -68,7 +68,7 @@
 //! The vector is nonincreasing in `d`, so a peer's last element bounds
 //! all its future relays — that is the release gate. After quiescence
 //! the watermark term propagates one stratum per exchange round:
-//! `max_depth` gossip rounds carry every component to `(w − 1, 0, 0, 0)`
+//! `max_depth` gossip rounds carry every component to `(w, 0, 0, 0)`
 //! and the plane drains. This is frontier propagation over the
 //! depth-stratified could-result-in order, specialised to the acyclic
 //! definition DAG.
@@ -316,6 +316,7 @@ impl CoordinatorNode {
             self.metrics.stale_refused += 1;
             return;
         }
+        self.debug_assert_promise(site, g);
         self.metrics.events_received += 1;
         let now = ctx.true_now();
         let key: PartKey = ((g, site as u32, ev.ordinal), 0, Vec::new());
@@ -566,13 +567,12 @@ impl CoordinatorNode {
     /// against `last`.
     fn promise_into(&self, head: Option<PlanePos>, last: &[PlanePos], out: &mut Vec<PlanePos>) {
         let part = self.part.as_ref().expect("partitioned");
-        // Roots not yet received can sit at `min_watermark − 1` (the
-        // stability rule releases only `g ≤ w − 2`, so a site at
-        // watermark `w` may still deliver stamps at `w − 1`). Their
-        // cascade detections/relays are at depth ≥ 1, hence strictly
-        // after `(w − 1, 0, 0, 0)`.
+        // Roots not yet received sit at `g ≥ min_watermark` (a site at
+        // watermark `w` promises stamps at `≥ w`). Their cascade
+        // detections/relays are at depth ≥ 1, hence strictly after
+        // `(w, 0, 0, 0)`.
         let mut own = PlanePos {
-            g: self.tracker.min_watermark().saturating_sub(1),
+            g: self.tracker.min_watermark(),
             site: 0,
             ordinal: 0,
             depth: 0,
@@ -725,10 +725,11 @@ impl CoordinatorNode {
     }
 
     /// Operator-buffer GC under partitioning: the classic
-    /// `min_watermark − 2` low bound additionally floors at every peer's
+    /// `min_watermark − 1` low bound additionally floors at every peer's
     /// promise and the buffer head — future relayed feeds can reach back
     /// to the peer bounds, which may trail this replica's own watermark
-    /// view.
+    /// view. Each term bounds a future feed's `max_global` from below, and
+    /// its members sit at most one tick lower (Theorem 5.1).
     fn gc_partitioned(&mut self) {
         if self.buffer_gc {
             let mut low = self.tracker.min_watermark();
@@ -743,7 +744,7 @@ impl CoordinatorNode {
                     low = low.min(k.0 .0);
                 }
             }
-            let low = low.saturating_sub(2);
+            let low = low.saturating_sub(1);
             if low > self.last_gc_low {
                 self.last_gc_low = low;
                 self.release_horizon = self.release_horizon.max(low + 1);

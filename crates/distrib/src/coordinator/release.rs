@@ -171,8 +171,16 @@ impl CoordinatorNode {
         let mut released = Vec::new();
         self.buffer.release(
             |g| self.tracker.is_stable(g),
-            |(g, _, _), occ, arrived| {
-                self.release_horizon = self.release_horizon.max(g + 1);
+            |key, occ, arrived| {
+                debug_assert!(
+                    self.last_released < Some(key),
+                    "release key {key:?} after {:?}",
+                    self.last_released
+                );
+                if cfg!(debug_assertions) {
+                    self.last_released = Some(key);
+                }
+                self.release_horizon = self.release_horizon.max(key.0 + 1);
                 self.metrics.events_released += 1;
                 self.metrics.stability_latency_sum_ns +=
                     u128::from(now.get().saturating_sub(arrived.get()));
@@ -203,17 +211,19 @@ impl CoordinatorNode {
     /// Let the detector's operator nodes reclaim buffered state the
     /// watermark proves dead, and refresh the occupancy metrics.
     ///
-    /// The low bound is `min_watermark − 2`: everything the coordinator can
+    /// The low bound is `min_watermark − 1`: everything the coordinator can
     /// still feed has all member globals `≥` that. Stability releases
-    /// stamps with `max_global ≤ min − 2`, so buffer residue and future
-    /// releases have `max_global ≥ min − 1`; by Theorem 5.1 the members of
-    /// a `Max`-combined stamp are pairwise concurrent, so their globals
-    /// span at most one tick — all `≥ min − 2`. Coordinator-clock timer
-    /// stamps sit at the current global tick, ahead of every received
-    /// watermark under the `2g_g` clock-sync assumption (Prop 4.1).
+    /// stamps with `max_global ≤ min − 1`, so buffer residue has
+    /// `max_global ≥ min`, and every site's promise puts its future
+    /// notifications at `max_global ≥ min` too. By Theorem 5.1 the members
+    /// of a `Max`-combined stamp are pairwise concurrent, so their globals
+    /// span at most one tick — all `≥ min − 1`. Coordinator-clock timer
+    /// stamps sit at the current global tick, within one tick of every
+    /// site's clock under the `2g_g` clock-sync assumption (Prop 4.1), so
+    /// at or above `min − 1` as well.
     pub(super) fn gc_operator_buffers(&mut self) {
         if self.buffer_gc {
-            let low = self.tracker.min_watermark().saturating_sub(2);
+            let low = self.tracker.min_watermark().saturating_sub(1);
             if low > self.last_gc_low {
                 self.last_gc_low = low;
                 // Operator buffers below `low` are gone: a late notification
@@ -248,6 +258,19 @@ impl CoordinatorNode {
         self.absorb(r, ctx);
     }
 
+    /// The promise the stability rule rests on: a notification from `site`
+    /// accepted at maximum global tick `g` sits at or above the watermark
+    /// the site announced before it. A rejoining site's backlog predates
+    /// its fresh promise, so a stream whose rejoin is in flight is exempt
+    /// (the stale-horizon refusal guards it instead).
+    pub(super) fn debug_assert_promise(&self, site: usize, g: u64) {
+        debug_assert!(
+            self.streams[site].rejoined_at.is_some() || g >= self.tracker.site_watermark(site),
+            "site {site} sent global {g} below its watermark {}",
+            self.tracker.site_watermark(site)
+        );
+    }
+
     /// Buffer (or, under `Immediate`, directly feed) one reassembled
     /// notification. The release key's third component is the per-site
     /// arrival counter — identical for the `Event` and `Batch` transports.
@@ -270,6 +293,7 @@ impl CoordinatorNode {
                     self.metrics.stale_refused += 1;
                     return;
                 }
+                self.debug_assert_promise(site, occ.time.max_global());
                 self.metrics.events_received += 1;
                 let arrival = self.streams[site].arrivals;
                 self.streams[site].arrivals += 1;

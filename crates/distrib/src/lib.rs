@@ -28,11 +28,13 @@
 //!   the network reorders (the TCP-like substrate the semantics assumes).
 //! * **Watermark stability** — a notification whose timestamp has maximum
 //!   global tick `g` is *stable* once every site's heartbeat watermark
-//!   exceeds `g + 1·g_g`: no event that could still arrive can happen
-//!   before, or be concurrent with, it. Stable notifications are released
-//!   into the detector in a canonical order, which makes detection a pure
-//!   function of the workload — independent of link latency and jitter
-//!   (verified by metamorphic tests that permute the network).
+//!   exceeds `g`: everything that could still arrive sorts after it in the
+//!   canonical release order `(max global, site, arrival)`. Stable
+//!   notifications are released into the detector in that order, which
+//!   makes detection a pure function of the workload — independent of
+//!   link latency and jitter (verified by metamorphic tests that permute
+//!   the network, and against a detector fed the whole trace sorted by
+//!   release key).
 //! * **Temporal events** — `P`/`P*`/`+` timers are serviced by the
 //!   coordinator's own clock, so periodic occurrences carry genuine
 //!   timestamps from a real site.

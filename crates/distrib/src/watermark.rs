@@ -1,13 +1,19 @@
 //! Watermark tracking and the stability rule.
 //!
-//! The `2g_g`-order between a buffered notification and a *future* one is
-//! only decidable once the future one's global tick is known to be far
-//! enough away. Each site's heartbeat promises "everything I send from now
-//! on has global tick ≥ w". A buffered notification whose timestamp has
-//! maximum global tick `g` is **stable** when every site's promise exceeds
-//! `g + 1`: any event still in flight or unborn will have global tick
-//! `≥ w > g + 1`, hence strictly *after* the notification in the `2g_g`
-//! order — it can no longer precede it or be concurrent with it.
+//! Each site's heartbeat promises "everything I send from now on has
+//! maximum global tick ≥ w". The coordinator releases notifications in
+//! ascending release-key order `(max global, site, arrival)`, so a
+//! buffered notification whose timestamp has maximum global tick `g` is
+//! **stable** once every site's promise exceeds `g`: any notification
+//! still in flight or unborn has maximum global tick `≥ w > g`, so its
+//! key sorts after every key released so far, and the detector sees the
+//! same canonical sequence it would see with the whole trace in hand.
+//!
+//! The `2g_g` order's one-tick ambiguity band matters only *between
+//! stamps* — a future stamp at `g + 1` may be concurrent with a released
+//! one at `g`, and the operators decide that from the stamps themselves.
+//! Release does not wait it out: the canonical order already places every
+//! future stamp after every released one.
 //!
 //! (Events from the same site are already FIFO-reassembled, so same-site
 //! local ordering is preserved by arrival order.)
@@ -55,9 +61,9 @@ impl WatermarkTracker {
     }
 
     /// The stability rule: is a notification with maximum global tick `g`
-    /// safe to release?
+    /// safe to release? Yes once every site has promised a tick above it.
     pub fn is_stable(&self, g: u64) -> bool {
-        self.min_watermark() > g + 1
+        self.min_watermark() > g
     }
 
     /// Number of tracked sites.
@@ -113,10 +119,10 @@ mod tests {
         let mut w = WatermarkTracker::new(2);
         w.update(0, 10);
         w.update(1, 10);
-        // g + 1 < 10 ⟹ g ≤ 8.
-        assert!(w.is_stable(8));
-        assert!(!w.is_stable(9));
+        // g < 10 ⟹ g ≤ 9.
+        assert!(w.is_stable(9));
         assert!(!w.is_stable(10));
+        assert!(!w.is_stable(11));
     }
 
     #[test]
@@ -126,8 +132,8 @@ mod tests {
         w.update(2, 100);
         assert!(!w.is_stable(0)); // site 1 never promised anything
         w.update(1, 3);
-        assert!(w.is_stable(1));
-        assert!(!w.is_stable(2));
+        assert!(w.is_stable(2));
+        assert!(!w.is_stable(3));
     }
 
     #[test]

@@ -126,18 +126,20 @@ fn crash_mid_batch_loses_pending_events_without_wedging() {
 
 #[test]
 fn evict_with_flushed_batches_buffered_preserves_them() {
-    // Site 1's B is injected at 2.05 s and flushed in the 2.1 s batch;
-    // the site crashes *after* that flush, at 2.15 s. Everything already
-    // flushed is buffered at the coordinator awaiting the dead site's
-    // watermark; evicting while those batch-delivered notifications sit
-    // in the stability buffer must release them and detect X.
-    let mut e = batched_seq_engine(2, 100);
+    // 30 ms batch interval: flushes land at …, 2.04, 2.07, 2.10 s. Site
+    // 1's B is injected at 2.05 s and flushed in the 2.07 s batch, whose
+    // watermark is still B's own tick; the site crashes *after* that
+    // flush, at 2.08 s. Everything already flushed is buffered at the
+    // coordinator awaiting the dead site's watermark; evicting while those
+    // batch-delivered notifications sit in the stability buffer must
+    // release them and detect X.
+    let mut e = batched_seq_engine(2, 30);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_millis(2_050), 1, "B", vec![]).unwrap();
-    e.crash_site(Nanos::from_millis(2_150), 1);
+    e.crash_site(Nanos::from_millis(2_080), 1);
     e.run_for(Nanos::from_secs(5));
     // A (g=10) stabilized long before the crash; B (g=20) is stuck behind
-    // its own site's frozen watermark (≈ 21).
+    // its own site's frozen watermark (20): stability needs it above 20.
     assert_eq!(e.metrics().events_received, 2);
     assert_eq!(e.buffered(), 1, "stability must stall on the silent site");
     e.evict_site(Nanos::from_secs(6), 1);
@@ -145,6 +147,79 @@ fn evict_with_flushed_batches_buffered_preserves_them() {
     assert_eq!(det.len(), 1, "flushed-before-crash events must detect");
     assert_eq!(&*det[0].name, "X");
     assert_eq!(e.buffered(), 0);
+}
+
+#[test]
+fn durable_restart_backlog_at_the_release_boundary_is_accepted() {
+    // Site 1 announces tick 20 with A at 2.02 s, then loses its link from
+    // 2.05 to 2.9 s: B (2.06 s, tick 20) and C (2.13 s, tick 21) are
+    // logged but never delivered. It crashes at 2.3 s and restarts at
+    // 3.0 s, resending that backlog behind its Hello. Meanwhile the
+    // coordinator's minimum watermark is site 1's frozen 20, so it
+    // releases every tick ≤ 19 and its stale horizon reaches 20: the
+    // backlog's B sits exactly on it and must still be accepted.
+    let dir = std::env::temp_dir().join(format!("decs-failures-boundary-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let events: [(u64, u32, &str); 8] = [
+        (1_000, 2, "A"),
+        (1_950, 0, "A"),
+        (2_020, 1, "A"),
+        (2_040, 2, "C"),
+        (2_060, 1, "B"),
+        (2_130, 1, "C"),
+        (2_500, 0, "B"),
+        (3_500, 2, "C"),
+    ];
+    let run = |faulty: bool| {
+        let config = EngineConfig {
+            site_durability: faulty,
+            wal_dir: faulty.then(|| dir.to_string_lossy().into_owned()),
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(
+            &scenario(3),
+            config,
+            &["A", "B", "C"],
+            &[
+                ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
+                ("Y", E::and(E::prim("B"), E::prim("C")), Context::Continuous),
+            ],
+        )
+        .unwrap();
+        for &(ms, site, ev) in &events {
+            e.inject(Nanos::from_millis(ms), site, ev, vec![]).unwrap();
+        }
+        let mut det = Vec::new();
+        if faulty {
+            e.partition_site(1, Nanos::from_millis(2_050), Nanos::from_millis(2_900));
+            e.crash_site(Nanos::from_millis(2_300), 1);
+            e.restart_site(Nanos::from_secs(3), 1);
+            det = e.run_until(Nanos::from_millis(2_900));
+            // Released through tick 19 (the As at 10 and 19); held from
+            // tick 20 on are site 1's A and site 2's C (20) and site 0's
+            // B (25).
+            assert_eq!(e.metrics().events_released, 2);
+            assert_eq!(e.buffered(), 3);
+        }
+        det.extend(e.run_until(Nanos::from_secs(6)));
+        let m = e.metrics();
+        assert_eq!(
+            m.stale_refused, 0,
+            "faulty {faulty}: backlog refused as stale"
+        );
+        assert_eq!(m.events_received, events.len() as u64, "faulty {faulty}");
+        assert_eq!(e.buffered(), 0, "faulty {faulty}");
+        if faulty {
+            assert_eq!((e.site_epoch(1), m.rejoins), (1, 1));
+        }
+        det.into_iter()
+            .map(|d| (d.name.to_string(), d.occ.time))
+            .collect::<Vec<_>>()
+    };
+    let clean = run(false);
+    assert_eq!(clean.len(), 4, "{clean:?}");
+    assert_eq!(run(true), clean);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
