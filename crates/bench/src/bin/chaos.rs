@@ -20,12 +20,12 @@
 //!
 //! Run: `cargo run --release -p decs-bench --bin chaos` (full, writes
 //! `BENCH_chaos.json` in the current directory).
-//! `--smoke` runs a reduced workload, hard-asserts detection equality at
-//! every drop rate *and* every crash schedule, and validates the
-//! committed `BENCH_chaos.json` (malformed JSON, a non-matching row, a
-//! schedule row with no rejoin, zero retransmissions on the lossy legs,
-//! or any retransmission or dropped duplicate on the fault-free leg fail
-//! with a nonzero exit).
+//! `--smoke` reruns the full matrix (well under a second in release) and
+//! exits nonzero unless every row equals the committed
+//! `BENCH_chaos.json`, the `threads` field excepted. The full run
+//! asserts detection equality at every drop rate and crash schedule
+//! before it writes the file, so a committed row cannot hold a
+//! divergence, and a stale row fails the smoke.
 
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
@@ -38,6 +38,9 @@ const SITES: u32 = 4;
 const DROP_PPM: [u32; 4] = [0, 10_000, 50_000, 200_000];
 /// Duplication rate on the lossy legs (0 on the clean leg).
 const DUP_PPM: u32 = 20_000;
+/// Injections in the workload, and the virtual seconds each case runs.
+const EVENTS: usize = 200;
+const HORIZON_SECS: u64 = 30;
 
 struct Row {
     drop_ppm: u32,
@@ -330,141 +333,41 @@ fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
     j
 }
 
-/// Pull `"field": <value>` out of the row with the given drop rate. The
-/// baseline is our own emission, so substring scanning is an adequate
-/// parser — anything it can't find is treated as malformed.
-fn extract<'a>(json: &'a str, drop_ppm: u32, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"drop_ppm\": {drop_ppm},"))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Pull `"field": <value>` out of the crash row with the given schedule
-/// name.
-fn extract_sched<'a>(json: &'a str, name: &str, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"schedule\": \"{name}\","))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
+/// Rerun the full matrix and require every line to equal the committed
+/// baseline's, `threads` excepted. Every run is a pure function of its
+/// seeds, so a difference means the code's behavior changed or the
+/// baseline is stale.
 fn smoke(baseline_path: &str) -> i32 {
-    let rows = run_matrix(40, 20);
-    let crash_rows = run_crash_matrix(40, 20);
-    let json = render_json("smoke", &rows, &crash_rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_chaos_smoke.json", &json).ok();
-    print!("{json}");
-
-    let mut failed = false;
-    for r in &rows {
-        if !r.match_clean {
-            eprintln!(
-                "smoke: FAIL — detections diverged from the fault-free run at {} ppm",
-                r.drop_ppm
-            );
-            failed = true;
-        }
-        if r.drop_ppm == 0 && (r.retransmits != 0 || r.duplicates_dropped != 0) {
-            // A healthy link is acked well inside the retransmission
-            // timeout, so it sends no spurious copies.
-            eprintln!(
-                "smoke: FAIL — fault-free leg resent: {} retransmits, {} duplicates dropped",
-                r.retransmits, r.duplicates_dropped
-            );
-            failed = true;
-        }
-        if r.drop_ppm >= 50_000 && r.retransmits == 0 {
-            eprintln!(
-                "smoke: FAIL — no retransmissions at {} ppm (protocol inert?)",
-                r.drop_ppm
-            );
-            failed = true;
-        }
-    }
-    for (r, s) in crash_rows.iter().zip(&SCHEDULES) {
-        if !r.match_clean {
-            eprintln!(
-                "smoke: FAIL — schedule {} diverged from its fault-free oracle",
-                r.name
-            );
-            failed = true;
-        }
-        let expected = s.crashes.len() as u64;
-        if r.site_restarts != expected || r.rejoins < expected || r.epoch_max != 1 {
-            eprintln!(
-                "smoke: FAIL — schedule {} lifecycle off: restarts {} (want {}), \
-                 rejoins {}, epoch_max {}",
-                r.name, r.site_restarts, expected, r.rejoins, r.epoch_max
-            );
-            failed = true;
-        }
-    }
-
     let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
         eprintln!("smoke: FAIL — missing baseline {baseline_path}");
         return 1;
     };
-    for &ppm in &DROP_PPM {
-        match extract(&baseline, ppm, "match_clean") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!("smoke: FAIL — baseline row {ppm} ppm has match_clean = {v}");
-                failed = true;
-            }
-            None => {
-                eprintln!("smoke: FAIL — baseline is malformed (no row for {ppm} ppm)");
-                failed = true;
-            }
-        }
-    }
-    match extract(&baseline, 0, "detections").and_then(|v| v.parse::<u64>().ok()) {
-        Some(d) if d > 0 => {}
-        _ => {
-            eprintln!("smoke: FAIL — baseline fault-free run detected nothing");
-            failed = true;
-        }
-    }
-    for s in &SCHEDULES {
-        match extract_sched(&baseline, s.name, "match_clean") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!(
-                    "smoke: FAIL — baseline schedule {} has match_clean = {v}",
-                    s.name
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!(
-                    "smoke: FAIL — baseline is malformed (no crash row for {})",
-                    s.name
-                );
-                failed = true;
-            }
-        }
-        match extract_sched(&baseline, s.name, "rejoins").and_then(|v| v.parse::<u64>().ok()) {
-            Some(n) if n >= s.crashes.len() as u64 => {}
-            _ => {
-                eprintln!(
-                    "smoke: FAIL — baseline schedule {} recorded no rejoin",
-                    s.name
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        1
-    } else {
+    let json = render_json(
+        "full",
+        &run_matrix(EVENTS, HORIZON_SECS),
+        &run_crash_matrix(EVENTS, HORIZON_SECS),
+    );
+    let rows = |j: &str| -> Vec<String> {
+        j.lines()
+            .filter(|l| !l.trim_start().starts_with("\"threads\":"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let (got, want) = (rows(&json), rows(&baseline));
+    if got == want {
         eprintln!("smoke: OK");
-        0
+        return 0;
     }
+    for (g, w) in got.iter().zip(&want).filter(|(g, w)| g != w) {
+        eprintln!("smoke: baseline {w}\nsmoke:      now {g}");
+    }
+    eprintln!(
+        "smoke: FAIL — {baseline_path} differs from this code's run ({} lines vs {}); \
+         regenerate it with `cargo run --release -p decs-bench --bin chaos`",
+        got.len(),
+        want.len()
+    );
+    1
 }
 
 fn main() {
@@ -474,7 +377,7 @@ fn main() {
     }
 
     eprintln!("E15 — detection vs drop rate (full run)");
-    let rows = run_matrix(200, 30);
+    let rows = run_matrix(EVENTS, HORIZON_SECS);
     for r in &rows {
         assert!(
             r.match_clean,
@@ -483,7 +386,7 @@ fn main() {
         );
     }
     eprintln!("E15 — detection across crash/restart schedules");
-    let crash_rows = run_crash_matrix(200, 30);
+    let crash_rows = run_crash_matrix(EVENTS, HORIZON_SECS);
     for r in &crash_rows {
         assert!(
             r.match_clean,

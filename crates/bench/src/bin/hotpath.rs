@@ -184,8 +184,6 @@ struct LatencyRow {
     plan_nodes: usize,
     shared_nodes: usize,
     sharing_ratio: f64,
-    batch_ingest_events: u64,
-    arena_bytes: u64,
 }
 
 /// Distributed-engine leg: the NOT workload across 4 sites, GC on or off.
@@ -237,8 +235,6 @@ fn latency_run(buffer_gc: bool) -> LatencyRow {
         plan_nodes: m.plan_nodes,
         shared_nodes: m.shared_nodes,
         sharing_ratio: m.sharing_ratio,
-        batch_ingest_events: m.batch_ingest_events,
-        arena_bytes: m.arena_bytes,
     }
 }
 
@@ -297,8 +293,7 @@ fn render_json(
              \"gc_evicted\": {}, \"node_buffer_peak\": {}, \"retransmits\": {}, \
              \"acks_sent\": {}, \"duplicates_dropped\": {}, \"parked_peak\": {}, \
              \"suspect_sites\": {}, \"plan_nodes\": {}, \"shared_nodes\": {}, \
-             \"sharing_ratio\": {:.3}, \"batch_ingest_events\": {}, \
-             \"arena_bytes\": {}}}{comma}",
+             \"sharing_ratio\": {:.3}}}{comma}",
             r.detections,
             r.mean_stability_ms,
             r.gc_evicted,
@@ -310,9 +305,7 @@ fn render_json(
             r.suspect_sites,
             r.plan_nodes,
             r.shared_nodes,
-            r.sharing_ratio,
-            r.batch_ingest_events,
-            r.arena_bytes
+            r.sharing_ratio
         );
     }
     let _ = writeln!(j, "  ]");

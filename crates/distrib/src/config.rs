@@ -2,21 +2,6 @@
 
 use decs_chronos::Nanos;
 
-/// When the coordinator feeds a buffered notification into the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReleasePolicy {
-    /// The correct policy: hold a notification until the watermark
-    /// stability rule proves nothing earlier/concurrent can still arrive,
-    /// then release in the canonical order. Detection becomes a pure
-    /// function of the workload.
-    #[default]
-    Stable,
-    /// Ablation: feed notifications in arrival order, immediately. Faster
-    /// and lower latency, but detection depends on network timing — the
-    /// `ablation_release` experiment quantifies the damage.
-    Immediate,
-}
-
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -42,8 +27,6 @@ pub struct EngineConfig {
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,
-    /// Release policy (see [`ReleasePolicy`]).
-    pub release_policy: ReleasePolicy,
     /// Whether the coordinator garbage-collects operator buffers as the
     /// watermark advances. GC is behavior-preserving (the detection stream
     /// is identical either way — `tests/prop_fastpath.rs` proves it), so
@@ -140,7 +123,6 @@ impl Default for EngineConfig {
             heartbeat_interval: Nanos::from_millis(20),
             batch_interval: Nanos::ZERO,
             trace_capacity: 0,
-            release_policy: ReleasePolicy::Stable,
             buffer_gc: true,
             // Reliability on by default: a 200 ms base timeout, restarted
             // by every ack that makes progress, sits far above LAN/WAN
@@ -173,6 +155,5 @@ mod tests {
     fn default_heartbeat_is_positive() {
         let c = EngineConfig::default();
         assert!(c.heartbeat_interval.get() > 0);
-        assert_eq!(c.release_policy, ReleasePolicy::Stable);
     }
 }

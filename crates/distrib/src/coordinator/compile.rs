@@ -21,7 +21,7 @@ pub(crate) type CompiledDetector = (
 
 /// An empty detector in the configured sharing mode: the shared plan, or
 /// with `plan_sharing: false` the unshared oracle.
-fn new_detector(config: &EngineConfig) -> PlanDetector<CompositeTimestamp> {
+pub(crate) fn new_detector(config: &EngineConfig) -> PlanDetector<CompositeTimestamp> {
     if config.plan_sharing {
         PlanDetector::new()
     } else {

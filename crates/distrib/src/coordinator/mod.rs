@@ -30,7 +30,6 @@ pub(crate) mod partition;
 mod recovery;
 mod release;
 
-use crate::config::ReleasePolicy;
 use crate::durability::{SnapshotStore, WalWriter};
 use crate::metrics::Metrics;
 use crate::protocol::Msg;
@@ -166,7 +165,6 @@ pub struct CoordinatorNode {
     pub(crate) timer_map: HashMap<u64, (ShardId, TimerId)>,
     pub(crate) next_tag: u64,
     pub(crate) gg_nanos: u64,
-    pub(crate) policy: ReleasePolicy,
     /// Whether release rounds garbage-collect operator buffers.
     pub(crate) buffer_gc: bool,
     /// Last watermark the operator buffers were collected at (GC only runs
@@ -238,17 +236,6 @@ impl CoordinatorNode {
     /// Coordinator over `sites` sites, running a pre-compiled detector.
     /// `gg_nanos` is the duration of one global tick (for timer delays).
     pub fn new(sites: usize, detector: PlanDetector<CompositeTimestamp>, gg_nanos: u64) -> Self {
-        Self::with_policy(sites, detector, gg_nanos, ReleasePolicy::Stable)
-    }
-
-    /// Coordinator with an explicit release policy (the `Immediate` policy
-    /// exists for the ablation experiments).
-    pub fn with_policy(
-        sites: usize,
-        detector: PlanDetector<CompositeTimestamp>,
-        gg_nanos: u64,
-        policy: ReleasePolicy,
-    ) -> Self {
         let plan = detector.plan_stats();
         let metrics = Metrics {
             shard_count: detector.shard_count(),
@@ -268,7 +255,6 @@ impl CoordinatorNode {
             timer_map: HashMap::new(),
             next_tag: 0,
             gg_nanos,
-            policy,
             buffer_gc: true,
             last_gc_low: 0,
             reportable: HashSet::new(),

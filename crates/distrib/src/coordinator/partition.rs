@@ -97,7 +97,7 @@ use crate::window::SendWindow;
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::NodeIdx;
-use decs_snoop::{EventId, Occurrence, ShardFeedResult};
+use decs_snoop::{EventId, FeedOutput, Occurrence};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -478,7 +478,7 @@ impl CoordinatorNode {
     /// when this replica's own definitions subscribe.
     fn absorb_partitioned(
         &mut self,
-        r: ShardFeedResult<CompositeTimestamp>,
+        r: FeedOutput<CompositeTimestamp>,
         parent: &PartKey,
         immediate: bool,
         ctx: &mut impl CoordCtx,

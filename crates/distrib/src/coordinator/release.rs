@@ -3,13 +3,12 @@
 //! operator-buffer GC, and servicing detector timer fires.
 
 use super::{CoordCtx, CoordinatorNode, RawDetection, ReleaseKey, ACK_TIMER_TAG, RELAY_RETX_TAG};
-use crate::config::ReleasePolicy;
 use crate::durability::WalRecord;
 use crate::protocol::Msg;
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::Ctx;
-use decs_snoop::{Occurrence, ShardFeedResult};
+use decs_snoop::{FeedOutput, Occurrence};
 use std::collections::VecDeque;
 
 /// One notification awaiting stability. Its release key is
@@ -136,11 +135,7 @@ impl StabilityBuffer {
 }
 
 impl CoordinatorNode {
-    pub(super) fn absorb(
-        &mut self,
-        r: ShardFeedResult<CompositeTimestamp>,
-        ctx: &mut impl CoordCtx,
-    ) {
+    pub(super) fn absorb(&mut self, r: FeedOutput<CompositeTimestamp>, ctx: &mut impl CoordCtx) {
         for (shard, t) in r.timers {
             let tag = self.next_tag;
             self.next_tag += 1;
@@ -164,8 +159,8 @@ impl CoordinatorNode {
 
     /// Drain the stable prefix of the buffer in one watermark-bounded
     /// batch: pop every released notification in canonical order, then
-    /// hand the owned occurrences to the detector in one feed, which
-    /// drops unrouted types and re-mints the rest's uids.
+    /// hand the owned occurrences to the detector (see
+    /// [`Self::feed_runs`]).
     pub(super) fn release_stable(&mut self, ctx: &mut impl CoordCtx) {
         let now = ctx.true_now();
         let mut released = Vec::new();
@@ -189,18 +184,7 @@ impl CoordinatorNode {
         );
         if !released.is_empty() {
             self.metrics.release_batches += 1;
-            if self.reportable.is_empty() {
-                self.metrics.batch_ingest_events += released.len() as u64;
-                let r = self.detector.feed_released(released);
-                self.absorb(r, ctx);
-            } else {
-                // Site-local composite arrivals are reported interleaved
-                // with the global graph's own detections, so keep the
-                // per-event feed order observable.
-                for occ in released {
-                    self.feed_one(occ, ctx);
-                }
-            }
+            self.feed_runs(released, ctx);
         }
         self.gc_operator_buffers();
         // End of a release round is the quiescent point: the detector has
@@ -240,22 +224,33 @@ impl CoordinatorNode {
             .max(self.metrics.node_buffered);
     }
 
-    /// Feed a released notification: report it if it is itself a
-    /// site-local composite detection, then run the global graph.
-    pub(super) fn feed_one(
+    /// Feed one round of released notifications in release order. A
+    /// site-local composite's arrival is itself a detection: it is
+    /// reported before its own cascade, so the round is cut into runs at
+    /// each reportable notification and every run goes to the detector in
+    /// one feed, which drops unrouted types and re-mints the rest's uids.
+    fn feed_runs(
         &mut self,
-        occ: Occurrence<CompositeTimestamp>,
+        mut released: Vec<Occurrence<CompositeTimestamp>>,
         ctx: &mut impl CoordCtx,
     ) {
-        if self.reportable.contains(&occ.ty) {
-            self.metrics.detections += 1;
-            self.detections.push(RawDetection {
-                occ: occ.clone(),
-                detected_at: ctx.true_now(),
-            });
+        while !released.is_empty() {
+            let cut = released[1..]
+                .iter()
+                .position(|o| self.reportable.contains(&o.ty))
+                .map_or(released.len(), |i| i + 1);
+            let rest = released.split_off(cut);
+            if self.reportable.contains(&released[0].ty) {
+                self.metrics.detections += 1;
+                self.detections.push(RawDetection {
+                    occ: released[0].clone(),
+                    detected_at: ctx.true_now(),
+                });
+            }
+            let r = self.detector.feed_released(released);
+            self.absorb(r, ctx);
+            released = rest;
         }
-        let r = self.detector.feed(occ);
-        self.absorb(r, ctx);
     }
 
     /// The promise the stability rule rests on: a notification from `site`
@@ -271,42 +266,32 @@ impl CoordinatorNode {
         );
     }
 
-    /// Buffer (or, under `Immediate`, directly feed) one reassembled
-    /// notification. The release key's third component is the per-site
-    /// arrival counter — identical for the `Event` and `Batch` transports.
+    /// Buffer one reassembled notification. The release key's third
+    /// component is the per-site arrival counter — identical for the
+    /// `Event` and `Batch` transports.
     pub(super) fn accept_notification(
         &mut self,
         site: usize,
         occ: Occurrence<CompositeTimestamp>,
         ctx: &mut impl CoordCtx,
     ) {
-        match self.policy {
-            ReleasePolicy::Stable => {
-                if occ.time.max_global() < self.release_horizon {
-                    // Its slot in the canonical release order has already
-                    // been passed — the pre-crash backlog of an evicted,
-                    // now rejoining site (a healthy site's watermark
-                    // promise makes this provably unreachable). Refuse it
-                    // *without* consuming an arrival counter, so surviving
-                    // notifications keep the same release keys as a run in
-                    // which the stale backlog never arrived.
-                    self.metrics.stale_refused += 1;
-                    return;
-                }
-                self.debug_assert_promise(site, occ.time.max_global());
-                self.metrics.events_received += 1;
-                let arrival = self.streams[site].arrivals;
-                self.streams[site].arrivals += 1;
-                let key: ReleaseKey = (occ.time.max_global(), site as u32, arrival);
-                self.buffer.insert(key, occ, ctx.true_now());
-                self.metrics.max_buffered = self.metrics.max_buffered.max(self.buffer.len());
-            }
-            ReleasePolicy::Immediate => {
-                self.metrics.events_received += 1;
-                self.metrics.events_released += 1;
-                self.feed_one(occ, ctx);
-            }
+        if occ.time.max_global() < self.release_horizon {
+            // Its slot in the canonical release order has already been
+            // passed — the pre-crash backlog of an evicted, now rejoining
+            // site (a healthy site's watermark promise makes this provably
+            // unreachable). Refuse it *without* consuming an arrival
+            // counter, so surviving notifications keep the same release
+            // keys as a run in which the stale backlog never arrived.
+            self.metrics.stale_refused += 1;
+            return;
         }
+        self.debug_assert_promise(site, occ.time.max_global());
+        self.metrics.events_received += 1;
+        let arrival = self.streams[site].arrivals;
+        self.streams[site].arrivals += 1;
+        let key: ReleaseKey = (occ.time.max_global(), site as u32, arrival);
+        self.buffer.insert(key, occ, ctx.true_now());
+        self.metrics.max_buffered = self.metrics.max_buffered.max(self.buffer.len());
     }
 
     /// The body of [`decs_simnet::Actor::on_timer`]: the periodic

@@ -760,8 +760,6 @@ impl Encode for Metrics {
         self.snapshots_taken.encode(out);
         self.recovery_replayed.encode(out);
         self.recovery_ns.encode(out);
-        self.batch_ingest_events.encode(out);
-        self.arena_bytes.encode(out);
         self.site_restarts.encode(out);
         self.rejoins.encode(out);
         self.epoch_max.encode(out);
@@ -814,8 +812,6 @@ impl Decode for Metrics {
             snapshots_taken: r.u64()?,
             recovery_replayed: r.u64()?,
             recovery_ns: r.u64()?,
-            batch_ingest_events: r.u64()?,
-            arena_bytes: r.u64()?,
             site_restarts: r.u64()?,
             rejoins: r.u64()?,
             epoch_max: r.u64()?,

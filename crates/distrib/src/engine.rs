@@ -2,7 +2,7 @@
 //!
 //! [`Engine`] assembles a [`decs_simnet::Scenario`] (sites with drifting
 //! clocks, a validated global time base, a link model), one [`SiteNode`]
-//! per site, and a [`CoordinatorNode`] running the compiled event graph,
+//! per site, and a [`CoordinatorNode`] running the compiled plan,
 //! into a single deterministic simulation. Workload is injected as
 //! `(true time, site, event name, params)`; running the simulation yields
 //! the named composite detections with their composite timestamps.
@@ -17,7 +17,7 @@ use crate::site::{LocalDetection, SiteNode};
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, LinkConfig, NodeIdx, Scenario, Simulation};
-use decs_snoop::{Context, Detector, EventExpr, Occurrence, Result, SnoopError, Value};
+use decs_snoop::{Context, EventExpr, Occurrence, Result, SnoopError, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -102,7 +102,6 @@ pub struct Engine {
     /// as construction did and restores only the buffered state into it.
     config: EngineConfig,
     gg_nanos: u64,
-    release_policy: crate::config::ReleasePolicy,
     primitives: Vec<String>,
     local_defs: Vec<(String, EventExpr, Context)>,
     global_defs: Vec<(String, EventExpr, Context)>,
@@ -281,7 +280,7 @@ impl Engine {
     }
 
     /// Build an engine with **site-local composite events**: every site
-    /// compiles `local_definitions` into its own detection graph; local
+    /// compiles `local_definitions` into its own plan; local
     /// detections are forwarded to the coordinator as first-class events
     /// (carrying their set-valued `Max` timestamps), where
     /// `global_definitions` may reference them by name. This is the
@@ -329,11 +328,6 @@ impl Engine {
                         .to_string(),
                 ));
             }
-            if config.release_policy == crate::config::ReleasePolicy::Immediate {
-                return Err(SnoopError::InvalidConfig(
-                    "coordinator_replicas > 1 requires ReleasePolicy::Stable".to_string(),
-                ));
-            }
             if replicas > 13 {
                 return Err(SnoopError::InvalidConfig(
                     "coordinator_replicas is limited to 13 (site timer-tag space)".to_string(),
@@ -355,9 +349,10 @@ impl Engine {
             let site_node = if local_definitions.is_empty() {
                 SiteNode::new(coordinator, config.heartbeat_interval)
             } else {
-                // Each site compiles its own graph; translate its named
-                // event ids into the coordinator's id space.
-                let mut site_det: Detector<CompositeTimestamp> = Detector::new();
+                // Each site compiles its own plan, in the coordinator's
+                // sharing mode; translate its named event ids into the
+                // coordinator's id space.
+                let mut site_det = compile::new_detector(&config);
                 for p in primitives {
                     site_det.register(p)?;
                 }
@@ -415,12 +410,7 @@ impl Engine {
                     decs_chronos::LocalClock::perfect(scenario.local_granularity),
                     scenario.base,
                 );
-                let mut coordinator_node = CoordinatorNode::with_policy(
-                    n as usize,
-                    detector,
-                    gg_nanos,
-                    config.release_policy,
-                );
+                let mut coordinator_node = CoordinatorNode::new(n as usize, detector, gg_nanos);
                 coordinator_node.set_buffer_gc(config.buffer_gc);
                 coordinator_node
                     .set_reportable(local_definitions.iter().map(|(name, _, _)| name_ids[*name]));
@@ -491,7 +481,6 @@ impl Engine {
             pending: BTreeMap::new(),
             names,
             name_ids,
-            release_policy: config.release_policy,
             config,
             gg_nanos,
             primitives: primitives_owned,
@@ -522,12 +511,7 @@ impl Engine {
             .map(|(_, d)| d.clone())
             .collect();
         let plan = compile::build_replica_detector(config, names, &layout.inputs[r], &owned)?;
-        let mut node = CoordinatorNode::with_policy(
-            n_sites,
-            plan.detector,
-            gg_nanos,
-            crate::config::ReleasePolicy::Stable,
-        );
+        let mut node = CoordinatorNode::new(n_sites, plan.detector, gg_nanos);
         node.set_buffer_gc(config.buffer_gc);
         node.set_fault_tolerance(
             config.ack_interval,
@@ -649,8 +633,7 @@ impl Engine {
             &self.global_defs,
         )?;
         let sites = self.coordinator.0 as usize;
-        let mut coord =
-            CoordinatorNode::with_policy(sites, detector, self.gg_nanos, self.release_policy);
+        let mut coord = CoordinatorNode::new(sites, detector, self.gg_nanos);
         coord.set_buffer_gc(self.config.buffer_gc);
         coord.set_reportable(self.local_defs.iter().map(|(name, _, _)| {
             *self
@@ -912,8 +895,6 @@ impl Engine {
             m.snapshots_taken += r.snapshots_taken;
             m.recovery_replayed += r.recovery_replayed;
             m.recovery_ns += r.recovery_ns;
-            m.batch_ingest_events += r.batch_ingest_events;
-            m.arena_bytes = m.arena_bytes.max(r.arena_bytes);
             m.rejoins += r.rejoins;
             m.epoch_max = m.epoch_max.max(r.epoch_max);
             m.rejoin_latency_ns += r.rejoin_latency_ns;
@@ -1050,16 +1031,6 @@ mod tests {
         let local = [("L", EventExpr::prim("A"), Context::Unrestricted)];
         let why = refusal(partitioned(2), &local);
         assert!(why.contains("site-local definitions"), "{why}");
-    }
-
-    #[test]
-    fn partitioned_plane_refuses_immediate_release() {
-        let config = EngineConfig {
-            release_policy: crate::config::ReleasePolicy::Immediate,
-            ..partitioned(2)
-        };
-        let why = refusal(config, &[]);
-        assert!(why.contains("ReleasePolicy::Stable"), "{why}");
     }
 
     #[test]

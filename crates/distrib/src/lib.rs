@@ -52,7 +52,7 @@ pub mod site;
 pub mod watermark;
 mod window;
 
-pub use config::{EngineConfig, ReleasePolicy};
+pub use config::EngineConfig;
 pub use durability::{CoordinatorSnapshot, SnapshotStore, WalRecord, WalTail, WalWriter};
 pub use engine::{Detection, Engine};
 pub use metrics::Metrics;

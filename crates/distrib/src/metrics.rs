@@ -85,15 +85,6 @@ pub struct Metrics {
     /// Wall-clock nanoseconds the most recent recovery took (snapshot load
     /// plus WAL replay).
     pub recovery_ns: u64,
-    /// Notifications fed through the batched release path (one detector
-    /// feed per release round) instead of per-event feeds.
-    pub batch_ingest_events: u64,
-    /// High-water mark of bytes staged in a columnar batch's parameter
-    /// arena during a release round. Always 0 now: the coordinator feeds
-    /// released occurrences directly and stages no columnar batch. The
-    /// `hotpath` bench still reports it; it goes with the single metrics
-    /// exposition (ROADMAP item 4(e)).
-    pub arena_bytes: u64,
     /// Site restarts (aggregated over sites by the engine; 0 in a bare
     /// coordinator).
     pub site_restarts: u64,

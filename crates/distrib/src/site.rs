@@ -1,5 +1,5 @@
 //! The per-site actor: stamps injected primitive events with the site
-//! clock, optionally runs a **local detection graph** (the paper's
+//! clock, optionally runs **local detection** (the paper's
 //! architecture detects site-local composite events at the site and
 //! propagates their set-valued timestamps), and streams primitive events,
 //! local detections and watermark heartbeats to the coordinator under a
@@ -14,7 +14,7 @@ use crate::window::SendWindow;
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
-use decs_snoop::{Detector, EventId, FeedResult, GraphState, Occurrence, TimerId};
+use decs_snoop::{EventId, FeedOutput, Occurrence, PlanDetector, PlanState, ShardId, TimerId};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,24 +41,25 @@ const TAG_MASK: u64 = (1 << GEN_SHIFT) - 1;
 /// instead of flooding the link with one giant burst.
 const RETX_BURST: usize = 64;
 
-/// Site-local detection state: a compiled detector plus the mapping from
-/// its event-id space to the coordinator's (synthetic node ids never leave
-/// the site).
+/// Site-local detection state: a compiled plan plus the mapping from its
+/// event-id space to the coordinator's (synthetic node ids never leave the
+/// site).
 pub struct LocalDetection {
-    /// The site's own detection graph.
-    pub detector: Detector<CompositeTimestamp>,
+    /// The site's own plan, the same engine the coordinator runs.
+    pub detector: PlanDetector<CompositeTimestamp>,
     /// site EventId → coordinator EventId, for every named event.
     pub translate: HashMap<EventId, EventId>,
     /// Nanoseconds per global tick (to schedule local temporal operators).
     pub gg_nanos: u64,
-    timer_map: HashMap<u64, TimerId>,
+    /// Armed timer tag → the definition and timer id it fires.
+    timer_map: HashMap<u64, (ShardId, TimerId)>,
     next_tag: u64,
 }
 
 impl LocalDetection {
-    /// Bundle a compiled site detector with its id translation table.
+    /// Bundle a compiled site plan with its id translation table.
     pub fn new(
-        detector: Detector<CompositeTimestamp>,
+        detector: PlanDetector<CompositeTimestamp>,
         translate: HashMap<EventId, EventId>,
         gg_nanos: u64,
     ) -> Self {
@@ -127,7 +128,7 @@ pub struct SiteNode {
     pub dropped_pre_epoch: u64,
     /// Whether the site has crashed (failure injection).
     pub crashed: bool,
-    /// Local detection graph, when configured.
+    /// Local detection plan, when configured.
     pub local: Option<LocalDetection>,
     /// Local composite detections produced at this site.
     pub local_detections: u64,
@@ -183,7 +184,7 @@ pub struct SiteNode {
     /// Pristine local-detector state captured at configuration time and
     /// restored on restart: partial matches are volatile and die with the
     /// incarnation that accumulated them.
-    local_pristine: Option<GraphState<CompositeTimestamp>>,
+    local_pristine: Option<PlanState<CompositeTimestamp>>,
     /// Subscription-routed uplinks, one per coordinator replica. Empty in
     /// the classic single-coordinator deployment.
     uplinks: Vec<Uplink>,
@@ -384,14 +385,14 @@ impl SiteNode {
         self.batch_interval.get() > 0
     }
 
-    /// A site with a local detection graph.
+    /// A site with a local detection plan.
     pub fn with_local(
         coordinator: NodeIdx,
         heartbeat_interval: Nanos,
         local: LocalDetection,
     ) -> Self {
         let mut s = Self::new(coordinator, heartbeat_interval);
-        // Capture the graph's pristine state now, before any event feeds
+        // Capture the plan's pristine state now, before any event feeds
         // it: a restarted incarnation starts detection from scratch.
         s.local_pristine = Some(local.detector.save_state());
         s.local = Some(local);
@@ -645,13 +646,13 @@ impl SiteNode {
 
     /// Absorb a local feed result: count + forward detections, schedule
     /// local timers.
-    fn absorb_local(&mut self, r: FeedResult<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
+    fn absorb_local(&mut self, r: FeedOutput<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
         let gen = self.gen;
         if let Some(local) = &mut self.local {
-            for t in r.timers {
+            for (def, t) in r.timers {
                 let tag = LOCAL_TIMER_BASE + local.next_tag;
                 local.next_tag += 1;
-                local.timer_map.insert(tag, t.id);
+                local.timer_map.insert(tag, (def, t.id));
                 ctx.set_timer(
                     Nanos(t.delay_ticks * local.gg_nanos),
                     (gen << GEN_SHIFT) | tag,
@@ -793,7 +794,7 @@ impl SiteNode {
                 local
                     .detector
                     .restore_state(p)
-                    .expect("pristine state restores into its own graph");
+                    .expect("pristine state restores into its own plan");
             }
         }
         // The in-memory epoch survives the simulated crash and stands in
@@ -958,7 +959,7 @@ impl Actor for SiteNode {
                             parts.local,
                         ));
                         let occ = Occurrence::primitive(ty, ts, values);
-                        // Run the local graph first (site-local composite
+                        // Run the local plan first (site-local composite
                         // detection), then forward the primitive and any
                         // local detections.
                         let local_result =
@@ -1032,8 +1033,8 @@ impl Actor for SiteNode {
             parts.local,
         ));
         let result = self.local.as_mut().and_then(|local| {
-            let timer_id = local.timer_map.remove(&tag)?;
-            local.detector.fire_timer(timer_id, ts).ok()
+            let (def, timer_id) = local.timer_map.remove(&tag)?;
+            local.detector.fire_timer(def, timer_id, ts).ok()
         });
         if let Some(r) = result {
             self.absorb_local(r, ctx);

@@ -3,7 +3,7 @@
 //! restores progress.
 
 use decs_chronos::{Granularity, Nanos};
-use decs_distrib::{Engine, EngineConfig, ReleasePolicy};
+use decs_distrib::{Engine, EngineConfig};
 use decs_simnet::{LinkConfig, Scenario, ScenarioBuilder};
 use decs_snoop::{Context, EventExpr as E};
 
@@ -15,13 +15,10 @@ fn scenario(sites: u32) -> Scenario {
         .unwrap()
 }
 
-fn seq_engine(sites: u32, policy: ReleasePolicy) -> Engine {
+fn seq_engine(sites: u32) -> Engine {
     Engine::new(
         &scenario(sites),
-        EngineConfig {
-            release_policy: policy,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         &["A", "B"],
         &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
     )
@@ -30,7 +27,7 @@ fn seq_engine(sites: u32, policy: ReleasePolicy) -> Engine {
 
 #[test]
 fn crashed_site_stalls_stability() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3);
     // Site 2 dies immediately; sites 0 and 1 exchange a clean sequence.
     e.crash_site(Nanos::from_millis(1), 2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
@@ -45,7 +42,7 @@ fn crashed_site_stalls_stability() {
 
 #[test]
 fn eviction_restores_progress() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3);
     e.crash_site(Nanos::from_millis(1), 2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -59,7 +56,7 @@ fn eviction_restores_progress() {
 
 #[test]
 fn crash_after_sending_preserves_its_events() {
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2);
     // Site 1 sends B then dies; site 0 stays alive.
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -69,19 +66,6 @@ fn crash_after_sending_preserves_its_events() {
     e.evict_site(Nanos::from_secs(5), 1);
     let det = e.run_for(Nanos::from_secs(6));
     assert_eq!(det.len(), 1, "the pre-crash event must still detect");
-}
-
-#[test]
-fn immediate_policy_does_not_stall_but_is_timing_dependent() {
-    let mut e = seq_engine(3, ReleasePolicy::Immediate);
-    e.crash_site(Nanos::from_millis(1), 2);
-    e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
-    e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
-    let det = e.run_for(Nanos::from_secs(5));
-    // No stability wait: the detection happens despite the dead site…
-    assert_eq!(det.len(), 1);
-    // …and the buffer is never used.
-    assert_eq!(e.buffered(), 0);
 }
 
 fn batched_seq_engine(sites: u32, batch_ms: u64) -> Engine {
@@ -224,7 +208,7 @@ fn durable_restart_backlog_at_the_release_boundary_is_accepted() {
 
 #[test]
 fn evicting_a_live_site_refuses_new_events_but_keeps_buffered_ones() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3);
     // A clean pre-evict pair: A (site 0) then B (site 1).
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -252,7 +236,7 @@ fn retransmitted_copy_of_delayed_event_is_deduplicated() {
     // the site's 200 ms retransmission timer fires while the original copy
     // is still *in flight* — delayed, not dropped. The site then crashes.
     // The coordinator receives both copies and must release exactly once.
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2);
     e.set_link_pair(
         1,
         LinkConfig {
@@ -283,7 +267,7 @@ fn retransmitted_copy_of_delayed_event_is_deduplicated() {
 
 #[test]
 fn injections_to_crashed_site_are_dropped() {
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2);
     e.crash_site(Nanos::from_millis(1), 0);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.run_for(Nanos::from_secs(2));
@@ -356,7 +340,7 @@ fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
     // Default non-batching config on a lossless LAN: events are acked on
     // the heartbeat cadence, well inside the retransmission timeout, so
     // no copy is ever resent and no duplicate reaches the coordinator.
-    let mut e = seq_engine(4, ReleasePolicy::Stable);
+    let mut e = seq_engine(4);
     let w = bursts(4, 60, 45);
     inject_bursts(&mut e, &w);
     e.run_for(Nanos::from_secs(4));
@@ -387,7 +371,7 @@ fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
     // covers everything sent before it. So at any instant `t` a site
     // holds unacked only what it sent in `(t - heartbeat - rtt, t]`: the
     // events it stamped then, plus the heartbeats in that window.
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2);
     let wan = LinkConfig::wan();
     e.set_link_pair(1, wan);
     let heartbeat = EngineConfig::default().heartbeat_interval.get();

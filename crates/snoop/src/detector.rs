@@ -1,101 +1,22 @@
-//! Detection drivers.
+//! The centralized detection driver.
 //!
-//! [`Detector`] wraps a catalog and a graph for any time domain and leaves
-//! timer servicing to the caller. [`CentralDetector`] is the Section 3
-//! centralized semantics: time is a total-order tick counter, so the driver
-//! itself can service timer requests from a priority queue — feeding an
+//! [`CentralDetector`] is the Section 3 centralized semantics over the
+//! plan engine: time is a total-order tick counter, so the driver itself
+//! can service timer requests from a priority queue — feeding an
 //! occurrence at tick `t` first fires every timer due at or before `t`.
+//! Drivers over other time domains (the distributed sites and
+//! coordinator) use [`PlanDetector`] directly and schedule its timer
+//! requests on their own clocks.
 
 use crate::batch::EventBatch;
 use crate::context::Context;
 use crate::error::Result;
 use crate::event::{Catalog, EventId, Occurrence, Value};
 use crate::expr::EventExpr;
-use crate::graph::{EventGraph, FeedResult, TimerId};
-use crate::plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
-use crate::time::{CentralTime, EventTime};
+use crate::plan::{FeedOutput, PlanDetector, PlanStats, ShardId, TimerId};
+use crate::time::CentralTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A catalog + graph pair for any time domain. Timer requests surface in
-/// the returned [`FeedResult`]; the caller decides how to schedule them.
-#[derive(Debug, Default)]
-pub struct Detector<T: EventTime> {
-    catalog: Catalog,
-    graph: EventGraph<T>,
-}
-
-impl<T: EventTime> Detector<T> {
-    /// An empty detector.
-    pub fn new() -> Self {
-        Detector {
-            catalog: Catalog::new(),
-            graph: EventGraph::new(),
-        }
-    }
-
-    /// Register a primitive event type.
-    pub fn register(&mut self, name: &str) -> Result<EventId> {
-        self.catalog.register(name)
-    }
-
-    /// Define a named composite event.
-    pub fn define(&mut self, name: &str, expr: &EventExpr, ctx: Context) -> Result<EventId> {
-        self.graph.compile(&mut self.catalog, name, expr, ctx)
-    }
-
-    /// The catalog (name ↔ id mapping).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &EventGraph<T> {
-        &self.graph
-    }
-
-    /// Feed a primitive occurrence.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedResult<T> {
-        self.graph.feed(occ)
-    }
-
-    /// Feed by name with parameters.
-    pub fn feed_named(&mut self, name: &str, time: T, values: Vec<Value>) -> Result<FeedResult<T>> {
-        let ty = self.catalog.lookup(name)?;
-        Ok(self.graph.feed(Occurrence::primitive(ty, time, values)))
-    }
-
-    /// Deliver a timer with a driver-assigned timestamp.
-    pub fn fire_timer(&mut self, id: TimerId, time: T) -> Result<FeedResult<T>> {
-        self.graph.fire_timer(id, time)
-    }
-
-    /// Advance the low watermark: the caller promises every future stamp's
-    /// global ticks are `≥ low`. Evicts provably-dead buffered state and
-    /// returns the evicted count (see [`EventGraph::advance_watermark`]).
-    pub fn advance_watermark(&mut self, low: u64) -> u64 {
-        self.graph.advance_watermark(low)
-    }
-
-    /// Total occurrences buffered across operator nodes.
-    pub fn buffered_occupancy(&self) -> usize {
-        self.graph.buffered_occupancy()
-    }
-
-    /// Capture the graph's buffered operator state (see
-    /// [`EventGraph::save_state`]). A state saved from a freshly compiled
-    /// detector doubles as a "pristine" image to reset to after a site
-    /// restart.
-    pub fn save_state(&self) -> crate::state::GraphState<T> {
-        self.graph.save_state()
-    }
-
-    /// Restore previously saved operator state into this detector's graph
-    /// (see [`EventGraph::restore_state`]).
-    pub fn restore_state(&mut self, state: crate::state::GraphState<T>) -> Result<()> {
-        self.graph.restore_state(state)
-    }
-}
 
 /// The centralized detector (Section 3): totally ordered ticks with an
 /// internal timer queue. Occurrences must be fed in non-decreasing tick
@@ -363,7 +284,7 @@ impl CentralDetector {
     /// detections to `detected`.
     fn absorb(
         &mut self,
-        r: ShardFeedResult<CentralTime>,
+        r: FeedOutput<CentralTime>,
         base_tick: u64,
         detected: &mut Vec<Occurrence<CentralTime>>,
     ) {

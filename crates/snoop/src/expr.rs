@@ -1,8 +1,8 @@
 //! The composite event expression AST.
 //!
 //! Expressions are built from primitive event names and the Snoop
-//! operators; [`crate::graph::EventGraph::compile`] turns an expression
-//! into detection-graph nodes. The builder methods make nesting readable:
+//! operators; [`crate::PlanDetector::define`] compiles an expression
+//! into plan nodes. The builder methods make nesting readable:
 //!
 //! ```
 //! use decs_snoop::EventExpr;

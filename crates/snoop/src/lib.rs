@@ -33,7 +33,6 @@ pub mod detector;
 pub mod error;
 pub mod event;
 pub mod expr;
-pub mod graph;
 pub mod nodes;
 pub mod plan;
 pub mod state;
@@ -41,12 +40,11 @@ pub mod time;
 
 pub use batch::{EventBatch, ParamArena, ParamHandle};
 pub use context::Context;
-pub use detector::{CentralDetector, Detector};
+pub use detector::CentralDetector;
 pub use error::{Result, SnoopError};
 pub use event::{Catalog, EventId, Occurrence, ParamList, ParamTuple, Value};
 pub use expr::EventExpr;
-pub use graph::{EventGraph, FeedResult, NodeId, TimerId, TimerRequest};
 pub use nodes::mask::Mask;
-pub use plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
-pub use state::{DefTimers, GraphState, NodeState, PlanState};
+pub use plan::{FeedOutput, PlanDetector, PlanStats, ShardId, TimerId, TimerRequest};
+pub use state::{DefTimers, NodeState, PlanState};
 pub use time::{CentralTime, EventTime};

@@ -54,13 +54,34 @@ use crate::context::Context;
 use crate::error::{Result, SnoopError};
 use crate::event::{remint_routed, Catalog, EventId, Occurrence};
 use crate::expr::EventExpr;
-use crate::graph::{TimerId, TimerRequest};
 use crate::nodes::mask::Mask;
 use crate::nodes::{self, OperatorNode, Sink};
 use crate::state::{DefTimers, PlanState};
 use crate::time::EventTime;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+
+/// Identifier of an outstanding timer request, unique within the
+/// definition that armed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimerId(pub u64);
+
+/// A request for the driver to call back after `delay_ticks`.
+///
+/// Temporal operators (`P`, `P*`, `+`) cannot produce occurrences from
+/// event arrivals alone; they need a clock. The plan stays agnostic of
+/// *whose* clock: a node requests a delay and the driver later calls
+/// [`PlanDetector::fire_timer`] with an actual timestamp. The centralized
+/// detector services requests from its tick counter; a distributed site
+/// or coordinator schedules them on its own clock, so a timer occurrence
+/// carries a genuine `(site, global, local)` stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerRequest {
+    /// Handle to pass back to [`PlanDetector::fire_timer`].
+    pub id: TimerId,
+    /// Delay, in clock ticks (centralized) or global ticks (distributed).
+    pub delay_ticks: u64,
+}
 
 /// Index of a definition (in `define` order). Timer handles and feed
 /// results are tagged with it, because timer ids are only unique within
@@ -69,7 +90,7 @@ pub type ShardId = usize;
 
 /// Everything one feed/fire step produced.
 #[derive(Debug, Clone)]
-pub struct ShardFeedResult<T> {
+pub struct FeedOutput<T> {
     /// Occurrences of named composite events, in canonical merge order.
     pub detected: Vec<Occurrence<T>>,
     /// New timer requests, tagged with the definition that owns the timer
@@ -77,9 +98,9 @@ pub struct ShardFeedResult<T> {
     pub timers: Vec<(ShardId, TimerRequest)>,
 }
 
-impl<T> Default for ShardFeedResult<T> {
+impl<T> Default for FeedOutput<T> {
     fn default() -> Self {
-        ShardFeedResult {
+        FeedOutput {
             detected: Vec::new(),
             timers: Vec::new(),
         }
@@ -527,8 +548,7 @@ impl<T: EventTime> PlanDetector<T> {
             Src::Event(e) => {
                 // A pure alias: a forwarding OR node with one child that
                 // carries the registered name directly (no synthetic
-                // intern, as in `EventGraph::compile`), so bind specially
-                // here.
+                // intern), so bind specially here.
                 let key = ConsKey::Alias(ChildKey::Event(e));
                 let n = self.cons_node(key, &[(ChildKey::Event(e), 0)], "alias", true, || {
                     Box::new(nodes::or::OrNode::new())
@@ -623,9 +643,8 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Bind `node` as the next position of definition `d`, interning the
     /// per-definition synthetic event type and wiring the operand
-    /// subscriptions. Matches `EventGraph::compile`'s catalog intern
-    /// sequence exactly (`__node_{k}` for the k-th node of each
-    /// definition), in both sharing modes.
+    /// subscriptions. The catalog intern sequence is the same in both
+    /// sharing modes (`__node_{k}` for the k-th node of each definition).
     fn bind(&mut self, d: usize, def: &mut DefView, node: usize, children: &[(Src, usize)]) -> Src {
         let p = def.positions.len() as u32;
         let emits = self.catalog.intern(&format!("__node_{p}"));
@@ -991,14 +1010,14 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Feed one occurrence, cascading named detections (canonical order)
     /// into the definitions that reference them.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
+    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedOutput<T> {
         self.feed_each([occ])
     }
 
     /// Deliver a previously requested timer on the definition that owns
     /// it, on the same scratch buffers as a trigger. Temporal nodes are
     /// always private, so this never touches the shared log.
-    pub fn fire_timer(&mut self, d: ShardId, id: TimerId, time: T) -> Result<ShardFeedResult<T>> {
+    pub fn fire_timer(&mut self, d: ShardId, id: TimerId, time: T) -> Result<FeedOutput<T>> {
         let (p, tag) = self.defs[d]
             .timers
             .remove(&id)
@@ -1012,7 +1031,7 @@ impl<T: EventTime> PlanDetector<T> {
         node.op.on_timer(tag, &time, &mut sink);
         postprocess_def(def, p, &mut s);
         drain_def(&mut self.nodes, def, &mut s);
-        let mut out = ShardFeedResult::default();
+        let mut out = FeedOutput::default();
         out.timers.extend(s.timers.drain(..).map(|t| (d, t)));
         self.merge_round(&mut s, &mut out);
         std::mem::swap(&mut s.wave, &mut s.next);
@@ -1024,7 +1043,7 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Feed a whole batch; semantically identical to feeding each
     /// occurrence in order, but the logs are trimmed once per batch.
-    pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
+    pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> FeedOutput<T> {
         self.feed_each(occs)
     }
 
@@ -1032,7 +1051,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// occurrences (an unrouted primitive type cannot contribute to any
     /// detection), then the batch path takes over. Bit-identical to
     /// materializing every row and calling [`Self::feed_batch`].
-    pub fn feed_batch_columnar(&mut self, batch: &EventBatch<T>) -> ShardFeedResult<T> {
+    pub fn feed_batch_columnar(&mut self, batch: &EventBatch<T>) -> FeedOutput<T> {
         let occs = batch.materialize_routed(|ty| !self.route(ty).is_empty());
         self.feed_batch(occs)
     }
@@ -1042,15 +1061,15 @@ impl<T: EventTime> PlanDetector<T> {
     /// path. Bit-identical to staging the same rows in an
     /// [`EventBatch`] and calling [`Self::feed_batch_columnar`], without
     /// the struct-of-arrays round trip.
-    pub fn feed_released(&mut self, mut occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
+    pub fn feed_released(&mut self, mut occs: Vec<Occurrence<T>>) -> FeedOutput<T> {
         remint_routed(&mut occs, |ty| !self.route(ty).is_empty());
         self.feed_batch(occs)
     }
 
     /// Run each trigger's whole cascade, in order, on the detector
     /// scratch, then trim the logs once.
-    fn feed_each(&mut self, occs: impl IntoIterator<Item = Occurrence<T>>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
+    fn feed_each(&mut self, occs: impl IntoIterator<Item = Occurrence<T>>) -> FeedOutput<T> {
+        let mut out = FeedOutput::default();
         let mut s = std::mem::take(&mut *self.scratch);
         for occ in occs {
             s.wave.push(occ);
@@ -1062,7 +1081,7 @@ impl<T: EventTime> PlanDetector<T> {
     }
 
     /// BFS cascade: serial waves until no detections remain.
-    fn run_waves(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+    fn run_waves(&mut self, s: &mut Scratch<T>, out: &mut FeedOutput<T>) {
         while !s.wave.is_empty() {
             self.wave_step(s, out);
             std::mem::swap(&mut s.wave, &mut s.next);
@@ -1073,7 +1092,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// `out`, cloning into `s.next` each detection whose type some
     /// definition routes (an unrouted one could trigger nothing in the next
     /// wave). Severed cascades clone nothing.
-    fn merge_round(&self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+    fn merge_round(&self, s: &mut Scratch<T>, out: &mut FeedOutput<T>) {
         sort_canonical(&mut s.round);
         for det in s.round.drain(..) {
             if !self.severed && !self.route(det.ty).is_empty() {
@@ -1087,7 +1106,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// by reference to its route's positions, one definition at a time
     /// (ascending), draining that definition's BFS before the next; then
     /// merge the trigger's round into `out` and `s.next`.
-    fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+    fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut FeedOutput<T>) {
         let mut wave = std::mem::take(&mut s.wave);
         for occ in wave.drain(..) {
             let PlanDetector {
@@ -1852,10 +1871,14 @@ mod tests {
             plan.define("X", &e, Context::Chronicle),
             Err(SnoopError::UnknownEvent(_))
         ));
+        assert!(matches!(
+            plan.define("Y", &E::seq(E::prim("A"), E::prim("Y")), Context::Chronicle),
+            Err(SnoopError::CyclicDefinition(_))
+        ));
         assert_eq!(plan.plan_node_count(), before);
         assert_eq!(plan.shard_count(), 0);
-        // The failed name stays registered (the oracle's compile registers
-        // before building too), so it cannot be reused…
+        // The failed name stays registered (`define` registers it before
+        // building), so it cannot be reused…
         assert!(matches!(
             plan.define("X", &E::prim("A"), Context::Chronicle),
             Err(SnoopError::DuplicateEvent(_))
@@ -1954,7 +1977,9 @@ mod tests {
 
     #[test]
     fn matches_monolithic_detector_as_a_multiset() {
-        // The monolithic event graph shares no code with the plan's BFS.
+        // Golden multiset, recorded from the retired monolithic event
+        // graph (one private operator node per subexpression, depth-first
+        // delivery) on the same definitions and trace.
         let trace = [
             ("A", 1),
             ("B", 2),
@@ -1965,29 +1990,38 @@ mod tests {
             ("B", 7),
             ("C", 8),
         ];
-        let key =
-            |cat: &Catalog, o: &Occurrence<CentralTime>| (cat.name(o.ty).to_owned(), o.time.get());
+        let golden: Vec<(String, u64)> = [
+            ("X", 2),
+            ("X", 7),
+            ("Y", 3),
+            ("Y", 4),
+            ("Y", 6),
+            ("Y", 6),
+            ("Y", 7),
+            ("Y", 7),
+            ("Y", 8),
+            ("Y", 8),
+            ("Y", 8),
+            ("Z", 3),
+            ("Z", 8),
+        ]
+        .into_iter()
+        .map(|(n, t)| (n.to_owned(), t))
+        .collect();
         for shared in [false, true] {
-            let mut mono = crate::detector::Detector::new();
-            for n in ["A", "B", "C"] {
-                mono.register(n).unwrap();
-            }
-            for (name, expr, ctx) in dag_defs() {
-                mono.define(name, &expr, ctx).unwrap();
-            }
             let mut plan = build_dag(shared);
-            let (mut got_mono, mut got_plan) = (Vec::new(), Vec::new());
+            let mut got = Vec::new();
             for (name, t) in trace {
                 let o = occ(plan.catalog(), name, t);
-                let rm = mono.feed(o.clone());
-                got_mono.extend(rm.detected.iter().map(|o| key(mono.catalog(), o)));
-                let rp = plan.feed(o);
-                got_plan.extend(rp.detected.iter().map(|o| key(plan.catalog(), o)));
+                let r = plan.feed(o);
+                got.extend(
+                    r.detected
+                        .iter()
+                        .map(|o| (plan.catalog().name(o.ty).to_owned(), o.time.get())),
+                );
             }
-            got_mono.sort();
-            got_plan.sort();
-            assert!(!got_mono.is_empty());
-            assert_eq!(got_mono, got_plan, "shared={shared}");
+            got.sort();
+            assert_eq!(got, golden, "shared={shared}");
         }
     }
 

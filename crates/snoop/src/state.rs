@@ -17,7 +17,8 @@
 //!
 //! A [`crate::PlanDetector`] saves a [`PlanState`] that a freshly compiled
 //! detector with the *same definitions* and the same sharing mode can
-//! restore; a site's [`crate::EventGraph`] saves a [`GraphState`].
+//! restore. A site restores the state its detector saved when freshly
+//! compiled, to restart detection from scratch.
 
 use crate::error::SnoopError;
 use crate::event::Occurrence;
@@ -74,20 +75,6 @@ pub(crate) fn max_buffered_uid<T>(nodes: &[NodeState<T>]) -> u64 {
         .map(|o| o.uid)
         .max()
         .unwrap_or(0)
-}
-
-/// The state of one compiled [`crate::EventGraph`]: per-node operator
-/// states (in node-build order, which is deterministic per expression) and
-/// the pending-timer table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphState<T> {
-    /// One entry per graph node, in build order.
-    pub nodes: Vec<NodeState<T>>,
-    /// Pending timers as `(timer id, node index, node-internal tag)`,
-    /// sorted by timer id.
-    pub timers: Vec<(u64, u32, u64)>,
-    /// The next timer id the graph will assign.
-    pub next_timer: u64,
 }
 
 /// Pending-timer bookkeeping of one definition inside a shared plan.

@@ -1,49 +1,6 @@
-//! Graphviz export of compiled detection graphs and shared plans.
+//! Graphviz export of shared plans.
 
-use decs_snoop::CentralTime;
-use decs_snoop::{Catalog, Context, EventExpr as E, EventGraph, PlanDetector};
-
-#[test]
-fn dot_contains_nodes_edges_and_names() {
-    let mut cat = Catalog::new();
-    for n in ["A", "B", "C"] {
-        cat.register(n).unwrap();
-    }
-    let mut g: EventGraph<CentralTime> = EventGraph::new();
-    g.compile(
-        &mut cat,
-        "X",
-        &E::seq(E::and(E::prim("A"), E::prim("B")), E::prim("C")),
-        Context::Chronicle,
-    )
-    .unwrap();
-    let dot = g.to_dot(&cat);
-    assert!(dot.starts_with("digraph decs {"));
-    assert!(dot.ends_with("}\n"));
-    // Sources appear with their names; the named root is a doubleoctagon.
-    for n in ["\"A\"", "\"B\"", "\"C\"", "\"X\""] {
-        assert!(dot.contains(n), "missing {n} in:\n{dot}");
-    }
-    assert!(dot.contains("doubleoctagon"));
-    // Two operator nodes: the AND (box) and the SEQ (named).
-    assert_eq!(dot.matches("shape=box").count(), 1);
-    // Slot labels 0 and 1 appear on edges.
-    assert!(dot.contains("label=\"0\""));
-    assert!(dot.contains("label=\"1\""));
-}
-
-#[test]
-fn dot_is_deterministic_for_same_graph_content() {
-    let build = || {
-        let mut cat = Catalog::new();
-        cat.register("A").unwrap();
-        let mut g: EventGraph<CentralTime> = EventGraph::new();
-        g.compile(&mut cat, "Alias", &E::prim("A"), Context::Recent)
-            .unwrap();
-        g.to_dot(&cat)
-    };
-    assert_eq!(build(), build());
-}
+use decs_snoop::{CentralTime, Context, EventExpr as E, PlanDetector};
 
 /// Two definitions over the same `Seq(A, B)` body, one of which extends
 /// it with a `; C` tail.

@@ -4,11 +4,12 @@
 //! centralized semantics (total order, `max`) — because same-site
 //! timestamps are totally ordered by their local ticks.
 //!
-//! We generate random event traces and random expressions, run both
-//! detectors, and compare detection counts and occurrence times.
+//! We generate random event traces and random expressions, run the one
+//! plan engine over both time domains, and compare detection counts and
+//! occurrence times.
 
 use decs_core::{cts, CompositeTimestamp};
-use decs_snoop::{CentralTime, Context, Detector, EventExpr, Occurrence};
+use decs_snoop::{CentralTime, Context, EventExpr, EventTime, Occurrence, PlanDetector};
 use proptest::prelude::*;
 
 /// Build a random expression over primitive names "A", "B", "C".
@@ -61,6 +62,11 @@ fn dist_time(t: u64) -> CompositeTimestamp {
     cts(&[(1, t / 10, t)])
 }
 
+/// A parameterless occurrence of `name` at `time`.
+fn primitive<T: EventTime>(d: &PlanDetector<T>, name: &str, time: T) -> Occurrence<T> {
+    Occurrence::primitive(d.catalog().lookup(name).unwrap(), time, vec![])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -72,8 +78,8 @@ proptest! {
     ) {
         let names = ["A", "B", "C"];
 
-        let mut central: Detector<CentralTime> = Detector::new();
-        let mut distrib: Detector<CompositeTimestamp> = Detector::new();
+        let mut central: PlanDetector<CentralTime> = PlanDetector::new();
+        let mut distrib: PlanDetector<CompositeTimestamp> = PlanDetector::new();
         for n in names {
             central.register(n).unwrap();
             distrib.register(n).unwrap();
@@ -84,14 +90,10 @@ proptest! {
         let mut central_dets: Vec<Occurrence<CentralTime>> = Vec::new();
         let mut distrib_dets: Vec<Occurrence<CompositeTimestamp>> = Vec::new();
         for &(e, t) in &trace {
-            let rc = central
-                .feed_named(names[e], CentralTime(t), vec![])
-                .unwrap();
+            let rc = central.feed(primitive(&central, names[e], CentralTime(t)));
             prop_assert!(rc.timers.is_empty());
             central_dets.extend(rc.detected);
-            let rd = distrib
-                .feed_named(names[e], dist_time(t), vec![])
-                .unwrap();
+            let rd = distrib.feed(primitive(&distrib, names[e], dist_time(t)));
             distrib_dets.extend(rd.detected);
         }
 

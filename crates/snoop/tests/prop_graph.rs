@@ -2,7 +2,7 @@
 //! counts are monotone in the context hierarchy for SEQ, and feeding is
 //! deterministic.
 
-use decs_snoop::{CentralDetector, CentralTime, Context, Detector, EventExpr as E, Mask, Value};
+use decs_snoop::{CentralDetector, Context, EventExpr as E, Mask, Value};
 use proptest::prelude::*;
 
 fn trace_strategy() -> impl Strategy<Value = Vec<(usize, i64)>> {
@@ -89,28 +89,5 @@ proptest! {
         let a = run_counts(&expr, Context::Continuous, &trace);
         let b = run_counts(&expr, Context::Continuous, &trace);
         prop_assert_eq!(a, b);
-    }
-
-    /// The generic Detector over CentralTime and the CentralDetector agree
-    /// when no timers are involved.
-    #[test]
-    fn detector_wrappers_agree(trace in trace_strategy()) {
-        let expr = E::seq(E::prim("A"), E::prim("B"));
-        let names = ["A", "B"];
-        let wrapped = run_counts(&expr, Context::Chronicle, &trace);
-        let mut raw: Detector<CentralTime> = Detector::new();
-        for n in names {
-            raw.register(n).unwrap();
-        }
-        raw.define("X", &expr, Context::Chronicle).unwrap();
-        let mut count = 0;
-        for (k, &(ev, v)) in trace.iter().enumerate() {
-            count += raw
-                .feed_named(names[ev], CentralTime(k as u64 + 1), vec![Value::Int(v)])
-                .unwrap()
-                .detected
-                .len();
-        }
-        prop_assert_eq!(wrapped, count);
     }
 }

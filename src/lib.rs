@@ -13,7 +13,7 @@
 //! * [`chronos`] — clocks, synchronization precision, approximated global
 //!   time (`decs-chronos`).
 //! * [`core`] — the formal timestamp semantics (`decs-core`).
-//! * [`snoop`] — the operator algebra and detection graphs (`decs-snoop`).
+//! * [`snoop`] — the operator algebra and its plan engine (`decs-snoop`).
 //! * [`simnet`] — the deterministic distributed-system simulator
 //!   (`decs-simnet`).
 //! * [`distrib`] — the distributed detection engine (`decs-distrib`).

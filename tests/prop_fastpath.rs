@@ -112,7 +112,7 @@ proptest! {
 /// Banded SEQ buffer vs the linear arrival-order scan.
 mod banded_seq {
     use super::*;
-    use decs::snoop::{Detector, EventTime, Occurrence};
+    use decs::snoop::{EventTime, Occurrence, PlanDetector};
 
     /// A random initiator/terminator stream. Each element is `(is_term,
     /// stamp)`; stamps use the same site-monotone construction as
@@ -133,7 +133,8 @@ mod banded_seq {
     /// The linear-scan oracle: `buffer_initiator`/`pair_terminator`
     /// semantics (arrival-order buffer, `init <_p term` predicate, the
     /// context's exact consumption rule), reimplemented independently of
-    /// the banded production path.
+    /// the banded production path. Each terminator's pairs are reported in
+    /// the plan's canonical merge order (a stable sort by stamp).
     fn oracle(
         ctx: Context,
         a: decs::snoop::EventId,
@@ -159,6 +160,7 @@ mod banded_seq {
             }
             let term = Occurrence::bare(b, t.clone());
             let hit = |i: &Occurrence<CompositeTimestamp>| i.time.before(&term.time);
+            let round = out.len();
             match ctx {
                 Context::Unrestricted => {
                     for init in inits.iter().filter(|i| hit(i)) {
@@ -207,6 +209,7 @@ mod banded_seq {
                     }
                 }
             }
+            out[round..].sort_by(|p, q| p.time.canonical_cmp(&q.time));
         }
         out
     }
@@ -226,7 +229,7 @@ mod banded_seq {
                 Context::Continuous,
                 Context::Cumulative,
             ] {
-                let mut d: Detector<CompositeTimestamp> = Detector::new();
+                let mut d: PlanDetector<CompositeTimestamp> = PlanDetector::new();
                 let a = d.register("A").unwrap();
                 let b = d.register("B").unwrap();
                 let x = d.define("X", &E::seq(E::prim("A"), E::prim("B")), ctx).unwrap();

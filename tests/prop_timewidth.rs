@@ -14,11 +14,10 @@
 //!    hash-consed shared plan and its unshared mode), across all five
 //!    parameter contexts at once (one definition per context, spanning
 //!    SEQ's banded buffer, ANY's m-of-n join and NOT's guard checks),
-//!    with watermark GC on or off, and identically on the plain mono
-//!    graph with and without GC.
+//!    with watermark GC on or off.
 
 use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
-use decs::snoop::{Context, Detector, EventExpr as E, Occurrence, PlanDetector, Value};
+use decs::snoop::{Context, EventExpr as E, Occurrence, PlanDetector, Value};
 use proptest::prelude::*;
 
 /// Sampled stamp widths — the same sweep as `BENCH_timewidth.json`.
@@ -119,44 +118,40 @@ const NAMES: [&str; 3] = ["A", "B", "C"];
 /// One definition per context: SEQ (banded buffer), ANY (m-of-n join),
 /// NOT (guard checks), AND, and SEQ under Cumulative (the `combine_all`
 /// emission path).
-fn define_all<D>(
-    register: impl Fn(&mut D, &str),
-    define: impl Fn(&mut D, &str, &E, Context),
-    d: &mut D,
-) {
+fn define_all(d: &mut PlanDetector<CompositeTimestamp>) {
     for n in NAMES {
-        register(d, n);
+        d.register(n).unwrap();
     }
-    define(
-        d,
-        "D0",
-        &E::seq(E::prim("A"), E::prim("B")),
-        Context::Unrestricted,
-    );
-    define(
-        d,
-        "D1",
-        &E::any(2, vec![E::prim("A"), E::prim("B"), E::prim("C")]),
-        Context::Recent,
-    );
-    define(
-        d,
-        "D2",
-        &E::not(E::prim("B"), E::prim("A"), E::prim("C")),
-        Context::Chronicle,
-    );
-    define(
-        d,
-        "D3",
-        &E::and(E::prim("A"), E::prim("B")),
-        Context::Continuous,
-    );
-    define(
-        d,
-        "D4",
-        &E::seq(E::prim("A"), E::prim("C")),
-        Context::Cumulative,
-    );
+    let defs = [
+        (
+            "D0",
+            E::seq(E::prim("A"), E::prim("B")),
+            Context::Unrestricted,
+        ),
+        (
+            "D1",
+            E::any(2, vec![E::prim("A"), E::prim("B"), E::prim("C")]),
+            Context::Recent,
+        ),
+        (
+            "D2",
+            E::not(E::prim("B"), E::prim("A"), E::prim("C")),
+            Context::Chronicle,
+        ),
+        (
+            "D3",
+            E::and(E::prim("A"), E::prim("B")),
+            Context::Continuous,
+        ),
+        (
+            "D4",
+            E::seq(E::prim("A"), E::prim("C")),
+            Context::Cumulative,
+        ),
+    ];
+    for (name, expr, ctx) in defs {
+        d.define(name, &expr, ctx).unwrap();
+    }
 }
 
 /// Trace element: (event 0..3, band delta, width, base site, payload).
@@ -217,40 +212,7 @@ fn run_plan(unshared: bool, gc: bool, rows: &[Row]) -> Detections {
     } else {
         PlanDetector::new()
     };
-    define_all(
-        |d, n| {
-            d.register(n).unwrap();
-        },
-        |d, n, e, c| {
-            d.define(n, e, c).unwrap();
-        },
-        &mut d,
-    );
-    let rows = occurrences(d.catalog(), rows);
-    let mut out = Vec::new();
-    for (occ, band) in rows {
-        let r = d.feed(occ);
-        assert!(r.timers.is_empty(), "definitions are timer-free");
-        out.extend(keyed(d.catalog(), r.detected));
-        if gc {
-            d.advance_watermark(band);
-        }
-    }
-    out
-}
-
-/// Run the trace through the plain mono graph ([`Detector`]).
-fn run_mono(gc: bool, rows: &[Row]) -> Detections {
-    let mut d: Detector<CompositeTimestamp> = Detector::new();
-    define_all(
-        |d, n| {
-            d.register(n).unwrap();
-        },
-        |d, n, e, c| {
-            d.define(n, e, c).unwrap();
-        },
-        &mut d,
-    );
+    define_all(&mut d);
     let rows = occurrences(d.catalog(), rows);
     let mut out = Vec::new();
     for (occ, band) in rows {
@@ -268,28 +230,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Wide-stamp streams detect identically in both sharing modes, with
-    /// GC on or off — and GC never changes what the mono graph detects
-    /// either.
+    /// GC on or off.
     #[test]
-    fn wide_stamp_detections_identical_across_backends(
-        rows in trace(),
-        gc in prop_oneof![Just(false), Just(true)],
-    ) {
-        let unshared = run_plan(true, gc, &rows);
-        let plan = run_plan(false, gc, &rows);
-        prop_assert_eq!(&unshared, &plan, "unshared vs shared plan, gc={}", gc);
-        let mono_plain = run_mono(false, &rows);
-        let mono_gc = run_mono(true, &rows);
-        prop_assert_eq!(&mono_plain, &mono_gc, "mono gc equivalence");
-        // The plan and the mono graph may order same-feed detections
-        // differently, but never detect different *multisets*.
-        let mut a = unshared;
-        let mut b = mono_plain;
-        let key = |(n, t, p): &(String, CompositeTimestamp, decs::snoop::ParamList)| {
-            format!("{n}|{t:?}|{p:?}")
-        };
-        a.sort_by_key(&key);
-        b.sort_by_key(&key);
-        prop_assert_eq!(&a, &b, "plan vs mono detection multisets");
+    fn wide_stamp_detections_identical_across_backends(rows in trace()) {
+        let reference = run_plan(true, false, &rows);
+        for (unshared, gc) in [(true, true), (false, false), (false, true)] {
+            let got = run_plan(unshared, gc, &rows);
+            prop_assert_eq!(&reference, &got, "unshared={} gc={}", unshared, gc);
+        }
     }
 }
