@@ -21,52 +21,15 @@ cargo fmt --check
 # Docs build warning-free: no broken or private intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-# E9: detection latency vs g_g and heartbeat, on idle and busy sites.
-# Exits nonzero unless every sequence detects in every cell, idle latency
-# grows with the heartbeat and busy latency does not.
-cargo run --release --offline -p decs-bench --bin detection_latency
-
-# Bench smoke: re-measures the hot-path kernels and validates the
-# committed BENCH_hotpath.json baseline (fails on malformed JSON or a
-# >2x regression of any fast kernel).
-cargo run --release --offline -p decs-bench --bin hotpath -- --smoke
-
-# Chaos smoke: re-runs the full lossy-network matrix and crash/restart
-# schedules and fails unless every row equals the committed
-# BENCH_chaos.json (only "threads" may differ), so a stale baseline or
-# a behavior change fails here.
-cargo run --release --offline -p decs-bench --bin chaos -- --smoke
-
-# Plan-sharing smoke: re-runs the overlap matrix (hard-asserting that the
-# shared plan and independent compilation detect identically at every
-# overlap point) and validates the committed BENCH_sharing.json baseline
-# (fails on malformed JSON or a 50%-overlap speedup below 1.5x).
-cargo run --release --offline -p decs-bench --bin sharing -- --smoke
-
-# Ingest smoke: re-runs the columnar-vs-per-event legs (hard-asserting
-# bit-identical detections on every leg) and validates the committed
-# BENCH_ingest.json baseline (fails on malformed JSON, a single-thread
-# columnar throughput under the 0.2 Meps floor, or — on the same machine
-# class — a >20% relative regression against the baseline).
-cargo run --release --offline -p decs-bench --bin ingest -- --smoke
-
-# Recovery smoke: kills the coordinator mid-run at every snapshot
-# interval (hard-asserting post-recovery detections match an
-# uninterrupted, durability-off run) and validates the committed
-# BENCH_recovery.json baseline.
-cargo run --release --offline -p decs-bench --bin recovery -- --smoke
-
-# Partition smoke: re-runs the replica-count matrix (hard-asserting that
-# the N = 2 and N = 4 partitioned planes detect bit-identically to the
-# single coordinator, and that cross-partition forwarding actually
-# happened) and validates the committed BENCH_partition.json baseline.
-cargo run --release --offline -p decs-bench --bin partition -- --smoke
-
-# Timestamp-width smoke: re-measures the version-vector compare/join
-# kernels at widths 2–128 and validates the committed
-# BENCH_timewidth.json baseline (fails on malformed JSON, a >2x
-# regression of a width-32 kernel, or a baseline width-32 speedup
-# below 5x).
-cargo run --release --offline -p decs-bench --bin timewidth -- --smoke
+# The paper-reproduction bins (E1-E5, E7, E9, E10, E12) print their
+# tables; a bin whose verdict fails exits nonzero. E7 checks that <_p
+# orders at least as many pairs as the forall-forall and min candidates,
+# E9 that every sequence detects in every cell, idle latency grows with
+# the heartbeat and busy latency does not, E10 that batching detects the
+# same and cuts messages at least 2x at batch = heartbeat.
+for bin in fig1_intervals fig2_regions ex_orderings ex_clocks ordering_validity \
+    restrictiveness detection_latency scalability context_matrix; do
+    cargo run --release --offline --quiet -p decs-bench --bin "$bin"
+done
 
 echo "ci.sh: all tier-1 checks passed"

@@ -46,6 +46,10 @@ fn main() {
                 concurrent += 1;
             }
         }
+        assert!(
+            counts[1] >= counts[3] && counts[1] >= counts[4],
+            "w≤{width}, h={horizon}: <_p must order at least as many pairs as ∀∀ and min: {counts:?}"
+        );
         let pct = |c: u64| format!("{:.1}%", 100.0 * c as f64 / PAIRS as f64);
         rows.push(vec![
             format!("w≤{width}, h={horizon}"),

@@ -5,7 +5,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use decs_core::{cts, pts, CompositeTimestamp, PrimitiveTimestamp, RawTimestampSet};
+use decs_core::{pts, CompositeTimestamp, PrimitiveTimestamp, RawTimestampSet};
 use decs_simnet::SplitMix64;
 
 /// Deterministically sample a conforming primitive timestamp:
@@ -37,14 +37,6 @@ pub fn random_raw_set(
 ) -> RawTimestampSet {
     let n = rng.next_range(1, width as u64) as usize;
     RawTimestampSet::new((0..n).map(|_| random_primitive(rng, sites, horizon)))
-}
-
-/// A composite timestamp whose members all sit at distinct fresh sites
-/// within one global tick around `g` (maximally concurrent).
-pub fn concurrent_composite(base_site: u32, g: u64, width: usize) -> CompositeTimestamp {
-    cts(&(0..width as u32)
-        .map(|i| (base_site + i, g, g * 10 + u64::from(i)))
-        .collect::<Vec<_>>())
 }
 
 /// Print a fixed-width table row.
@@ -95,13 +87,6 @@ mod tests {
         for _ in 0..200 {
             assert!(random_composite(&mut rng, 5, 300, 6).invariant_holds());
         }
-    }
-
-    #[test]
-    fn concurrent_composite_is_fully_concurrent() {
-        let c = concurrent_composite(10, 8, 4);
-        assert_eq!(c.len(), 4);
-        assert!(c.invariant_holds());
     }
 
     #[test]

@@ -70,9 +70,9 @@ impl CompositeTimestamp {
     ///   both bounds has an unwitnessed member).
     pub fn happens_before_vv(&self, other: &Self) -> bool {
         // Hand-rolled index walk (not `site_runs().peekable()`): the runs
-        // are contiguous in the sorted member slices, and the bench sweep
-        // (`BENCH_timewidth.json`) showed the iterator-adaptor form paying
-        // ~3x per site in `Peekable` bookkeeping.
+        // are contiguous in the sorted member slices, and a width sweep
+        // measured the iterator-adaptor form paying ~3x per site in
+        // `Peekable` bookkeeping.
         let m1 = self.members();
         let m2 = other.members();
         // Lockstep lane: when the site sequences are identical and every
@@ -296,9 +296,8 @@ impl CompositeTimestamp {
             return CompositeRelation::After;
         }
         // Tiny in-band pairs: at ≤4 member pairs the literal scans beat
-        // the three-kernel composition's dispatch overhead
-        // (`BENCH_timewidth.json`, width 2), and they are exact by
-        // definition.
+        // the three-kernel composition's dispatch overhead (measured at
+        // width 2), and they are exact by definition.
         if self.len() * other.len() <= 4 {
             return self.relation_naive(other);
         }

@@ -61,17 +61,13 @@ pub struct EngineConfig {
     /// eviction sacrifices completeness (composites needing the evicted
     /// site's events are suppressed), so it is an explicit opt-in.
     pub auto_evict: bool,
-    /// Bound on each site's parked (out-of-order) reassembly buffer;
-    /// overflow discards the highest-sequence parked message (recovered by
-    /// retransmission). `0` means unbounded.
-    pub parked_cap: usize,
     /// Share structurally identical subexpressions across definitions in
     /// the coordinator's plan, so they execute once per released
     /// notification. On by default. `false` runs the same engine in its
     /// unshared mode (`PlanDetector::unshared`): every definition
-    /// compiles into private nodes, the differential oracle the `sharing`
-    /// bench, perfbench's reference runs and the equivalence suites
-    /// compare against. Detections are bit-for-bit identical either way.
+    /// compiles into private nodes, the differential oracle perfbench's
+    /// reference runs and the equivalence suites compare against.
+    /// Detections are bit-for-bit identical either way.
     pub plan_sharing: bool,
     /// Persist a write-ahead log of delivered notifications plus periodic
     /// operator-state snapshots, so a crashed coordinator can be rebuilt
@@ -135,7 +131,6 @@ impl Default for EngineConfig {
             // site is suspected.
             stall_intervals: 50,
             auto_evict: false,
-            parked_cap: 4096,
             plan_sharing: true,
             durability: false,
             snapshot_interval: 8,

@@ -2,7 +2,7 @@
 //! incarnation-epoch filtering and the `Hello` rejoin transition,
 //! cumulative acks, stall detection and eviction.
 
-use super::{CoordCtx, CoordinatorNode, ACK_TIMER_TAG, RELAY_RETX_TAG};
+use super::{CoordCtx, CoordinatorNode, ACK_TIMER_TAG, PARKED_CAP, RELAY_RETX_TAG};
 use crate::durability::WalRecord;
 use crate::protocol::Msg;
 use decs_simnet::NodeIdx;
@@ -473,7 +473,7 @@ impl CoordinatorNode {
                 }
                 self.metrics.reassembly_parks += 1;
                 self.parked_total += 1;
-                if self.parked_cap > 0 && stream.parked.len() > self.parked_cap {
+                if stream.parked.len() > PARKED_CAP {
                     // Backpressure: discard the parked message farthest
                     // from the in-order frontier. Cumulative acks never
                     // cover it, so the sender retransmits it later.

@@ -109,6 +109,11 @@ pub(crate) const ACK_TIMER_TAG: u64 = u64::MAX;
 /// retransmission round (partitioned deployments only).
 pub(crate) const RELAY_RETX_TAG: u64 = u64::MAX - 1;
 
+/// Bound on each stream's parked (out-of-order) reassembly buffer. On
+/// overflow the highest-sequence parked message is discarded; cumulative
+/// acks never cover it, so its sender retransmits it.
+pub(crate) const PARKED_CAP: usize = 4096;
+
 #[derive(Debug, Default)]
 pub(crate) struct SiteStream {
     pub(crate) next: u64,
@@ -180,8 +185,6 @@ pub struct CoordinatorNode {
     pub(crate) stall_intervals: u64,
     /// Escalate suspect sites to eviction.
     pub(crate) auto_evict: bool,
-    /// Bound on each site's parked reassembly buffer (`0` = unbounded).
-    pub(crate) parked_cap: usize,
     /// Stall-detector state, one entry per site.
     pub(crate) stall: Vec<StallState>,
     /// Parked messages across all site streams (for `parked_peak`).
@@ -261,7 +264,6 @@ impl CoordinatorNode {
             ack_interval: Nanos::ZERO,
             stall_intervals: 0,
             auto_evict: false,
-            parked_cap: 0,
             stall: vec![StallState::default(); sites],
             parked_total: 0,
             wal: None,
@@ -295,19 +297,17 @@ impl CoordinatorNode {
 
     /// Configure the fault-tolerance machinery: the periodic ack/stall
     /// timer (armed when the engine delivers `Msg::Start`), the stall
-    /// threshold, automatic eviction of suspect sites, and the parked
-    /// reassembly-buffer bound. All off in a bare coordinator.
+    /// threshold and automatic eviction of suspect sites. All off in a
+    /// bare coordinator.
     pub fn set_fault_tolerance(
         &mut self,
         ack_interval: Nanos,
         stall_intervals: u64,
         auto_evict: bool,
-        parked_cap: usize,
     ) {
         self.ack_interval = ack_interval;
         self.stall_intervals = stall_intervals;
         self.auto_evict = auto_evict;
-        self.parked_cap = parked_cap;
     }
 
     /// Enable or disable operator-buffer GC (on by default). GC is
@@ -652,13 +652,38 @@ mod tests {
     #[test]
     fn ack_round_still_acks_every_stream() {
         let mut c = coordinator(3);
-        c.set_fault_tolerance(Nanos::from_millis(100), 0, false, 0);
+        c.set_fault_tolerance(Nanos::from_millis(100), 0, false);
         let mut p = Probe::default();
         c.deliver(NodeIdx(1), ev(0, 0, 1, 5, 50), &mut p);
         c.deliver(NodeIdx(1), ev(1, 1, 1, 6, 60), &mut p);
         assert!(p.acks().is_empty());
         c.ack_round(&mut p);
         assert_eq!(p.acks(), vec![(0, 0, 0), (1, 2, 0), (2, 0, 0)]);
+    }
+
+    #[test]
+    fn parked_overflow_drops_the_farthest_message_until_it_is_retransmitted() {
+        let mut c = coordinator(1);
+        let mut p = Probe::default();
+        let s0 = NodeIdx(0);
+        let cap = PARKED_CAP as u64;
+        // Seq 0 is late: seqs 1..=cap + 1 all park, one more than the cap,
+        // so the farthest from the frontier (cap + 1) is discarded.
+        for seq in 1..=cap + 1 {
+            c.deliver(s0, ev(0, seq, 0, 5, 50 + seq), &mut p);
+        }
+        assert_eq!(c.metrics.parked_dropped, 1);
+        assert_eq!(c.metrics.parked_peak, PARKED_CAP);
+        c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
+        assert_eq!(c.metrics.events_received, cap + 1);
+        // A heartbeat behind the gap parks; the retransmitted copy of the
+        // discarded message fills the gap and both are consumed in order.
+        c.deliver(s0, hb(cap + 2, 6), &mut p);
+        assert!(p.acks().is_empty());
+        c.deliver(s0, ev(0, cap + 1, 0, 5, 51 + cap), &mut p);
+        assert_eq!(p.acks(), vec![(0, cap + 3, 0)]);
+        assert_eq!(c.metrics.events_received, cap + 2);
+        assert_eq!(c.metrics.parked_dropped, 1);
     }
 
     #[test]

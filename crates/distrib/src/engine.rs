@@ -418,7 +418,6 @@ impl Engine {
                     config.ack_interval,
                     config.stall_intervals,
                     config.auto_evict,
-                    config.parked_cap,
                 );
                 if config.durability {
                     if let Some(dir) = &config.wal_dir {
@@ -517,7 +516,6 @@ impl Engine {
             config.ack_interval,
             config.stall_intervals,
             config.auto_evict,
-            config.parked_cap,
         );
         let gaters = (0..replicas)
             .filter(|&q| q != r && layout.can_reach[q] & (1 << r) != 0)
@@ -645,7 +643,6 @@ impl Engine {
             self.config.ack_interval,
             self.config.stall_intervals,
             self.config.auto_evict,
-            self.config.parked_cap,
         );
         let timers = coord
             .recover(std::path::Path::new(&dir), self.config.snapshot_interval)

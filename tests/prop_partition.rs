@@ -8,9 +8,10 @@
 //!
 //! 24 seeded comparisons: 6 seeds × {GC on/off} × {plan sharing on/off},
 //! each run at N = 1 (classic plane), N = 2 and N = 4 and compared
-//! pairwise. The definitions chain across partitions (the
-//! third consumes the second, which consumes the first), so every run
-//! exercises cross-replica forwarding, not just disjoint sub-planes.
+//! pairwise. The definitions chain across partitions (the third consumes
+//! the second, which consumes the first; the fourth also consumes the
+//! first), so each block asserts that cascade events were relayed replica
+//! to replica at both N, not just disjoint sub-planes.
 //!
 //! Why equivalence holds — the argument the suite checks: every buffered
 //! item carries a partition key `(root release key, cascade depth,
@@ -56,8 +57,10 @@ fn matrix() -> Vec<EngineConfig> {
 }
 
 /// Non-temporal definitions that reference each other by name, so that
-/// under partitioning the cascade is forced across replica boundaries
-/// (X's owner relays into Y's, Y's into Z's).
+/// under partitioning the cascade is forced across replica boundaries.
+/// Rendezvous placement puts X, Y and Z on one replica at N = 2, so W
+/// (owned by the other) is what makes X's owner relay there; at N = 4,
+/// Y's owner relays into Z's and X's into W's.
 fn defs() -> Vec<(&'static str, E, Context)> {
     vec![
         ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
@@ -67,6 +70,7 @@ fn defs() -> Vec<(&'static str, E, Context)> {
             E::or(E::prim("Y"), E::seq(E::prim("C"), E::prim("A"))),
             Context::Chronicle,
         ),
+        ("W", E::seq(E::prim("X"), E::prim("C")), Context::Chronicle),
     ]
 }
 
@@ -109,8 +113,9 @@ fn keys(det: Vec<Detection>) -> Vec<Key> {
         .collect()
 }
 
-/// One partition-invariance case: N = 1 vs N = 2 vs N = 4.
-fn partition_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
+/// One partition-invariance case: N = 1 vs N = 2 vs N = 4. Returns the
+/// relayed cascade events at N = 2 and at N = 4.
+fn partition_case(seed: u64, cfg_idx: usize, config: EngineConfig) -> (u64, u64) {
     let w = workload(seed);
 
     let run = |replicas: usize| {
@@ -144,14 +149,23 @@ fn partition_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
             "seed {seed} cfg {cfg_idx}: announcements must be subscription-routed"
         );
     }
+    (m2.relay_events, m4.relay_events)
 }
 
 fn run_block(seeds: std::ops::Range<u64>) {
-    for seed in seeds {
+    let (mut relayed2, mut relayed4) = (0, 0);
+    for seed in seeds.clone() {
         for (cfg_idx, config) in matrix().into_iter().enumerate() {
-            partition_case(seed, cfg_idx, config);
+            let (r2, r4) = partition_case(seed, cfg_idx, config);
+            relayed2 += r2;
+            relayed4 += r4;
         }
     }
+    // The definitions chain across partitions, so each block must forward
+    // cascade events replica to replica at both N, not just route
+    // announcements.
+    assert!(relayed2 > 0, "seeds {seeds:?}: N=2 relayed nothing");
+    assert!(relayed4 > 0, "seeds {seeds:?}: N=4 relayed nothing");
 }
 
 #[test]

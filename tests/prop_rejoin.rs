@@ -4,15 +4,17 @@
 //! Each case derives a crash/restart schedule deterministically from a
 //! seed — one site crashes somewhere in [1.5 s, 3 s), restarts at least
 //! 0.5 s later (by 5 s), with per-site link drop/duplication faults layered
-//! on top — and runs the same randomized workload through a fault-free
+//! on top; in the two-victim schedule a second site crashes while the
+//! first is down — and runs the same randomized workload through a fault-free
 //! engine and a faulty one with **site durability** on. The oracle is the
-//! fault-free run over the workload *minus the injections addressed to the
+//! fault-free run over the workload *minus the injections addressed to a
 //! crashed site during its downtime* (a dead site drops injections; that
 //! loss is the spec, not a bug). Detections must be bit-for-bit identical:
 //! same composites, same composite timestamps, same canonical order.
 //!
-//! 32 schedules — 8 seeds × {buffer GC on/off} × {plan sharing on/off} —
-//! so the equality holds across every coordinator execution mode.
+//! 32 schedules per victim count — 8 seeds × {buffer GC on/off} ×
+//! {plan sharing on/off} — so the equality holds across every coordinator
+//! execution mode.
 //!
 //! Two directed properties cover the eviction interaction:
 //! * an auto-evicted site that later rejoins un-pins its watermark, clears
@@ -106,27 +108,36 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("decs-rejoin-{}-{tag}", std::process::id()))
 }
 
-/// One rejoin case. Returns (retransmits, epoch-filtered) for aggregate
-/// machinery assertions.
-fn rejoin_case(seed: u64, cfg: (bool, bool)) -> (u64, u64) {
+/// One rejoin case: each of `victims` crashes once and restarts. Every
+/// victim after the first crashes while the one before it is still down,
+/// so their downtimes overlap. Returns (retransmits, epoch-filtered) for
+/// aggregate machinery assertions.
+fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> (u64, u64) {
     let mut rng = SplitMix64::new(seed ^ 0x7E70_1B5E);
     let w = workload(&mut rng);
-    let victim = rng.next_below(u64::from(SITES)) as u32;
-    // Half-millisecond offsets so the crash/restart can never tie with an
-    // integer-millisecond injection in the event queue.
-    let crash_ms = rng.next_range(1_500, 3_000);
-    let restart_ms = rng.next_range(crash_ms + 500, 5_000);
-    let t_crash = Nanos(crash_ms * 1_000_000 + 500_000);
-    let t_restart = Nanos(restart_ms * 1_000_000 + 500_000);
+    // (site, crash, restart). Half-millisecond offsets so a crash or
+    // restart can never tie with an integer-millisecond injection in the
+    // event queue.
+    let half_ms = |ms: u64| Nanos(ms * 1_000_000 + 500_000);
+    let mut down: Vec<(u32, Nanos, Nanos)> = Vec::new();
+    let (mut lo, mut hi) = (1_500, 3_000);
+    for &victim in victims {
+        let crash_ms = rng.next_range(lo, hi);
+        let restart_ms = rng.next_range(crash_ms + 500, 5_000);
+        down.push((victim, half_ms(crash_ms), half_ms(restart_ms)));
+        (lo, hi) = (crash_ms + 1, (restart_ms - 1).min(4_000));
+    }
 
-    // Oracle: the fault-free run never sees the injections the dead site
+    // Oracle: the fault-free run never sees the injections a dead site
     // dropped during its downtime.
     let clean_w: Vec<(u64, u32, &'static str)> = w
         .iter()
         .copied()
         .filter(|&(ms, site, _)| {
             let at = Nanos::from_millis(ms);
-            !(site == victim && at >= t_crash && at < t_restart)
+            !down
+                .iter()
+                .any(|&(v, crash, restart)| site == v && at >= crash && at < restart)
         })
         .collect();
     let mut clean = engine(seed, cfg, false, None);
@@ -134,7 +145,12 @@ fn rejoin_case(seed: u64, cfg: (bool, bool)) -> (u64, u64) {
     let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
     let (gc, sharing) = cfg;
-    let dir = wal_dir(&format!("{seed}-{}{}", gc as u8, sharing as u8));
+    let dir = wal_dir(&format!(
+        "{seed}-{}{}-{}",
+        gc as u8,
+        sharing as u8,
+        victims.len()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let mut faulty = engine(seed, cfg, false, Some(&dir));
     for site in 0..SITES {
@@ -142,20 +158,23 @@ fn rejoin_case(seed: u64, cfg: (bool, bool)) -> (u64, u64) {
         let dup_ppm = rng.next_below(50_001) as u32; // ≤ 5%
         faulty.set_link_pair(site, LinkConfig::lan().with_faults(drop_ppm, dup_ppm));
     }
-    faulty.crash_site(t_crash, victim);
-    faulty.restart_site(t_restart, victim);
+    for &(victim, crash, restart) in &down {
+        faulty.crash_site(crash, victim);
+        faulty.restart_site(restart, victim);
+    }
     inject_all(&mut faulty, &w);
     let faulty_det = keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS)));
 
     assert_eq!(
         clean_det, faulty_det,
-        "seed {seed} cfg {cfg:?}: crash/restart of site {victim} over \
-         [{t_crash:?}, {t_restart:?}) must be invisible to detection"
+        "seed {seed} cfg {cfg:?}: crash/restart schedule {down:?} (site, crash, \
+         restart) must be invisible to detection"
     );
     let m = faulty.metrics();
-    assert_eq!(m.site_restarts, 1, "seed {seed}: exactly one restart");
-    assert!(m.rejoins >= 1, "seed {seed}: the Hello never landed: {m:?}");
-    assert_eq!(m.epoch_max, 1, "seed {seed}: one epoch bump");
+    let n = victims.len() as u64;
+    assert_eq!(m.site_restarts, n, "seed {seed}: one restart per victim");
+    assert!(m.rejoins >= n, "seed {seed}: a Hello never landed: {m:?}");
+    assert_eq!(m.epoch_max, 1, "seed {seed}: one epoch bump per victim");
     assert_eq!(m.wal_errors, 0, "seed {seed}: site WAL must stay healthy");
     assert_eq!(
         m.stale_refused, 0,
@@ -166,19 +185,21 @@ fn rejoin_case(seed: u64, cfg: (bool, bool)) -> (u64, u64) {
         0,
         "seed {seed}: the stability buffer must drain after the rejoin"
     );
-    assert_eq!(faulty.site_epoch(victim), 1);
-    assert_eq!(faulty.coordinator_site_epoch(victim), 1);
+    for &victim in victims {
+        assert_eq!(faulty.site_epoch(victim), 1);
+        assert_eq!(faulty.coordinator_site_epoch(victim), 1);
+    }
     let _ = std::fs::remove_dir_all(&dir);
     (m.retransmits, m.epoch_filtered)
 }
 
-#[test]
-fn rejoin_schedules_match_filtered_fault_free() {
+/// Every seed × config with `victims(seed)` crashing.
+fn run_schedules(victims: impl Fn(u64) -> Vec<u32>) {
     let mut retransmits = 0;
     let mut filtered = 0;
     for cfg in CONFIGS {
         for seed in 0..8u64 {
-            let (r, f) = rejoin_case(seed, cfg);
+            let (r, f) = rejoin_case(seed, cfg, &victims(seed));
             retransmits += r;
             filtered += f;
         }
@@ -188,6 +209,16 @@ fn rejoin_schedules_match_filtered_fault_free() {
     // epoch-filtered somewhere.
     assert!(retransmits > 0, "no retransmissions across the schedules");
     assert!(filtered > 0, "no old-epoch traffic was ever filtered");
+}
+
+#[test]
+fn rejoin_schedules_match_filtered_fault_free() {
+    run_schedules(|seed| vec![(seed % u64::from(SITES)) as u32]);
+}
+
+#[test]
+fn overlapping_crashes_of_two_sites_match_filtered_fault_free() {
+    run_schedules(|_| vec![0, 2]);
 }
 
 #[test]

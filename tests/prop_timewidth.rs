@@ -20,7 +20,7 @@ use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
 use decs::snoop::{Context, EventExpr as E, Occurrence, PlanDetector, Value};
 use proptest::prelude::*;
 
-/// Sampled stamp widths — the same sweep as `BENCH_timewidth.json`.
+/// Sampled stamp widths, 2 to 128 members.
 fn width() -> impl Strategy<Value = usize> {
     prop_oneof![Just(2usize), Just(8), Just(32), Just(128)]
 }

@@ -125,6 +125,35 @@ fn crash_and_recover_mid_run_matches_uninterrupted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Snapshots exist to bound replay: killed at the same instant, the
+/// coordinator that snapshots every watermark tick re-consumes strictly
+/// fewer WAL records than the one that never snapshots, and both recover
+/// to the uninterrupted detections.
+#[test]
+fn snapshots_shorten_replay_at_the_same_kill_point() {
+    let expect = uninterrupted();
+    let replayed = |tag: &str, snapshot_interval: u64| {
+        let dir = tmp_dir(tag);
+        let mut e = engine(11, Some(&dir), snapshot_interval);
+        inject_all(&mut e, &workload());
+        let mut det = keys(e.run_until(Nanos::from_millis(2_000)));
+        e.crash_and_recover_coordinator().unwrap();
+        det.extend(keys(e.run_until(HORIZON)));
+        assert_eq!(
+            det, expect,
+            "snapshot interval {snapshot_interval}: recovered run must match uninterrupted run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        e.metrics().recovery_replayed
+    };
+    let without = replayed("replay-nosnap", u64::MAX);
+    let with = replayed("replay-snap1", 1);
+    assert!(
+        with < without,
+        "snapshots must shorten replay: {with} records with, {without} without"
+    );
+}
+
 #[test]
 fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
     let expect = uninterrupted();
