@@ -5,9 +5,10 @@
 //! throughput, message counts, stability-buffer occupancy, and detections
 //! behave? The watermark rule needs *every* site's heartbeat, so the
 //! stability latency is governed by the slowest site — flat in sites —
-//! while message volume grows linearly (heartbeats dominate). Batching
-//! coalesces each site's interval of events plus the watermark into one
-//! message, collapsing that per-message coordinator work.
+//! while message volume grows linearly: each site adds one heartbeat per
+//! global tick on top of its events. Batching coalesces each site's
+//! interval of events plus the watermark into one message, collapsing
+//! that per-message coordinator work.
 //!
 //! Run: `cargo run -p decs-bench --release --bin scalability [batch_ms]`
 //! where `batch_ms` is the batch flush interval in milliseconds for the
@@ -111,11 +112,13 @@ fn main() {
         &rows,
     );
 
-    // Second sweep: fixed sites, growing batch interval. The heartbeat
-    // interval is 20 ms, so batch_ms = 20 is the like-for-like comparison:
-    // same watermark cadence, events riding along for free.
+    // Second sweep: fixed sites, growing batch interval. A site
+    // heartbeats once per global tick (g_g = 100 ms), so batch_ms = 100
+    // is the like-for-like comparison: same watermark cadence, events
+    // riding along for free.
     let sites = 8u32;
-    println!("\nbatch-interval sweep at {sites} sites (heartbeat = 20 ms)\n");
+    let gg_ms = 100;
+    println!("\nbatch-interval sweep at {sites} sites (heartbeat = g_g = {gg_ms} ms)\n");
     let baseline = run(sites, 0);
     let mut rows = Vec::new();
     for bms in [0u64, 5, 10, 20, 50, 100] {
@@ -127,10 +130,10 @@ fn main() {
             r.detections, baseline.detections,
             "batch {bms} ms must detect exactly what per-event transport does"
         );
-        if bms == 20 {
+        if bms == gg_ms {
             assert!(
                 reduction >= 2.0,
-                "batch = heartbeat must cut messages at least 2x, got {reduction:.2}x"
+                "batch = g_g must cut messages at least 2x, got {reduction:.2}x"
             );
         }
         rows.push(vec![
@@ -156,9 +159,9 @@ fn main() {
         &[10, 10, 8, 10, 14, 11, 13],
         &rows,
     );
-    println!("\nexpected shape: per-event messages ≈ events + heartbeats; batching");
-    println!("folds both into one message per site per interval, so at");
-    println!("batch = heartbeat the coordinator processes ≥2x fewer messages");
+    println!("\nexpected shape: per-event messages ≈ events + one heartbeat per site");
+    println!("per tick; batching folds both into one message per site per interval,");
+    println!("so at batch = g_g the coordinator processes ≥2x fewer messages");
     println!("with identical detections (both asserted). The coordinator's");
     println!("stability wait shrinks as the batch interval grows: events wait");
     println!("for the flush at their site instead.");

@@ -5,25 +5,16 @@ use decs_chronos::Nanos;
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// How often each site heartbeats its watermark. Must be positive
-    /// when [`EngineConfig::batch_interval`] is zero (`Engine::new`
-    /// refuses a zero interval then): without batching, heartbeats are
-    /// the only watermark carrier, and the coordinator acks a site's
-    /// events when it consumes the site's next heartbeat. A site also
-    /// heartbeats at once when it stamps an event in a global tick it has
-    /// not announced yet, so this interval bounds the watermark lag only
-    /// of idle sites; a busy site's lag is a link latency.
-    pub heartbeat_interval: Nanos,
     /// How often each site flushes its coalesced notification batch.
     /// `Nanos::ZERO` (the default) disables batching: every occurrence is
-    /// sent as its own `Msg::Event` and watermarks travel as separate
-    /// `Msg::Heartbeat`s. Any positive interval switches the site to
-    /// `Msg::Batch` (which carries the watermark, so heartbeats are
-    /// subsumed). Detections are identical either way. A site that stamps
-    /// an event in a global tick it has not announced yet flushes at once
-    /// and pushes its next periodic flush one interval out, so, as with
-    /// heartbeats, the interval bounds the watermark lag only of idle
-    /// sites.
+    /// sent as its own `Msg::Event` and the watermark travels as a
+    /// separate `Msg::Heartbeat`, one per global tick, sent at the instant
+    /// the site's clock enters the tick. Any positive interval switches
+    /// the site to `Msg::Batch` (which carries the watermark, so
+    /// heartbeats are subsumed). Detections are identical either way. A
+    /// batching site also flushes at each tick edge and pushes its next
+    /// periodic flush one interval out, so the interval sets how long an
+    /// event waits in the batch, never the watermark lag.
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,
@@ -38,11 +29,11 @@ pub struct EngineConfig {
     /// resent only once this long has passed since the last ack that
     /// trimmed the buffer (or since the first send into an empty buffer),
     /// so messages whose acks are still in flight are never resent.
-    /// Without batching, keep it above `heartbeat_interval` plus a round
-    /// trip: events are acked on the heartbeat cadence (or by the
-    /// periodic ack round, when `ack_interval` is shorter), so a shorter
-    /// timeout makes sites resend copies the coordinator then drops as
-    /// duplicates (harmless to detection, wasteful on the wire).
+    /// Without batching, keep it above `min(g_g, ack_interval)` plus a
+    /// round trip: an event is acked by its site's next tick-edge
+    /// heartbeat or by the periodic ack round, whichever comes first, so a
+    /// shorter timeout makes sites resend copies the coordinator then
+    /// drops as duplicates (harmless to detection, wasteful on the wire).
     /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
     /// for lossless links or ablation).
     pub retransmit_timeout: Nanos,
@@ -114,9 +105,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            // Heartbeat well below the paper-scale g_g (1/10 s) so
-            // stability lags by a small number of global ticks.
-            heartbeat_interval: Nanos::from_millis(20),
             batch_interval: Nanos::ZERO,
             trace_capacity: 0,
             buffer_gc: true,
@@ -139,16 +127,5 @@ impl Default for EngineConfig {
             retransmit_jitter_seed: None,
             coordinator_replicas: 1,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_heartbeat_is_positive() {
-        let c = EngineConfig::default();
-        assert!(c.heartbeat_interval.get() > 0);
     }
 }

@@ -141,10 +141,10 @@ impl CoordinatorNode {
     /// that does not batch: one such message per event would otherwise be
     /// acked one by one. It is acked only when it carries no events (a
     /// beacon) or its watermark raises the site's mark at this replica.
-    /// Each uplink's beacon comes every heartbeat, so its window stays
-    /// within one heartbeat plus a round trip. A batching site's `Routed`
-    /// messages are all periodic flushes, each acked. Call it before the
-    /// message is applied.
+    /// Each uplink's beacon comes at every tick edge, so with the ack
+    /// round its window stays within `min(g_g, ack_interval)` plus a round
+    /// trip. A batching site's `Routed` messages are all flushes, each
+    /// acked. Call it before the message is applied.
     fn ack_due(&self, site: usize, msg: &Msg) -> bool {
         match msg {
             Msg::Routed {
@@ -456,9 +456,9 @@ impl CoordinatorNode {
                 }
                 // Cumulative ack on the watermark cadence (see `ack_due`):
                 // occurrence-only messages are covered by the ack of the
-                // site's next heartbeat, so on a healthy link they stay
-                // unacked for at most a heartbeat interval plus a round
-                // trip.
+                // site's next tick-edge heartbeat or of the periodic ack
+                // round, so on a healthy link they stay unacked for at
+                // most `min(g_g, ack_interval)` plus a round trip.
                 if ack {
                     self.send_ack(from, site, ctx);
                 }

@@ -305,14 +305,6 @@ impl Engine {
         let (detector, name_ids, names) =
             compile::build_detector(&config, &primitives_owned, &local_defs, &global_defs)?;
 
-        if config.heartbeat_interval.get() == 0 && config.batch_interval.get() == 0 {
-            // Without batching, heartbeats are the only watermark carrier
-            // and the ack cadence; a zero interval would re-arm the
-            // heartbeat timer at the same instant forever.
-            return Err(SnoopError::InvalidConfig(
-                "heartbeat_interval must be positive when batch_interval is zero".to_string(),
-            ));
-        }
         let replicas = config.coordinator_replicas.max(1);
         if replicas > 1 {
             // The partitioned plane's scope cuts, enforced up front (each
@@ -347,7 +339,7 @@ impl Engine {
         let mut nodes = Vec::with_capacity(n as usize + replicas);
         for i in 0..n {
             let site_node = if local_definitions.is_empty() {
-                SiteNode::new(coordinator, config.heartbeat_interval)
+                SiteNode::new(coordinator)
             } else {
                 // Each site compiles its own plan, in the coordinator's
                 // sharing mode; translate its named event ids into the
@@ -370,7 +362,6 @@ impl Engine {
                 }
                 SiteNode::with_local(
                     coordinator,
-                    config.heartbeat_interval,
                     LocalDetection::new(site_det, translate, gg_nanos_sites),
                 )
             };
@@ -468,7 +459,7 @@ impl Engine {
         if config.trace_capacity > 0 {
             sim.enable_trace(config.trace_capacity);
         }
-        // Start heartbeats everywhere; each coordinator's Start arms its
+        // Start every site's beacons; each coordinator's Start arms its
         // periodic ack/stall-check (and, partitioned, relay-retx) round.
         for i in 0..n + replicas as u32 {
             sim.inject(Nanos::ZERO, NodeIdx(i), Msg::Start);
@@ -667,6 +658,14 @@ impl Engine {
         }
     }
 
+    /// Override the link from `site` to coordinator replica `replica`
+    /// only (`replica < coordinator_replicas`), so replicas can see one
+    /// site's stream at different delays.
+    pub fn set_uplink(&mut self, site: u32, replica: usize, cfg: LinkConfig) {
+        self.sim
+            .set_link(NodeIdx(site), self.coordinators[replica], cfg);
+    }
+
     /// Override both directions of a site's link with the coordinator
     /// (faulty links lose acks on the return path too).
     pub fn set_link_pair(&mut self, site: u32, cfg: LinkConfig) {
@@ -789,9 +788,9 @@ impl Engine {
     /// Run for `horizon` more simulated time **relative to the current
     /// simulation clock**, then drain and return the detections produced
     /// so far. `run_until(t)` followed by `run_for(h)` covers exactly the
-    /// same simulated span as `run_until(t + h)`. (Heartbeat/batch timers
-    /// re-arm forever, so a bounded horizon is required; there is no
-    /// run-to-quiescence.)
+    /// same simulated span as `run_until(t + h)`. (Tick-edge and batch
+    /// timers re-arm forever, so a bounded horizon is required; there is
+    /// no run-to-quiescence.)
     pub fn run_for(&mut self, horizon: Nanos) -> Vec<Detection> {
         let until = Nanos(self.sim.now().get().saturating_add(horizon.get()));
         self.run_until(until)
@@ -1037,42 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_heartbeat_without_batching_is_refused() {
-        let config = EngineConfig {
-            heartbeat_interval: Nanos::ZERO,
-            ..EngineConfig::default()
-        };
-        let why = refusal(config.clone(), &[]);
-        assert!(why.contains("heartbeat_interval"), "{why}");
-        // Partitioned sites beacon on the same timer.
-        let why = refusal(
-            EngineConfig {
-                coordinator_replicas: 2,
-                ..config.clone()
-            },
-            &[],
-        );
-        assert!(why.contains("heartbeat_interval"), "{why}");
-        // Batch flushes carry the watermark, so batching needs no
-        // heartbeat: the engine builds and makes progress.
-        let batched = EngineConfig {
-            batch_interval: Nanos::from_millis(20),
-            ..config
-        };
-        let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
-        let mut e = Engine::new(
-            &scenario(2, 1),
-            batched,
-            &["A", "B"],
-            &[("X", ab, Context::Chronicle)],
-        )
-        .unwrap();
-        e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
-        e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
-        assert_eq!(e.run_for(Nanos::from_secs(3)).len(), 1);
-    }
-
-    #[test]
     fn cross_site_sequence_detects_when_clearly_ordered() {
         let mut e = seq_engine(2, 42);
         // A on site 0 at 1 s, B on site 1 at 2 s: one full global tick
@@ -1169,7 +1132,9 @@ mod tests {
             )
         };
         let (plain, m_plain) = run(Nanos::ZERO);
-        let (batched, m_batched) = run(Nanos::from_millis(20));
+        // Batch = g_g: one flush per tick, the cadence of the per-event
+        // heartbeats, so the events ride along for free.
+        let (batched, m_batched) = run(Nanos::from_millis(100));
         assert_eq!(plain, batched, "batching must not change detections");
         assert!(!plain.is_empty());
         // Transport actually switched: batches instead of events+heartbeats.
@@ -1243,7 +1208,8 @@ mod tests {
         e.run_for(Nanos::from_secs(3));
         let m = e.metrics();
         assert_eq!(m.events_received, 2);
-        assert!(m.heartbeats_received > 100); // 3 sites @ 20 ms over 3 s
+        // 3 sites, one heartbeat per 100 ms tick over 3 s plus the Start.
+        assert!(m.heartbeats_received >= 90, "{}", m.heartbeats_received);
         assert!(m.mean_stability_latency_ns() > 0);
     }
 

@@ -3,7 +3,8 @@
 //! architecture detects site-local composite events at the site and
 //! propagates their set-valued timestamps), and streams primitive events,
 //! local detections and watermark heartbeats to the coordinator under a
-//! single per-site sequence number.
+//! single per-site sequence number. A site announces its watermark once
+//! per global tick, at the true instant its own clock enters the tick.
 
 use crate::durability::site_wal::{
     compaction_records, recover_site_state, SiteWalRecord, SiteWalState,
@@ -19,7 +20,8 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-const HEARTBEAT_TAG: u64 = 0;
+/// The tick-edge timer: the site's one watermark beacon per global tick.
+const EDGE_TAG: u64 = 0;
 const BATCH_TAG: u64 = 1;
 const RETX_TAG: u64 = 2;
 /// Per-uplink retransmission timer tags in partitioned mode:
@@ -32,7 +34,7 @@ const LOCAL_TIMER_BASE: u64 = 16;
 
 /// Timer tags carry the site's restart generation in their high bits, so
 /// a fire armed by a dead incarnation is recognized and discarded instead
-/// of doubling the new incarnation's heartbeat/batch/retransmit chains.
+/// of doubling the new incarnation's edge/batch/retransmit chains.
 const GEN_SHIFT: u32 = 48;
 const TAG_MASK: u64 = (1 << GEN_SHIFT) - 1;
 
@@ -103,13 +105,12 @@ struct Uplink {
     deadline: Nanos,
 }
 
-/// A site: event source + optional local detector + heartbeat beacon.
+/// A site: event source + optional local detector + tick-edge beacon.
 #[derive(Debug)]
 pub struct SiteNode {
     coordinator: NodeIdx,
-    heartbeat_interval: Nanos,
     /// Batch flush period; `Nanos::ZERO` disables batching (per-event
-    /// `Msg::Event` + periodic `Msg::Heartbeat` instead of `Msg::Batch`).
+    /// `Msg::Event` + tick-edge `Msg::Heartbeat` instead of `Msg::Batch`).
     batch_interval: Nanos,
     /// Occurrences coalesced since the last flush (batching mode only),
     /// in send order.
@@ -119,10 +120,9 @@ pub struct SiteNode {
     /// flush timer that fires before it re-arms for the remainder, so the
     /// periodic chain stays one timer and batches per tick do not grow.
     next_flush: Nanos,
-    /// Highest watermark this incarnation has announced on the classic
-    /// stream (heartbeat, batch or Hello). An injection stamped at a
-    /// higher global tick announces the new tick at once.
-    announced: u64,
+    /// The true instant the armed edge timer is due: when the site clock
+    /// enters its next global tick (`u64::MAX` ns if it never does).
+    next_edge: Nanos,
     seq: u64,
     /// Events dropped because the site clock had not started yet.
     pub dropped_pre_epoch: u64,
@@ -203,14 +203,13 @@ pub struct SiteNode {
 
 impl SiteNode {
     /// A site that reports to `coordinator`.
-    pub fn new(coordinator: NodeIdx, heartbeat_interval: Nanos) -> Self {
+    pub fn new(coordinator: NodeIdx) -> Self {
         SiteNode {
             coordinator,
-            heartbeat_interval,
             batch_interval: Nanos::ZERO,
             pending: Vec::new(),
             next_flush: Nanos::ZERO,
-            announced: 0,
+            next_edge: Nanos::ZERO,
             seq: 0,
             dropped_pre_epoch: 0,
             crashed: false,
@@ -375,7 +374,8 @@ impl SiteNode {
 
     /// Switch the site to batched notifications flushed every `interval`
     /// (`Nanos::ZERO` keeps per-event mode). In batching mode every flush
-    /// carries the watermark, so separate heartbeats are suppressed.
+    /// carries the watermark, and the tick-edge beacon is a flush, so no
+    /// separate heartbeat is sent.
     pub fn with_batching(mut self, interval: Nanos) -> Self {
         self.batch_interval = interval;
         self
@@ -386,12 +386,8 @@ impl SiteNode {
     }
 
     /// A site with a local detection plan.
-    pub fn with_local(
-        coordinator: NodeIdx,
-        heartbeat_interval: Nanos,
-        local: LocalDetection,
-    ) -> Self {
-        let mut s = Self::new(coordinator, heartbeat_interval);
+    pub fn with_local(coordinator: NodeIdx, local: LocalDetection) -> Self {
+        let mut s = Self::new(coordinator);
         // Capture the plan's pristine state now, before any event feeds
         // it: a restarted incarnation starts detection from scratch.
         s.local_pristine = Some(local.detector.save_state());
@@ -488,25 +484,6 @@ impl SiteNode {
             },
             ctx,
         );
-    }
-
-    /// The partitioned-mode beacon: flush every uplink (staged events in
-    /// batching mode, pure watermark heartbeats otherwise) and re-arm.
-    fn routed_beacon(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.crashed {
-            return; // no beacon, no re-arm: the site is silent.
-        }
-        if let Ok(parts) = ctx.stamp() {
-            for u in 0..self.uplinks.len() {
-                self.flush_uplink(u, parts.global.get(), ctx);
-            }
-        }
-        let (interval, tag) = if self.batching() {
-            (self.batch_interval, BATCH_TAG)
-        } else {
-            (self.heartbeat_interval, HEARTBEAT_TAG)
-        };
-        ctx.set_timer(interval, self.gen_tag(tag));
     }
 
     /// Cumulative ack from replica `from` at true time `now`: trim that
@@ -671,37 +648,84 @@ impl SiteNode {
         s
     }
 
-    /// The periodic heartbeat: announce the watermark and re-arm.
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.crashed {
-            return; // no beacon, no re-arm: the site is silent.
-        }
-        if let Ok(parts) = ctx.stamp() {
-            self.send_heartbeat(parts.global.get(), ctx);
-        }
-        ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
-    }
-
-    /// Send one heartbeat announcing `watermark`.
-    fn send_heartbeat(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
-        let seq = self.next_seq();
-        let epoch = self.epoch;
-        self.send_seq(
-            seq,
-            Msg::Heartbeat {
+    /// Announce `watermark`: a heartbeat in per-event mode, a flush of
+    /// the pending batch in batching mode, a flush of every uplink on the
+    /// partitioned plane (staged events in batching mode, an empty
+    /// `Msg::Routed` otherwise).
+    fn beacon(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
+        if self.partitioned() {
+            for u in 0..self.uplinks.len() {
+                self.flush_uplink(u, watermark, ctx);
+            }
+        } else if self.batching() {
+            self.send_batch(watermark, ctx);
+        } else {
+            let seq = self.next_seq();
+            let epoch = self.epoch;
+            self.send_seq(
                 seq,
-                epoch,
-                watermark,
-            },
-            ctx,
-        );
-        self.announced = self.announced.max(watermark);
+                Msg::Heartbeat {
+                    seq,
+                    epoch,
+                    watermark,
+                },
+                ctx,
+            );
+        }
     }
 
-    /// The periodic batch flush (see [`Self::send_batch`]), re-armed one
+    /// Arm the edge timer for the true instant the site clock enters its
+    /// next global tick (its first stamp, before the clock's epoch).
+    fn arm_edge(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let now = ctx.true_now();
+        self.next_edge = Nanos(u64::MAX);
+        if let Some(at) = ctx.time_source().next_tick_edge(now) {
+            self.next_edge = at;
+            ctx.set_timer(Nanos(at.get() - now.get()), self.gen_tag(EDGE_TAG));
+        }
+    }
+
+    /// Arm a fresh incarnation's beacons: the edge timer and, when
+    /// batching, the periodic flush one `batch_interval` out.
+    fn arm_beacons(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.arm_edge(ctx);
+        if self.batching() {
+            self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
+            ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
+        }
+    }
+
+    /// The edge timer fired: the site's one watermark beacon per global
+    /// tick. A watermark changes only at a tick edge, so this is the only
+    /// instant worth announcing it; the tick's events follow the beacon.
+    /// A batching edge flush pushes the next periodic flush one
+    /// `batch_interval` out, so flushes per tick do not grow. A fire
+    /// before [`Self::next_edge`], while the clock still reads the old
+    /// tick, only re-arms for the remainder. A crashed site neither
+    /// beacons nor re-arms: it is silent.
+    fn tick_edge(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.crashed {
+            return;
+        }
+        let now = ctx.true_now();
+        if now >= self.next_edge {
+            if let Ok(parts) = ctx.stamp() {
+                self.beacon(parts.global.get(), ctx);
+            }
+            if self.batching() {
+                self.next_flush = now.saturating_add(self.batch_interval.get());
+            }
+        }
+        self.arm_edge(ctx);
+    }
+
+    /// The periodic batch flush (see [`Self::beacon`]), re-armed one
     /// `batch_interval` out. A fire before [`Self::next_flush`] (a
     /// tick-edge flush went out since it was armed) only re-arms for the
-    /// remainder. A crashed site neither flushes nor re-arms, so buffered
+    /// remainder. A flush due less than half an interval before the tick
+    /// edge is left to the edge's flush, so a site flushes about
+    /// `g_g / batch_interval` times per tick whichever way its clock
+    /// drifts. A crashed site neither flushes nor re-arms, so buffered
     /// occurrences die with it (the coordinator must evict to make
     /// progress).
     fn flush_batch(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -709,16 +733,19 @@ impl SiteNode {
             return; // pending events are lost: the site is silent.
         }
         let now = ctx.true_now();
-        if now < self.next_flush {
-            let rest = Nanos(self.next_flush.get() - now.get());
-            ctx.set_timer(rest, self.gen_tag(BATCH_TAG));
-            return;
+        let interval = self.batch_interval.get();
+        if now >= self.next_flush {
+            if self.next_edge.get().saturating_sub(now.get()) < interval / 2 {
+                self.next_flush = self.next_edge.saturating_add(interval);
+            } else {
+                if let Ok(parts) = ctx.stamp() {
+                    self.beacon(parts.global.get(), ctx);
+                }
+                self.next_flush = now.saturating_add(interval);
+            }
         }
-        if let Ok(parts) = ctx.stamp() {
-            self.send_batch(parts.global.get(), ctx);
-        }
-        self.next_flush = now.saturating_add(self.batch_interval.get());
-        ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
+        let rest = Nanos(self.next_flush.get() - now.get());
+        ctx.set_timer(rest, self.gen_tag(BATCH_TAG));
     }
 
     /// Send the pending batch: one `Msg::Batch` carrying every occurrence
@@ -740,26 +767,6 @@ impl SiteNode {
             },
             ctx,
         );
-        self.announced = self.announced.max(watermark);
-    }
-
-    /// Announce global tick `global`, just stamped on an injection, if no
-    /// earlier message of this incarnation did: a heartbeat right behind
-    /// the forwarded occurrences, or (batching) a flush of the pending
-    /// batch that pushes the next periodic flush one `batch_interval` out.
-    /// So a busy site's watermark lags its clock by a link latency, not by
-    /// up to a heartbeat or batch interval. Partitioned uplinks need no
-    /// edge: every per-event `Msg::Routed` carries the watermark already.
-    fn announce_tick(&mut self, global: u64, ctx: &mut Ctx<'_, Msg>) {
-        if global <= self.announced || self.partitioned() {
-            return;
-        }
-        if self.batching() {
-            self.send_batch(global, ctx);
-            self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
-        } else {
-            self.send_heartbeat(global, ctx);
-        }
     }
 
     /// Bring a crashed site back up as a new incarnation.
@@ -878,12 +885,7 @@ impl SiteNode {
                     ctx,
                 );
             }
-            let (interval, tag) = if self.batching() {
-                (self.batch_interval, BATCH_TAG)
-            } else {
-                (self.heartbeat_interval, HEARTBEAT_TAG)
-            };
-            ctx.set_timer(interval, self.gen_tag(tag));
+            self.arm_beacons(ctx);
             return;
         }
         // Announce the incarnation. The watermark falls back to 0 (always
@@ -893,9 +895,6 @@ impl SiteNode {
         // transition precedes every retagged message.
         let burst: Vec<Msg> = self.retx.messages().take(RETX_BURST).cloned().collect();
         let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
-        // The announced mark restarts from the Hello, so the incarnation's
-        // first injection at a later tick announces it at once.
-        self.announced = watermark;
         let seq = self.next_seq();
         let epoch = self.epoch;
         self.send_seq(
@@ -911,14 +910,9 @@ impl SiteNode {
             self.retransmits += 1;
             ctx.send(self.coordinator, m);
         }
-        // Restart the beacon chain in the new timer generation. No
-        // immediate beacon: the Hello already carried the watermark.
-        if self.batching() {
-            self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
-            ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
-        } else {
-            ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
-        }
+        // Restart the beacons in the new timer generation. No immediate
+        // beacon: the Hello already carried the watermark.
+        self.arm_beacons(ctx);
     }
 }
 
@@ -935,13 +929,10 @@ impl Actor for SiteNode {
         match msg {
             Msg::Start => {
                 debug_assert_eq!(from, ctx.me());
-                if self.partitioned() {
-                    self.routed_beacon(ctx);
-                } else if self.batching() {
-                    self.flush_batch(ctx);
-                } else {
-                    self.heartbeat(ctx);
+                if let Ok(parts) = ctx.stamp() {
+                    self.beacon(parts.global.get(), ctx);
                 }
+                self.arm_beacons(ctx);
             }
             Msg::Crash => {
                 self.crashed = true;
@@ -968,7 +959,6 @@ impl Actor for SiteNode {
                         if let Some(r) = local_result {
                             self.absorb_local(r, ctx);
                         }
-                        self.announce_tick(parts.global.get(), ctx);
                     }
                     Err(_) => self.dropped_pre_epoch += 1,
                 }
@@ -995,20 +985,18 @@ impl Actor for SiteNode {
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Msg>) {
         // Timers armed by a previous incarnation fire into the void: the
-        // new incarnation re-armed its own heartbeat/batch/retransmit
-        // chains at restart, and honoring a stale fire would double them.
+        // new incarnation re-armed its own edge/batch/retransmit chains at
+        // restart, and honoring a stale fire would double them.
         if (tag >> GEN_SHIFT) != self.gen {
             return;
         }
         let tag = tag & TAG_MASK;
-        if tag == HEARTBEAT_TAG || tag == BATCH_TAG {
-            if self.partitioned() {
-                self.routed_beacon(ctx);
-            } else if tag == HEARTBEAT_TAG {
-                self.heartbeat(ctx);
-            } else {
-                self.flush_batch(ctx);
-            }
+        if tag == EDGE_TAG {
+            self.tick_edge(ctx);
+            return;
+        }
+        if tag == BATCH_TAG {
+            self.flush_batch(ctx);
             return;
         }
         if tag == RETX_TAG {
@@ -1060,6 +1048,8 @@ mod tests {
     struct Collector {
         events: Vec<(u64, Occurrence<CompositeTimestamp>)>,
         heartbeats: Vec<(u64, u64)>,
+        /// True arrival time of every Heartbeat received.
+        heartbeat_times: Vec<Nanos>,
         batches: Vec<BatchRecord>,
         /// (seq, epoch, watermark) of every Hello received.
         hellos: Vec<(u64, u64, u64)>,
@@ -1073,7 +1063,10 @@ mod tests {
         fn on_message(&mut self, _from: NodeIdx, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
             match msg {
                 Msg::Event { seq, occ, .. } => self.events.push((seq, occ)),
-                Msg::Heartbeat { seq, watermark, .. } => self.heartbeats.push((seq, watermark)),
+                Msg::Heartbeat { seq, watermark, .. } => {
+                    self.heartbeats.push((seq, watermark));
+                    self.heartbeat_times.push(ctx.true_now());
+                }
                 Msg::Batch {
                     seq,
                     watermark,
@@ -1143,10 +1136,7 @@ mod tests {
     fn site_stamps_and_streams() {
         let coord = NodeIdx(1);
         let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord, Nanos::from_millis(100))),
-                source(0),
-            ),
+            (Node::Site(SiteNode::new(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1171,8 +1161,10 @@ mod tests {
         assert_eq!(member.site().get(), 0);
         assert_eq!(member.global().get(), 10);
         assert_eq!(member.local().get(), 100);
-        // ~20 heartbeats over 2 s at 100 ms.
-        assert!(c.heartbeats.len() >= 19, "{}", c.heartbeats.len());
+        // One heartbeat per 100 ms tick: the Start beacon for tick 0, then
+        // one at each edge through 2 s, none repeating a watermark.
+        let w: Vec<u64> = c.heartbeats.iter().map(|(_, w)| *w).collect();
+        assert_eq!(w, (0..=20).collect::<Vec<u64>>());
         // Sequence numbers strictly increase across the shared stream.
         let mut seqs: Vec<u64> = c
             .events
@@ -1184,9 +1176,6 @@ mod tests {
         for (i, s) in seqs.iter().enumerate() {
             assert_eq!(*s, i as u64);
         }
-        // Watermarks are non-decreasing.
-        let w: Vec<u64> = c.heartbeats.iter().map(|(_, w)| *w).collect();
-        assert!(w.windows(2).all(|p| p[0] <= p[1]));
     }
 
     #[test]
@@ -1194,10 +1183,7 @@ mod tests {
         let coord = NodeIdx(1);
         let nodes = vec![
             (
-                Node::Site(
-                    SiteNode::new(coord, Nanos::from_millis(100))
-                        .with_batching(Nanos::from_millis(100)),
-                ),
+                Node::Site(SiteNode::new(coord).with_batching(Nanos::from_millis(100))),
                 source(0),
             ),
             (Node::Collector(Collector::default()), source(1)),
@@ -1247,21 +1233,35 @@ mod tests {
     }
 
     #[test]
-    fn fresh_tick_injection_is_announced_at_once() {
-        // 1 s heartbeats over 100 ms ticks: between beats only the tick
-        // edges of injections announce the watermark.
+    fn edge_heartbeats_follow_the_site_clock() {
+        // A clock 37 ms ahead and 1000 ppm fast enters each global tick
+        // well before true time does. Every heartbeat after the Start
+        // beacon goes out at the exact instant the clock enters its tick,
+        // one per tick, ahead of the tick's events.
         let coord = NodeIdx(1);
-        let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord, Nanos::from_secs(1))),
-                source(0),
+        let base = GlobalTimeBase::new(
+            Granularity::per_second(10).unwrap(),
+            TruncMode::Floor,
+            Precision::from_nanos(50_000_000),
+        )
+        .unwrap();
+        let ahead = SiteTimeSource::new(
+            0u32.into(),
+            LocalClock::with_error(
+                Granularity::per_second(1000).unwrap(),
+                1_000_000,
+                37_000_000,
             ),
+            base,
+        );
+        let nodes = vec![
+            (Node::Site(SiteNode::new(coord)), ahead.clone()),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
-        // Tick 10 (announced by the 1.0 s beat), then tick 12 twice.
-        for ms in [1_050, 1_230, 1_270] {
+        // The clock reads 1.088 s, 1.238 s and 1.258 s: ticks 10, 12, 12.
+        for ms in [1_050, 1_200, 1_220] {
             inject_at(&mut sim, ms);
         }
         sim.run_until(Nanos::from_millis(2_500));
@@ -1269,28 +1269,28 @@ mod tests {
             panic!("collector expected")
         };
         let marks: Vec<u64> = c.heartbeats.iter().map(|&(_, w)| w).collect();
-        assert_eq!(
-            marks,
-            vec![0, 10, 12, 20],
-            "one edge heartbeat, for tick 12"
-        );
-        // The edge heartbeat rides right behind the first tick-12 event.
-        let first_of_tick_12 = c.events[1].0;
-        assert!(c.heartbeats.contains(&(first_of_tick_12 + 1, 12)));
+        let last = ahead.stamp(Nanos::from_millis(2_500)).unwrap().global.get();
+        assert_eq!(marks, (0..=last).collect::<Vec<u64>>());
+        for (&t, &(_, w)) in c.heartbeat_times.iter().zip(&c.heartbeats).skip(1) {
+            let global = |t: u64| ahead.stamp(Nanos(t)).unwrap().global.get();
+            assert_eq!((global(t.get() - 1), global(t.get())), (w - 1, w));
+        }
+        // The tick-12 edge heartbeat precedes both tick-12 events.
+        let (beat, _) = c.heartbeats[12];
+        let seqs: Vec<u64> = c.events.iter().map(|&(seq, _)| seq).collect();
+        assert!(seqs[0] < beat && beat < seqs[1] && seqs[1] < seqs[2]);
     }
 
     #[test]
     fn batching_edge_flush_pushes_the_next_periodic_flush() {
-        // 40 ms flushes over 100 ms ticks: the 1.08 s flush announces tick
-        // 10, and an injection at 1.105 s (tick 11) flushes at once. The
-        // 1.12 s flush moves to 1.145 s, so the cadence is kept.
+        // 40 ms flushes over 100 ms ticks: each tick edge flushes, and the
+        // periodic flush due 20 ms later moves to 40 ms after the edge, so
+        // the cadence is kept. An injection at 1.105 s (tick 11) rides the
+        // 1.14 s flush.
         let coord = NodeIdx(1);
         let nodes = vec![
             (
-                Node::Site(
-                    SiteNode::new(coord, Nanos::from_millis(100))
-                        .with_batching(Nanos::from_millis(40)),
-                ),
+                Node::Site(SiteNode::new(coord).with_batching(Nanos::from_millis(40))),
                 source(0),
             ),
             (Node::Collector(Collector::default()), source(1)),
@@ -1302,27 +1302,26 @@ mod tests {
         let Node::Collector(c) = sim.node(coord) else {
             panic!("collector expected")
         };
-        let tail: Vec<u64> = c.batch_times[c.batch_times.len() - 4..]
+        let tail: Vec<u64> = c.batch_times[c.batch_times.len() - 7..]
             .iter()
             .map(|t| t.get() / 1_000_000)
             .collect();
-        assert_eq!(tail, vec![1_080, 1_105, 1_145, 1_185]);
+        assert_eq!(tail, vec![1_000, 1_040, 1_080, 1_100, 1_140, 1_180, 1_200]);
         let (_, watermark, events) = &c.batches[c.batches.len() - 3];
         assert_eq!((*watermark, events.len()), (11, 1));
+        let sizes: usize = c.batches.iter().map(|(_, _, e)| e.len()).sum();
+        assert_eq!(sizes, 1);
     }
 
     #[test]
-    fn restarted_site_announces_its_first_stamped_tick() {
-        // The announced mark restarts from the Hello (tick 20 at 2.05 s):
-        // a tick-20 injection needs no announcement, the first tick-21
-        // one is announced at once, before the new incarnation's first
-        // periodic heartbeat (2.15 s).
+    fn restarted_site_beacons_from_its_next_tick_edge() {
+        // The Hello announces tick 20 at 2.05 s; the new incarnation's
+        // first heartbeat is the 2.1 s edge, between its tick-20 and
+        // tick-21 injections. The dead incarnation's edge timers fire
+        // into the void.
         let coord = NodeIdx(1);
         let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord, Nanos::from_millis(100))),
-                source(0),
-            ),
+            (Node::Site(SiteNode::new(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1340,10 +1339,10 @@ mod tests {
         let (hello_seq, _, hello_wm) = c.hellos[0];
         assert_eq!(hello_wm, 20);
         let seqs: Vec<u64> = c.events.iter().map(|&(s, _)| s).collect();
-        assert_eq!(seqs, vec![hello_seq + 1, hello_seq + 2]);
+        assert_eq!(seqs, vec![hello_seq + 1, hello_seq + 3]);
         // Eleven beats before the crash (0 ms to 1 s), then the edge beat.
         assert_eq!(c.heartbeats.len(), 12, "{:?}", c.heartbeats);
-        assert_eq!(c.heartbeats[11], (hello_seq + 3, 21));
+        assert_eq!(c.heartbeats[11], (hello_seq + 2, 21));
     }
 
     #[test]
@@ -1363,10 +1362,7 @@ mod tests {
             base,
         );
         let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord, Nanos::from_millis(100))),
-                behind,
-            ),
+            (Node::Site(SiteNode::new(coord)), behind),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1391,7 +1387,7 @@ mod tests {
         let nodes = vec![
             (
                 Node::Site(
-                    SiteNode::new(coord, Nanos::from_millis(100))
+                    SiteNode::new(coord)
                         .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400)),
                 ),
                 source(0),
@@ -1422,10 +1418,7 @@ mod tests {
     fn restart_announces_hello_and_resumes_with_new_epoch() {
         let coord = NodeIdx(1);
         let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord, Nanos::from_millis(100))),
-                source(0),
-            ),
+            (Node::Site(SiteNode::new(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1470,12 +1463,10 @@ mod tests {
         // Both injections made it out (one per incarnation).
         assert_eq!(c.events.len(), 2);
         // Heartbeats resumed after the restart, and the old incarnation's
-        // chain did not double the cadence: ~11 pre-crash + ~9 post-restart.
-        assert!(
-            (18..=22).contains(&c.heartbeats.len()),
-            "{} heartbeats",
-            c.heartbeats.len()
-        );
+        // chain did not double the cadence: one per tick, 0 to 1 s before
+        // the crash and 2.1 s to 3 s after the restart.
+        let w: Vec<u64> = c.heartbeats.iter().map(|&(_, w)| w).collect();
+        assert_eq!(w, (0..=10).chain(21..=30).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1486,8 +1477,8 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let coord = NodeIdx(1);
-        let mut site = SiteNode::new(coord, Nanos::from_millis(100))
-            .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
+        let mut site =
+            SiteNode::new(coord).with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
         site.set_durability(&dir).unwrap();
         let nodes = vec![
             (Node::Site(site), source(0)),
@@ -1546,7 +1537,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let coord = NodeIdx(1);
-        let mut site = SiteNode::new(coord, Nanos::from_millis(100))
+        let mut site = SiteNode::new(coord)
             .with_batching(Nanos::from_millis(100))
             .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
         site.set_durability(&dir).unwrap();

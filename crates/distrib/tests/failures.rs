@@ -57,12 +57,13 @@ fn eviction_restores_progress() {
 #[test]
 fn crash_after_sending_preserves_its_events() {
     let mut e = seq_engine(2);
-    // Site 1 sends B then dies; site 0 stays alive.
+    // Site 1 sends B mid-tick 20 then dies before its next tick edge;
+    // site 0 stays alive.
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
-    e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
-    e.crash_site(Nanos::from_millis(2_100), 1);
-    e.run_for(Nanos::from_secs(5));
-    // Stuck: site 1's watermark froze around tick 21 < B's tick + 2.
+    e.inject(Nanos::from_millis(2_050), 1, "B", vec![]).unwrap();
+    e.crash_site(Nanos::from_millis(2_080), 1);
+    // Stuck: site 1's watermark froze at B's tick, so B never releases.
+    assert!(e.run_for(Nanos::from_secs(5)).is_empty());
     e.evict_site(Nanos::from_secs(5), 1);
     let det = e.run_for(Nanos::from_secs(6));
     assert_eq!(det.len(), 1, "the pre-crash event must still detect");
@@ -337,8 +338,9 @@ fn inject_bursts(e: &mut Engine, w: &[(u64, u32)]) {
 
 #[test]
 fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
-    // Default non-batching config on a lossless LAN: events are acked on
-    // the heartbeat cadence, well inside the retransmission timeout, so
+    // Default non-batching config on a lossless LAN: events are acked by
+    // the next tick-edge heartbeat or ack round (100 ms), well inside the
+    // retransmission timeout, so
     // no copy is ever resent and no duplicate reaches the coordinator.
     let mut e = seq_engine(4);
     let w = bursts(4, 60, 45);
@@ -367,14 +369,18 @@ fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
 #[test]
 fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
     // Site 0 on the LAN, site 1 on a WAN link (40 ± 10 ms each way). A
-    // heartbeat sent at `h` is acked by `h + rtt`, and its cumulative ack
-    // covers everything sent before it. So at any instant `t` a site
-    // holds unacked only what it sent in `(t - heartbeat - rtt, t]`: the
+    // site heartbeats at every tick edge, `g_g` apart, and the coordinator
+    // runs an ack round every `ack_interval`. A message that reaches the
+    // coordinator by `h` is acked by the first heartbeat or round after
+    // it, and that ack is back by `h + rtt`; each cumulative ack covers
+    // everything sent before. So at any instant `t` a site holds unacked
+    // only what it sent in `(t - min(g_g, ack_interval) - rtt, t]`: the
     // events it stamped then, plus the heartbeats in that window.
     let mut e = seq_engine(2);
     let wan = LinkConfig::wan();
     e.set_link_pair(1, wan);
-    let heartbeat = EngineConfig::default().heartbeat_interval.get();
+    let heartbeat = scenario(2).base.gg().nanos_per_tick();
+    let cadence = heartbeat.min(EngineConfig::default().ack_interval.get());
     let lan = LinkConfig::lan();
     let rtt = [
         2 * (lan.base_latency_ns + lan.jitter_ns),
@@ -387,7 +393,7 @@ fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
         let t = ms * 1_000_000;
         e.run_until(Nanos(t));
         for site in 0..2u32 {
-            let window = heartbeat + rtt[site as usize];
+            let window = cadence + rtt[site as usize];
             let from = t.saturating_sub(window);
             let stamped = w
                 .iter()
@@ -411,11 +417,12 @@ fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
 fn partitioned_uplink_windows_are_bounded_by_one_beacon_plus_a_round_trip() {
     // The same bound per replica uplink. A per-event uplink's `Routed`
     // carrying an event is acked only when its watermark raises the
-    // site's mark at the replica, but every heartbeat beacon is acked; a
-    // batching uplink sends only periodic flushes, each acked. So at any
-    // instant `t` a site's fullest uplink holds unacked only what it sent
-    // in `(t - interval - rtt, t]`, the interval being the heartbeat or
-    // the batch interval.
+    // site's mark at the replica, but every tick-edge beacon and every
+    // ack round is acked; a batching uplink sends only flushes, each
+    // acked, at most a batch interval apart. So at any instant `t` a
+    // site's fullest uplink holds unacked only what it sent in
+    // `(t - interval - rtt, t]`, the interval being `min(g_g,
+    // ack_interval)` per event or the batch interval.
     let wan = LinkConfig::wan();
     let lan = LinkConfig::lan();
     let rtt = [
@@ -429,7 +436,8 @@ fn partitioned_uplink_windows_are_bounded_by_one_beacon_plus_a_round_trip() {
             ..EngineConfig::default()
         };
         let interval = if batch_ms == 0 {
-            config.heartbeat_interval.get()
+            let gg = scenario(2).base.gg().nanos_per_tick();
+            gg.min(config.ack_interval.get())
         } else {
             config.batch_interval.get()
         };

@@ -1,6 +1,6 @@
-//! Tick-edge watermarks: a busy site announces each new global tick as
-//! soon as it stamps an event in it, so its watermark lags by a link
-//! latency, not by up to a heartbeat or batch interval.
+//! Tick-edge watermarks: every site announces each new global tick at
+//! the instant its clock enters it, idle or busy, so its watermark lags
+//! by a link latency, not by up to a heartbeat or batch interval.
 
 use decs_chronos::{Granularity, Nanos};
 use decs_distrib::{Engine, EngineConfig};
@@ -13,11 +13,11 @@ const PAIRS: u64 = 20;
 /// The run's horizon: the last pair ends near 4.5 s.
 const RUN_MS: u64 = 5_500;
 
-/// Every site injects the unsubscribed filler `F` once per millisecond
-/// from 0.5 s to 5 s, so every site stamps an event early in every tick.
 /// Pair `k` puts `A` on site `k % 4` and `B` four ticks later on the next
-/// site. Returns the engine and each `B`'s injection time.
-fn busy_engine(config: EngineConfig) -> (Engine, Vec<Nanos>) {
+/// site. When `busy`, every site also injects the unsubscribed filler `F`
+/// once per millisecond from 0.5 s to 5 s, so every site stamps an event
+/// early in every tick. Returns the engine and each `B`'s injection time.
+fn engine(config: EngineConfig, busy: bool) -> (Engine, Vec<Nanos>) {
     let scenario = ScenarioBuilder::new(SITES, 17)
         .global_granularity(Granularity::per_second(10).unwrap())
         .max_offset_ns(1_000_000)
@@ -30,7 +30,7 @@ fn busy_engine(config: EngineConfig) -> (Engine, Vec<Nanos>) {
         &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
     )
     .unwrap();
-    for ms in 500..5_000u64 {
+    for ms in (500..5_000u64).filter(|_| busy) {
         for site in 0..SITES {
             // Sites a quarter millisecond apart: no two injections tie.
             let at = Nanos(ms * 1_000_000 + u64::from(site) * 250_000);
@@ -50,15 +50,10 @@ fn busy_engine(config: EngineConfig) -> (Engine, Vec<Nanos>) {
 
 /// Mean detection delay (ms) of the pairs, each detection measured from
 /// its terminator's injection.
-fn mean_delay_ms(heartbeat_ms: u64) -> f64 {
-    let (mut e, b_times) = busy_engine(EngineConfig {
-        heartbeat_interval: Nanos::from_millis(heartbeat_ms),
-        // Above heartbeat + round trip: slow heartbeats cost no resends.
-        retransmit_timeout: Nanos::from_millis(500),
-        ..EngineConfig::default()
-    });
+fn mean_delay_ms(busy: bool) -> f64 {
+    let (mut e, b_times) = engine(EngineConfig::default(), busy);
     let det = e.run_for(Nanos::from_millis(RUN_MS));
-    assert_eq!(det.len(), PAIRS as usize, "{heartbeat_ms} ms heartbeats");
+    assert_eq!(det.len(), PAIRS as usize, "busy: {busy}");
     let total: u64 = det
         .iter()
         .zip(&b_times)
@@ -68,17 +63,18 @@ fn mean_delay_ms(heartbeat_ms: u64) -> f64 {
 }
 
 #[test]
-fn busy_sites_detect_as_fast_with_slow_heartbeats() {
+fn idle_sites_detect_as_fast_as_busy_ones() {
     // Release waits for every site's watermark to pass the terminator's
-    // tick + 1. Busy sites announce that tick when they stamp their first
-    // event in it, so the heartbeat interval drops out of the delay: the
-    // two means differ only by link jitter, well inside one link latency.
-    let fast = mean_delay_ms(20);
-    let slow = mean_delay_ms(200);
+    // tick. Each site announces the next tick at the instant its clock
+    // enters it, whether or not it stamps anything there, so an idle
+    // site's watermark lags exactly as little as a busy one's: the two
+    // means differ only by link jitter, well inside one link latency.
+    let busy = mean_delay_ms(true);
+    let idle = mean_delay_ms(false);
     let latency_ms = LinkConfig::lan().base_latency_ns as f64 / 1e6;
     assert!(
-        (fast - slow).abs() <= latency_ms,
-        "mean delay {fast:.3} ms at 20 ms heartbeats, {slow:.3} ms at 200 ms"
+        (busy - idle).abs() <= latency_ms,
+        "mean delay {busy:.3} ms on busy sites, {idle:.3} ms on idle ones"
     );
 }
 
@@ -87,10 +83,13 @@ fn edge_flushes_add_no_batches() {
     // An edge flush pushes the next periodic flush one batch interval
     // out, so a busy site still flushes about once per interval.
     let batch = Nanos::from_millis(20);
-    let (mut e, _) = busy_engine(EngineConfig {
-        batch_interval: batch,
-        ..EngineConfig::default()
-    });
+    let (mut e, _) = engine(
+        EngineConfig {
+            batch_interval: batch,
+            ..EngineConfig::default()
+        },
+        true,
+    );
     let det = e.run_for(Nanos::from_millis(RUN_MS));
     assert_eq!(det.len(), PAIRS as usize);
     let m = e.metrics();

@@ -55,6 +55,46 @@ impl SiteTimeSource {
     pub fn granularity(&self) -> Granularity {
         self.clock.granularity()
     }
+
+    /// The first true instant after `now` whose stamp carries a later
+    /// global tick than the stamp at `now`; before the clock's epoch, the
+    /// first instant [`Self::stamp`] succeeds. `None` if no representable
+    /// instant gets there.
+    ///
+    /// The instant is found by an exponential then binary search over
+    /// `stamp` itself, not by inverting the clock formula, so it is exact
+    /// under drift, offset, every truncation mode and any local
+    /// granularity: `stamp(t - 1 ns)` still reads the old tick.
+    pub fn next_tick_edge(&self, now: Nanos) -> Option<Nanos> {
+        let old = self.stamp(now).ok().map(|p| p.global);
+        let past = |t: u64| {
+            self.stamp(Nanos(t))
+                .is_ok_and(|p| old.is_none_or(|g| p.global > g))
+        };
+        // `lo` never passes the edge and `hi` always has.
+        let mut lo = now.get();
+        let mut step = self.base.tick_span().get().max(1);
+        let mut hi = loop {
+            let probe = lo.saturating_add(step);
+            if past(probe) {
+                break probe;
+            }
+            if probe == u64::MAX {
+                return None;
+            }
+            lo = probe;
+            step = step.saturating_mul(2);
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if past(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(Nanos(hi))
+    }
 }
 
 #[cfg(test)]
@@ -110,5 +150,52 @@ mod tests {
         let parts = ahead.stamp(Nanos::from_millis(950)).unwrap();
         assert_eq!(parts.local.get(), 104);
         assert_eq!(parts.global.get(), 10);
+    }
+
+    #[test]
+    fn next_tick_edge_is_the_first_instant_of_the_next_tick() {
+        let mut checked = 0;
+        for trunc in [TruncMode::Floor, TruncMode::Round, TruncMode::Ceil] {
+            let base = GlobalTimeBase::new(
+                Granularity::per_second(10).unwrap(),
+                trunc,
+                Precision::from_nanos(50_000_000),
+            )
+            .unwrap();
+            // 1 ns, 1 ms and 10 ms local ticks.
+            for local_ns in [1, 1_000_000, 10_000_000] {
+                let g_local = Granularity::from_nanos(local_ns).unwrap();
+                for drift_ppb in [-5_000_000, 0, 3_000_000] {
+                    // 1.5 s before the epoch, just behind it, on it, ahead.
+                    for offset_ns in [-1_500_000_000, -7, 0, 42_123_457] {
+                        let s = SiteTimeSource::new(
+                            SiteId(0),
+                            LocalClock::with_error(g_local, drift_ppb, offset_ns),
+                            base,
+                        );
+                        // Chain edges from 0, sometimes from mid-tick.
+                        let mut now = Nanos::ZERO;
+                        for i in 0..30u64 {
+                            let t = s.next_tick_edge(now).expect("the clock runs");
+                            assert!(t > now);
+                            let before = s.stamp(Nanos(t.get() - 1));
+                            match s.stamp(now) {
+                                Ok(p) => {
+                                    assert!(s.stamp(t).unwrap().global > p.global);
+                                    assert_eq!(before.unwrap().global, p.global);
+                                }
+                                Err(_) => {
+                                    assert!(s.stamp(t).is_ok());
+                                    assert!(before.is_err());
+                                }
+                            }
+                            checked += 1;
+                            now = Nanos(t.get() + i % 3 * 31_234_567);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 3 * 3 * 4 * 30);
     }
 }

@@ -1,12 +1,13 @@
 //! The coordinator acks occurrence-only `Msg::Event`s on the watermark
 //! cadence: the cumulative ack of a site's next heartbeat (or of the
-//! periodic ack round) covers them. A site heartbeats at once when it
-//! stamps an event in a tick it has not announced yet, so only events in
-//! an already-announced tick wait for a later heartbeat. Ack timing never
-//! decides what is detected. Even with heartbeats slower than the
-//! retransmission timeout, over lossy links, an engine detects exactly
-//! what a fault-free engine with the default configuration detects: slow
-//! acks may cost resent copies, never a lost or duplicated detection.
+//! periodic ack round) covers them. A site heartbeats once per global
+//! tick, at the instant its clock enters the tick, so an event waits for
+//! the next tick edge or the next ack round, whichever comes first. Ack
+//! timing never decides what is detected. Even with a `g_g` coarser than
+//! the retransmission timeout, so heartbeats come slower than it, over
+//! lossy links and with or without the ack round, an engine detects
+//! exactly what a fault-free engine detects: slow acks may cost resent
+//! copies, never a lost or duplicated detection.
 
 use decs::core::CompositeTimestamp;
 use decs::distrib::{Engine, EngineConfig, Metrics};
@@ -19,6 +20,9 @@ const NAMES: [&str; 3] = ["A", "B", "C"];
 /// Long enough past the last injection (3 s) for capped-backoff
 /// retransmission and stabilization behind 300 ms heartbeats.
 const HORIZON_SECS: u64 = 20;
+/// The global tick, above the default 200 ms retransmission timeout: a
+/// site's heartbeats are 300 ms apart.
+const GG_MS: u64 = 300;
 
 /// Random workload: (ms offset, site, event index).
 fn workload(sites: u32) -> impl Strategy<Value = Vec<(u64, u32, usize)>> {
@@ -35,7 +39,7 @@ fn engine(
     trace: &[(u64, u32, usize)],
 ) -> Engine {
     let scenario = ScenarioBuilder::new(sites, seed)
-        .global_granularity(Granularity::per_second(10).unwrap())
+        .global_granularity(Granularity::from_millis(GG_MS).unwrap())
         .max_offset_ns(1_000_000)
         .build()
         .unwrap();
@@ -81,11 +85,11 @@ fn run(
     (det, e.metrics(), e.buffered())
 }
 
-/// Heartbeats every 300 ms against the default 200 ms retransmission
-/// timeout.
-fn slow_heartbeats() -> EngineConfig {
+/// The default configuration without the periodic ack round: events
+/// are acked only by their site's next heartbeat.
+fn no_ack_round() -> EngineConfig {
     EngineConfig {
-        heartbeat_interval: Nanos::from_millis(300),
+        ack_interval: Nanos::ZERO,
         ..EngineConfig::default()
     }
 }
@@ -104,57 +108,48 @@ proptest! {
             .map(|(ms, site, ev)| (ms, site % sites, ev))
             .collect();
         let (clean, m0, _) = run(sites, seed, EngineConfig::default(), 0, &trace);
-        let (slow, m1, buffered) = run(sites, seed, slow_heartbeats(), 50_000, &trace);
-        prop_assert_eq!(&clean, &slow);
         prop_assert_eq!(m0.events_received, trace.len() as u64);
-        prop_assert_eq!(m1.events_received, trace.len() as u64);
-        prop_assert_eq!(buffered, 0);
+        for config in [EngineConfig::default(), no_ack_round()] {
+            let (lossy, m1, buffered) = run(sites, seed, config, 50_000, &trace);
+            prop_assert_eq!(&clean, &lossy);
+            prop_assert_eq!(m1.events_received, trace.len() as u64);
+            prop_assert_eq!(buffered, 0);
+        }
     }
-}
-
-/// Whether the event at `ms` is certainly the first message of its site
-/// in its 100 ms tick, given heartbeats every `heartbeat_ms` from 0 and
-/// clocks within 1 ms of true time: it is over 1 ms from a tick edge,
-/// and no heartbeat falls between its tick's start and it.
-fn on_fresh_tick(ms: u64, heartbeat_ms: u64) -> bool {
-    let start = ms / 100 * 100;
-    let last_beat = ms / heartbeat_ms * heartbeat_ms;
-    ms - start > 1 && ms >= 100 && last_beat + 1 < start
 }
 
 #[test]
 fn slow_heartbeats_on_a_lossless_link_lean_on_the_ack_round() {
     // One event every 70 ms, round-robin over three sites: a site's
-    // events are 210 ms apart, each on a tick the site has not stamped
-    // before. Without loss the periodic ack round (100 ms) acks events
-    // long before the 200 ms timeout, so even 300 ms heartbeats cost no
-    // copy.
+    // events are 210 ms apart, on 300 ms ticks. Without loss the periodic
+    // ack round (100 ms) acks events long before the 200 ms timeout, so
+    // heartbeats 300 ms apart cost no copy.
     let trace: Vec<(u64, u32, usize)> = (0..40u64)
         .map(|i| (50 + i * 70, (i % 3) as u32, (i % 3) as usize))
         .collect();
-    let (clean, _, _) = run(3, 7, EngineConfig::default(), 0, &trace);
-    let (slow, m, _) = run(3, 7, slow_heartbeats(), 0, &trace);
-    assert_eq!(clean, slow);
+    let (clean, m, _) = run(3, 7, EngineConfig::default(), 0, &trace);
     assert_eq!((m.retransmits, m.duplicates_dropped), (0, 0));
-    // With the round off too, an event on a tick no heartbeat announced
-    // yet is acked by the heartbeat that announces it, right behind it:
-    // its site's window is empty a round trip later. Only events whose
-    // tick a periodic heartbeat had already announced wait for the next
-    // heartbeat, and only they are resent.
-    let no_round = EngineConfig {
-        ack_interval: Nanos::ZERO,
-        ..slow_heartbeats()
-    };
-    let mut e = engine(3, 7, no_round, 0, &trace);
+    // With the round off, each edge heartbeat's cumulative ack covers
+    // everything its site sent before it: a few milliseconds after every
+    // tick edge (clocks within 1 ms of true time, LAN round trips) each
+    // site's window is empty, unless the site sent an event around the
+    // edge that the edge's ack may not cover.
+    let mut e = engine(3, 7, no_ack_round(), 0, &trace);
     let mut det = Vec::new();
-    let mut fresh = 0;
-    for &(ms, site, _) in &trace {
-        if on_fresh_tick(ms, 300) {
-            det.extend(e.run_until(Nanos::from_millis(ms + 2)));
-            assert_eq!(e.unacked(site), 0, "event at {ms} ms on site {site}");
-            fresh += 1;
+    let mut checked = 0;
+    for edge in (GG_MS..=3_300).step_by(GG_MS as usize) {
+        det.extend(e.run_until(Nanos::from_millis(edge + 3)));
+        for site in 0..3u32 {
+            let near = trace
+                .iter()
+                .any(|&(ms, s, _)| s == site && ms + 2 >= edge && ms <= edge + 3);
+            if !near {
+                assert_eq!(e.unacked(site), 0, "site {site} after the {edge} ms edge");
+                checked += 1;
+            }
         }
     }
+    assert!(checked >= 30, "only {checked} windows checked");
     det.extend(e.run_until(Nanos::from_secs(HORIZON_SECS)));
     let det: Vec<(String, CompositeTimestamp)> = det
         .into_iter()
@@ -162,38 +157,24 @@ fn slow_heartbeats_on_a_lossless_link_lean_on_the_ack_round() {
         .collect();
     assert_eq!(clean, det);
     assert_eq!(e.buffered(), 0);
-    let m = e.metrics();
-    assert!(fresh > trace.len() / 2, "only {fresh} fresh-tick events");
-    assert!(
-        m.retransmits <= (trace.len() - fresh) as u64,
-        "{} resends for {} events on announced ticks",
-        m.retransmits,
-        trace.len() - fresh
-    );
 }
 
 #[test]
 fn slow_heartbeats_without_the_ack_round_resend_same_tick_followers() {
     // The same trace plus a follower 5 ms behind each event, on the same
-    // site and tick. The follower is not the tick's first event, so no
-    // heartbeat announces it: with the round off it stays unacked until
-    // the site's next heartbeat, past the timeout. Sites resend copies
-    // the coordinator drops, and detections stay the same.
+    // site and tick. With the round off, an event and its follower stay
+    // unacked until the site's next tick edge, which for the events early
+    // in a tick is past the 200 ms timeout: sites resend copies the
+    // coordinator drops, and detections stay the same.
     let trace: Vec<(u64, u32, usize)> = (0..40u64)
         .flat_map(|i| {
             let (ms, site, ev) = (50 + i * 70, (i % 3) as u32, (i % 3) as usize);
             [(ms, site, ev), (ms + 5, site, (ev + 1) % 3)]
         })
         .collect();
-    let (clean, _, _) = run(3, 7, EngineConfig::default(), 0, &trace);
-    let (slow, m, _) = run(3, 7, slow_heartbeats(), 0, &trace);
-    assert_eq!(clean, slow);
+    let (clean, m, _) = run(3, 7, EngineConfig::default(), 0, &trace);
     assert_eq!((m.retransmits, m.duplicates_dropped), (0, 0));
-    let no_round = EngineConfig {
-        ack_interval: Nanos::ZERO,
-        ..slow_heartbeats()
-    };
-    let (wasteful, m, buffered) = run(3, 7, no_round, 0, &trace);
+    let (wasteful, m, buffered) = run(3, 7, no_ack_round(), 0, &trace);
     assert_eq!(clean, wasteful);
     assert_eq!(buffered, 0);
     assert!(m.retransmits > 0, "acks arrived before the timeout");

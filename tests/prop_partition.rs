@@ -24,7 +24,7 @@
 //! streams by partition key below the promise cut.
 
 use decs::distrib::{Detection, Engine, EngineConfig};
-use decs::simnet::{Scenario, ScenarioBuilder, SplitMix64};
+use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E, Occurrence};
 use decs_chronos::{Granularity, Nanos};
 
@@ -181,6 +181,55 @@ fn partition_block1_matches_single_coordinator() {
 #[test]
 fn partition_block2_matches_single_coordinator() {
     run_block(4..6);
+}
+
+/// A replica's promise may not run ahead of its own watermark view. X's
+/// owner (replica 0, by rendezvous placement) sees site 0 over a 60 ms
+/// uplink; W's owner (replica 1) sees every site over the LAN. Site 0
+/// stamps B at tick 20, completing X, and site 2 stamps C2 later in the
+/// same tick. When the tick-21 beacons reach replica 1, its view passes
+/// tick 20 while replica 0's view of site 0 is still at 20 and B is
+/// still in flight to it. Replica 0's promise is then `(20, 0, 0, 0)`,
+/// below C2's slot, so replica 1 holds C2 until X's depth-1 relay (whose
+/// root B sorts first) arrives. A promise one tick ahead would let it
+/// feed C2 first, and the recent-context `AND` would pair X only with C2,
+/// where the single coordinator pairs it with C1 and then with C2.
+#[test]
+fn lagging_replica_promise_holds_a_peer_behind_its_relay() {
+    let defs = [
+        ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
+        ("W", E::and(E::prim("X"), E::prim("C")), Context::Recent),
+    ];
+    let w = [
+        (1_000, 0, "A"),
+        (1_500, 1, "C"),
+        (2_050, 0, "B"),
+        (2_060, 2, "C"),
+    ];
+    let run = |replicas: usize| {
+        let config = EngineConfig {
+            coordinator_replicas: replicas,
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(&scenario(1), config, &["A", "B", "C"], &defs).unwrap();
+        if replicas == 2 {
+            let slow = LinkConfig {
+                base_latency_ns: 60_000_000,
+                jitter_ns: 0,
+                ..LinkConfig::lan()
+            };
+            e.set_uplink(0, 0, slow);
+        }
+        inject_all(&mut e, &w);
+        let det = keys(e.run_until(HORIZON));
+        (det, e.metrics())
+    };
+    let (single, _) = run(1);
+    let (dual, m) = run(2);
+    let names: Vec<&str> = single.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["X", "W", "W"]);
+    assert!(m.relay_events > 0, "X must be relayed to W's owner");
+    assert_eq!(single, dual);
 }
 
 /// A replica crash mid-run, recovered from its per-replica WAL, leaves

@@ -274,6 +274,9 @@ fn site_crash_after_log_before_send_delivers_exactly_once() {
     assert_eq!(m.wal_errors, 0);
     assert_eq!(e.site_epoch(0), 1);
     assert_eq!(e.coordinator_site_epoch(0), 1);
+    // The horizon is a tick edge, where the site's edge heartbeat may
+    // still be in flight: read the window mid-tick.
+    e.run_until(HORIZON + 50_000_000);
     assert_eq!(e.unacked(0), 0, "recovered backlog must end fully acked");
     let _ = std::fs::remove_dir_all(&dir);
 }
