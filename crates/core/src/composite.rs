@@ -28,6 +28,7 @@ use crate::primitive::PrimitiveTimestamp;
 use decs_chronos::SiteId;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Definition 5.1: the set of maximal timestamps of `ST` — members not
 /// happening-before any other member. Duplicates are removed; the result is
@@ -43,16 +44,17 @@ pub fn max_set(st: &[PrimitiveTimestamp]) -> Vec<PrimitiveTimestamp> {
     out
 }
 
-/// How many members are stored inline before spilling to the heap. Member
-/// sets are tiny in practice (one per participating site, bounded by the
-/// fan-in of the event expression), so four covers the common cases.
+/// How many members a multi-member body stores in place before spilling
+/// to its own `Vec`. Wide stamps are rare (one member per participating
+/// site, bounded by the fan-in of the event expression), and a body of up
+/// to four members then costs a single allocation, the shared `Arc`.
 const INLINE_MEMBERS: usize = 4;
 
-/// Inline-first member storage: up to [`INLINE_MEMBERS`] primitive
-/// timestamps live directly in the struct (no allocation, cache-friendly);
-/// larger sets spill to a `Vec`. Always holds members in canonical sorted
-/// order; all reads go through [`MemberVec::as_slice`].
-#[derive(Debug, Clone)]
+/// Member storage of a [`Wide`] body: up to [`INLINE_MEMBERS`] primitive
+/// timestamps live in the body itself; larger sets spill to a `Vec`.
+/// Always holds members in canonical sorted order; all reads go through
+/// [`MemberVec::as_slice`].
+#[derive(Debug)]
 enum MemberVec {
     Inline {
         len: u8,
@@ -70,16 +72,16 @@ impl MemberVec {
         decs_chronos::LocalTicks(0),
     );
 
-    fn from_sorted(v: Vec<PrimitiveTimestamp>) -> Self {
-        if v.len() <= INLINE_MEMBERS {
+    fn from_slice(members: &[PrimitiveTimestamp]) -> Self {
+        if members.len() <= INLINE_MEMBERS {
             let mut buf = [Self::FILL; INLINE_MEMBERS];
-            buf[..v.len()].copy_from_slice(&v);
+            buf[..members.len()].copy_from_slice(members);
             MemberVec::Inline {
-                len: v.len() as u8,
+                len: members.len() as u8,
                 buf,
             }
         } else {
-            MemberVec::Heap(v)
+            MemberVec::Heap(members.to_vec())
         }
     }
 
@@ -89,38 +91,44 @@ impl MemberVec {
             MemberVec::Heap(v) => v,
         }
     }
-
-    fn into_vec(self) -> Vec<PrimitiveTimestamp> {
-        match self {
-            MemberVec::Inline { len, buf } => buf[..len as usize].to_vec(),
-            MemberVec::Heap(v) => v,
-        }
-    }
 }
 
-/// All construction-time caches of a [`CompositeTimestamp`], computed in
-/// two linear passes over the canonical member slice (the second pass only
-/// exists to make the "excluding the achieving site" bounds exact when
-/// several sites tie on the band edge).
-struct Caches {
+/// The immutable, shared body of a stamp with two or more members: the
+/// canonical members plus every bound the kernels read, computed once at
+/// construction in two linear passes (the second pass only exists to make
+/// the "excluding the achieving site" bounds exact when several sites tie
+/// on the band edge).
+#[derive(Debug)]
+struct Wide {
+    members: MemberVec,
     min_global: u64,
     max_global: u64,
     site_mask: u64,
+    /// Site of (one member achieving) `min_global` / `max_global`, plus the
+    /// band bounds recomputed over all members *not* at that site. Together
+    /// these answer `min/max_global_excluding(s)` for any `s` in O(1):
+    /// if `s` differs from the achieving site the full-band bound stands,
+    /// otherwise the second-order bound is exact by definition.
     min_site: SiteId,
     max_site: SiteId,
+    /// `u64::MAX` when every member sits at `min_site` (no outside member).
     min2_global: u64,
+    /// `0` when every member sits at `max_site`; safe as a sentinel because
+    /// the kernels only compare it as a *dominator* bound (`g + 1 < max2`),
+    /// which no global tick satisfies against 0.
     max2_global: u64,
 }
 
-impl Caches {
-    fn compute(members: &[PrimitiveTimestamp]) -> Self {
-        debug_assert!(!members.is_empty());
-        let mut min_global = members[0].global().get();
+impl Wide {
+    fn new(members: MemberVec) -> Self {
+        let m = members.as_slice();
+        debug_assert!(m.len() >= 2, "a single member is stored as `One`");
+        let mut min_global = m[0].global().get();
         let mut max_global = min_global;
         let mut site_mask = 0u64;
-        let mut min_site = members[0].site();
-        let mut max_site = members[0].site();
-        for t in members {
+        let mut min_site = m[0].site();
+        let mut max_site = m[0].site();
+        for t in m {
             let g = t.global().get();
             if g < min_global {
                 min_global = g;
@@ -134,7 +142,7 @@ impl Caches {
         }
         let mut min2_global = u64::MAX;
         let mut max2_global = 0u64;
-        for t in members {
+        for t in m {
             let g = t.global().get();
             if t.site() != min_site {
                 min2_global = min2_global.min(g);
@@ -143,7 +151,8 @@ impl Caches {
                 max2_global = max2_global.max(g);
             }
         }
-        Caches {
+        Wide {
+            members,
             min_global,
             max_global,
             site_mask,
@@ -153,6 +162,17 @@ impl Caches {
             max2_global,
         }
     }
+}
+
+/// The one representation of a [`CompositeTimestamp`]. A single member is
+/// the stamp itself, and every bound follows from it in O(1). Two or more
+/// members live in one immutable [`Wide`] body that clones share. Every
+/// constructor builds `One` for a single member, so a `Many` body always
+/// holds at least two.
+#[derive(Clone)]
+enum Repr {
+    One(PrimitiveTimestamp),
+    Many(Arc<Wide>),
 }
 
 /// One per-site entry of a composite timestamp's **version-vector
@@ -216,12 +236,15 @@ impl Iterator for SiteRuns<'_> {
 ///
 /// Members are stored sorted in the canonical container order (site, then
 /// global, then local), so equal timestamp sets compare equal with `==`.
-/// Sets of up to four members are stored inline (no heap allocation).
+/// The value is 32 bytes. A single-member stamp (every primitive event's
+/// stamp, and every `Max` whose later side is one member) holds its member
+/// in place and allocates nothing. A wider stamp holds one `Arc` to an
+/// immutable body, so cloning it is a reference-count bump.
 ///
 /// Derived quantities are cached at construction so the hot comparison
 /// kernels ([`crate::ordering`], [`crate::join`]) can decide most relations
 /// in O(1) — and everything else in O(|sites|) — without the O(n·m) member
-/// scan:
+/// scan (a single member answers each of them directly):
 ///
 /// * [`min_global`](Self::min_global) / [`max_global`](Self::max_global) —
 ///   the global-tick *band* of the member set;
@@ -239,35 +262,25 @@ impl Iterator for SiteRuns<'_> {
 ///   sorted `(site, local, min_global, max_global)` vector by walking the
 ///   member slice — it costs nothing at construction, nothing to clone,
 ///   and can never drift out of sync with the members.
-#[derive(Debug, Clone)]
-pub struct CompositeTimestamp {
-    members: MemberVec,
-    min_global: u64,
-    max_global: u64,
-    site_mask: u64,
-    /// Site of (one member achieving) `min_global` / `max_global`, plus the
-    /// band bounds recomputed over all members *not* at that site. Together
-    /// these answer `min/max_global_excluding(s)` for any `s` in O(1):
-    /// if `s` differs from the achieving site the full-band bound stands,
-    /// otherwise the second-order bound is exact by definition.
-    min_site: SiteId,
-    max_site: SiteId,
-    /// `u64::MAX` when every member sits at `min_site` (no outside member).
-    min2_global: u64,
-    /// `0` when every member sits at `max_site`; safe as a sentinel because
-    /// the kernels only compare it as a *dominator* bound (`g + 1 < max2`),
-    /// which no global tick satisfies against 0.
-    max2_global: u64,
-}
+#[derive(Clone)]
+pub struct CompositeTimestamp(Repr);
 
 impl PartialEq for CompositeTimestamp {
     fn eq(&self, other: &Self) -> bool {
-        // Caches are pure functions of the members; comparing them first is
-        // a cheap reject.
-        self.site_mask == other.site_mask
-            && self.min_global == other.min_global
-            && self.max_global == other.max_global
-            && self.members.as_slice() == other.members.as_slice()
+        match (&self.0, &other.0) {
+            (Repr::One(a), Repr::One(b)) => a == b,
+            // Caches are pure functions of the members; comparing them
+            // first is a cheap reject.
+            (Repr::Many(a), Repr::Many(b)) => {
+                Arc::ptr_eq(a, b)
+                    || (a.site_mask == b.site_mask
+                        && a.min_global == b.min_global
+                        && a.max_global == b.max_global
+                        && a.members.as_slice() == b.members.as_slice())
+            }
+            // A `Many` body holds at least two members.
+            _ => false,
+        }
     }
 }
 
@@ -275,25 +288,26 @@ impl Eq for CompositeTimestamp {}
 
 impl Hash for CompositeTimestamp {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Hash exactly what the pre-cache derive hashed (the member list),
-        // so hashes stay stable across the layout change.
-        self.members.as_slice().hash(state);
+        // Hash exactly the member list, whatever the representation, so
+        // hashes stay stable across layout changes.
+        self.members().hash(state);
+    }
+}
+
+impl fmt::Debug for CompositeTimestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("CompositeTimestamp")
+            .field(&self.members())
+            .finish()
     }
 }
 
 impl CompositeTimestamp {
-    /// Internal constructor: takes a member list already in canonical form
-    /// (sorted, deduped, maximal) and computes the cached bounds/bitmap.
-    fn from_sorted_members(members: Vec<PrimitiveTimestamp>) -> Self {
-        let caches = Caches::compute(&members);
-        Self::assemble(MemberVec::from_sorted(members), caches)
-    }
-
-    /// Alloc-conscious internal constructor for the join kernels: builds
-    /// from a borrowed canonical slice (sorted, deduped, maximal), copying
-    /// into the inline buffer when it fits — a result of ≤ 4 members costs
-    /// no allocation at all, which is what lets [`crate::join::max_op`]
-    /// stage its merge in a reusable scratch buffer.
+    /// Alloc-conscious internal constructor behind `try_from_primitives`
+    /// and the join kernels: takes a borrowed canonical slice (sorted,
+    /// deduped, maximal). A single member costs no allocation, and a body
+    /// of up to four members costs one, which is what lets
+    /// [`crate::join::max_op`] stage its merge in a reusable scratch buffer.
     pub(crate) fn from_canonical_slice(members: &[PrimitiveTimestamp]) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "not canonical");
         // Pairwise concurrency ⟺ maximality for a sorted deduped set; the
@@ -306,37 +320,18 @@ impl CompositeTimestamp {
                 .all(|(i, a)| members[i + 1..].iter().all(|b| a.concurrent(b))),
             "not a maximal set"
         );
-        let caches = Caches::compute(members);
-        let members = if members.len() <= INLINE_MEMBERS {
-            let mut buf = [MemberVec::FILL; INLINE_MEMBERS];
-            buf[..members.len()].copy_from_slice(members);
-            MemberVec::Inline {
-                len: members.len() as u8,
-                buf,
-            }
-        } else {
-            MemberVec::Heap(members.to_vec())
-        };
-        Self::assemble(members, caches)
-    }
-
-    fn assemble(members: MemberVec, caches: Caches) -> Self {
-        CompositeTimestamp {
-            members,
-            min_global: caches.min_global,
-            max_global: caches.max_global,
-            site_mask: caches.site_mask,
-            min_site: caches.min_site,
-            max_site: caches.max_site,
-            min2_global: caches.min2_global,
-            max2_global: caches.max2_global,
+        match *members {
+            [t] => Self::singleton(t),
+            _ => CompositeTimestamp(Repr::Many(Arc::new(Wide::new(MemberVec::from_slice(
+                members,
+            ))))),
         }
     }
 
     /// A composite timestamp with a single member — the form every
     /// primitive event's timestamp takes when it enters the composite world.
     pub fn singleton(t: PrimitiveTimestamp) -> Self {
-        Self::from_canonical_slice(&[t])
+        CompositeTimestamp(Repr::One(t))
     }
 
     /// Build from constituent primitive timestamps, normalizing through
@@ -357,7 +352,7 @@ impl CompositeTimestamp {
         if members.is_empty() {
             return Err(CoreError::EmptyTimestamp);
         }
-        Ok(Self::from_sorted_members(members))
+        Ok(Self::from_canonical_slice(&members))
     }
 
     /// Build from constituent primitive timestamps, normalizing through
@@ -377,12 +372,15 @@ impl CompositeTimestamp {
 
     /// The members, sorted in canonical order.
     pub fn members(&self) -> &[PrimitiveTimestamp] {
-        self.members.as_slice()
+        match &self.0 {
+            Repr::One(t) => std::slice::from_ref(t),
+            Repr::Many(w) => w.members.as_slice(),
+        }
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.members.as_slice().len()
+        self.members().len()
     }
 
     /// Composite timestamps are never empty, but the idiomatic pair of
@@ -393,19 +391,19 @@ impl CompositeTimestamp {
 
     /// Iterate over members.
     pub fn iter(&self) -> impl Iterator<Item = &PrimitiveTimestamp> {
-        self.members.as_slice().iter()
+        self.members().iter()
     }
 
     /// Whether `t` is one of the members.
     pub fn contains(&self, t: &PrimitiveTimestamp) -> bool {
-        self.members.as_slice().binary_search(t).is_ok()
+        self.members().binary_search(t).is_ok()
     }
 
     /// Theorem 5.1 / Definition 5.2 invariant check: all members pairwise
     /// concurrent and none dominated. Always true for values built through
     /// the public constructors; exposed for property tests and debugging.
     pub fn invariant_holds(&self) -> bool {
-        let members = self.members.as_slice();
+        let members = self.members();
         !members.is_empty()
             && members
                 .iter()
@@ -416,12 +414,18 @@ impl CompositeTimestamp {
     /// The largest global tick among members — an upper anchor used by
     /// watermark logic and the Figure 2 lines. Cached at construction: O(1).
     pub fn max_global(&self) -> u64 {
-        self.max_global
+        match &self.0 {
+            Repr::One(t) => t.global().get(),
+            Repr::Many(w) => w.max_global,
+        }
     }
 
     /// The smallest global tick among members. Cached at construction: O(1).
     pub fn min_global(&self) -> u64 {
-        self.min_global
+        match &self.0 {
+            Repr::One(t) => t.global().get(),
+            Repr::Many(w) => w.min_global,
+        }
     }
 
     /// Bloom-style bitmap of member sites: bit `site % 64` is set for every
@@ -431,7 +435,10 @@ impl CompositeTimestamp {
     /// prove nothing (two different sites can share a bit); callers must
     /// fall back to the member scan.
     pub fn site_mask(&self) -> u64 {
-        self.site_mask
+        match &self.0 {
+            Repr::One(t) => 1u64 << (t.site().get() % 64),
+            Repr::Many(w) => w.site_mask,
+        }
     }
 
     /// The per-site **version-vector summary**: one [`SiteRun`] per member
@@ -442,7 +449,7 @@ impl CompositeTimestamp {
     /// built on this view.
     pub fn site_runs(&self) -> SiteRuns<'_> {
         SiteRuns {
-            rest: self.members.as_slice(),
+            rest: self.members(),
         }
     }
 
@@ -454,10 +461,11 @@ impl CompositeTimestamp {
     /// `self.min_global_excluding(site) + 1` (saturating) is below its
     /// global tick.
     pub fn min_global_excluding(&self, site: SiteId) -> u64 {
-        if site == self.min_site {
-            self.min2_global
-        } else {
-            self.min_global
+        match &self.0 {
+            Repr::One(t) if t.site() == site => u64::MAX,
+            Repr::One(t) => t.global().get(),
+            Repr::Many(w) if site == w.min_site => w.min2_global,
+            Repr::Many(w) => w.min_global,
         }
     }
 
@@ -465,17 +473,18 @@ impl CompositeTimestamp {
     /// member exists (safe: the kernels only use it as a strict dominator
     /// bound `g + 1 < max`, which never holds against 0). O(1).
     pub fn max_global_excluding(&self, site: SiteId) -> u64 {
-        if site == self.max_site {
-            self.max2_global
-        } else {
-            self.max_global
+        match &self.0 {
+            Repr::One(t) if t.site() == site => 0,
+            Repr::One(t) => t.global().get(),
+            Repr::Many(w) if site == w.max_site => w.max2_global,
+            Repr::Many(w) => w.max_global,
         }
     }
 
     /// `Some(site)` when every member occurred at the same site (members
     /// are sorted by site first, so first == last suffices), else `None`.
     pub fn single_site(&self) -> Option<SiteId> {
-        let members = self.members.as_slice();
+        let members = self.members();
         let first = members[0].site();
         if members[members.len() - 1].site() == first {
             Some(first)
@@ -486,7 +495,7 @@ impl CompositeTimestamp {
 
     /// Consume into the member vector.
     pub fn into_members(self) -> Vec<PrimitiveTimestamp> {
-        self.members.into_vec()
+        self.members().to_vec()
     }
 }
 
@@ -646,34 +655,28 @@ mod tests {
     }
 
     #[test]
-    fn singleton_matches_the_vec_construction() {
-        use std::collections::hash_map::DefaultHasher;
-        let hash = |c: &CompositeTimestamp| {
-            let mut h = DefaultHasher::new();
-            c.hash(&mut h);
-            h.finish()
-        };
+    fn one_member_is_always_stored_in_place() {
+        // Equality treats a `Many` body as at least two members, so every
+        // constructor must build `One` for a single member.
         for t in [
             pts(0, 0, 0),
             pts(4, 9, 99),
             pts(63, u64::MAX, 7),
             pts(64, 3, 1),
         ] {
-            let new = CompositeTimestamp::singleton(t);
-            let old = CompositeTimestamp::from_sorted_members(vec![t]);
-            assert_eq!(new.members(), old.members());
-            assert!(matches!(new.members, MemberVec::Inline { len: 1, .. }));
-            assert_eq!(
-                (new.min_global, new.max_global, new.site_mask),
-                (old.min_global, old.max_global, old.site_mask)
-            );
-            assert_eq!((new.min_site, new.max_site), (old.min_site, old.max_site));
-            assert_eq!(
-                (new.min2_global, new.max2_global),
-                (old.min2_global, old.max2_global)
-            );
-            assert_eq!(hash(&new), hash(&old));
+            for c in [
+                CompositeTimestamp::singleton(t),
+                CompositeTimestamp::from_primitives([t]),
+                CompositeTimestamp::from_primitives([t, t]),
+                CompositeTimestamp::from_canonical_slice(&[t]),
+            ] {
+                assert!(matches!(c.0, Repr::One(m) if m == t), "{c}");
+            }
         }
+        // A dominated member normalizes away, leaving one member in place.
+        let c = CompositeTimestamp::from_primitives([pts(1, 1, 10), pts(2, 9, 90)]);
+        assert!(matches!(c.0, Repr::One(_)));
+        assert!(matches!(cts(&[(3, 8, 81), (6, 7, 72)]).0, Repr::Many(_)));
     }
 
     #[test]

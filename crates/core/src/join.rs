@@ -39,8 +39,9 @@ use std::cell::RefCell;
 thread_local! {
     /// Reusable staging buffer for [`max_op`]'s survivor merge. The merge
     /// writes the canonical result members here, then copies them into the
-    /// result's inline buffer (≤ 4 members: zero allocations) or a single
-    /// exact-size heap vec — the per-call `T1 ∪ T2` materialization and the
+    /// result: a single member is stored in place (zero allocations), a
+    /// wider result in one shared body (one allocation up to four members,
+    /// two beyond) — the per-call `T1 ∪ T2` materialization and the
     /// `max_set` re-sort of the naive path are gone entirely.
     static MAX_SCRATCH: RefCell<Vec<PrimitiveTimestamp>> = const { RefCell::new(Vec::new()) };
 }

@@ -10,10 +10,15 @@
 //! * the relation kernels (`relation`/`happens_before`/`concurrent`/
 //!   `weak_leq`) allocate nothing at any width — they walk the version
 //!   vector summary in place;
-//! * `max_op` allocates nothing when the result fits the inline member
-//!   buffer (≤ 4 members) — the merge stages in a reusable thread-local
-//!   scratch and the result copies into the inline buffer — and exactly
-//!   one exact-size heap vec otherwise;
+//! * cloning any stamp allocates nothing: a single member is stored in
+//!   place and a wider stamp shares one immutable body behind an `Arc`;
+//! * `max_op` allocates nothing when the result has one member (the merge
+//!   stages in a reusable thread-local scratch, and the member is stored
+//!   in place), nor on its dominance fast path at any width (the result
+//!   is a clone of one side);
+//! * a multi-member `max_op` result allocates its shared body: exactly one
+//!   allocation for up to four members (they live in the body), exactly
+//!   two for a wider one (the body plus its exact-size member vec);
 //! * the retired naive path (`max_op_naive`, kept as the oracle) pays
 //!   multiple allocations per call, so the scratch route is a real saving,
 //!   not an accounting trick.
@@ -85,22 +90,48 @@ fn kernels_are_alloc_free_on_the_hot_path() {
     });
     assert_eq!(n, 0, "relation kernels must not allocate");
 
-    // 2. max_op with an inline-size result: zero allocations. The width-2
-    //    pair unions to ≤ 4 members.
-    let (n, m) = allocs_during(|| std::hint::black_box(max_op(&a2, &b2)));
-    assert!(
-        m.len() <= 4,
-        "fixture drifted: result spilled inline buffer"
-    );
-    assert_eq!(n, 0, "inline-size max_op must not allocate");
+    // 2. Cloning allocates nothing at any width.
+    let one = CompositeTimestamp::singleton(pts(3, 10, 7));
+    let (n, _) = allocs_during(|| {
+        for c in [&one, &a2, &a32] {
+            std::hint::black_box(c.clone());
+        }
+    });
+    assert_eq!(n, 0, "cloning a stamp must not allocate");
 
-    // 3. max_op with a wide result: exactly one allocation (the result's
-    //    own heap member vec — unavoidable for an owned wide value).
+    // 3. max_op with a single-member result allocates nothing, whether the
+    //    merge produces it (same site, later local) or the dominance fast
+    //    path returns one side; the fast path is allocation-free at any
+    //    width.
+    let later = CompositeTimestamp::singleton(pts(3, 11, 8));
+    let far = wide(8, 20, 32); // sites disjoint from a2, > 2 ticks later
+    let (n, m) = allocs_during(|| std::hint::black_box(max_op(&one, &later)));
+    assert_eq!(m, later, "fixture drifted: merge kept both members");
+    assert_eq!(n, 0, "single-member max_op must not allocate");
+    let (n, m) = allocs_during(|| std::hint::black_box(max_op(&a2, &far)));
+    assert_eq!(m, far, "fixture drifted: fast path missed");
+    assert_eq!(n, 0, "the dominance fast path must not allocate");
+
+    // 4. A multi-member result of up to four members allocates exactly
+    //    once (its shared body); a wider one exactly twice (the body and
+    //    its member vec).
+    for (x, y) in [(&one, &a2), (&a2, &b2)] {
+        let (n, m) = allocs_during(|| std::hint::black_box(max_op(x, y)));
+        assert!(
+            (2..=4).contains(&m.len()),
+            "fixture drifted: result width {}",
+            m.len()
+        );
+        assert_eq!(n, 1, "a ≤ 4-member max_op must allocate only its body");
+    }
     let (n, m) = allocs_during(|| std::hint::black_box(max_op(&a32, &b32)));
-    assert!(m.len() > 4, "fixture drifted: wide union fit inline");
-    assert_eq!(n, 1, "wide max_op must allocate only the result vec");
+    assert!(m.len() > 4, "fixture drifted: wide union fit in the body");
+    assert_eq!(
+        n, 2,
+        "wide max_op must allocate only its body and member vec"
+    );
 
-    // 4. The naive oracle pays for staging (union vec, max_set's survivor
+    // 5. The naive oracle pays for staging (union vec, max_set's survivor
     //    vec, renormalization) on the same inputs — the scratch route is a
     //    measured saving of ≥ 3 allocations per narrow join and ≥ 2 per
     //    wide one.

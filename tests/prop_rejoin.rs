@@ -16,6 +16,10 @@
 //! {plan sharing on/off} — so the equality holds across every coordinator
 //! execution mode.
 //!
+//! A directed case pins the epoch filter itself: the victim's old
+//! incarnation still has traffic in flight when its Hello lands, and that
+//! traffic must be filtered, not consumed.
+//!
 //! Two directed properties cover the eviction interaction:
 //! * an auto-evicted site that later rejoins un-pins its watermark, clears
 //!   suspicion, and post-rejoin composites detect exactly as fault-free;
@@ -110,9 +114,9 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
 
 /// One rejoin case: each of `victims` crashes once and restarts. Every
 /// victim after the first crashes while the one before it is still down,
-/// so their downtimes overlap. Returns (retransmits, epoch-filtered) for
-/// aggregate machinery assertions.
-fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> (u64, u64) {
+/// so their downtimes overlap. Returns the retransmit count for the
+/// aggregate machinery assertion.
+fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> u64 {
     let mut rng = SplitMix64::new(seed ^ 0x7E70_1B5E);
     let w = workload(&mut rng);
     // (site, crash, restart). Half-millisecond offsets so a crash or
@@ -190,25 +194,23 @@ fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> (u64, u64) {
         assert_eq!(faulty.coordinator_site_epoch(victim), 1);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    (m.retransmits, m.epoch_filtered)
+    m.retransmits
 }
 
 /// Every seed × config with `victims(seed)` crashing.
 fn run_schedules(victims: impl Fn(u64) -> Vec<u32>) {
     let mut retransmits = 0;
-    let mut filtered = 0;
     for cfg in CONFIGS {
         for seed in 0..8u64 {
-            let (r, f) = rejoin_case(seed, cfg, &victims(seed));
-            retransmits += r;
-            filtered += f;
+            retransmits += rejoin_case(seed, cfg, &victims(seed));
         }
     }
     // The schedules must actually exercise the machinery: recovered
-    // backlogs were retransmitted and old-incarnation stragglers were
-    // epoch-filtered somewhere.
+    // backlogs were retransmitted. On these LAN links a dead incarnation
+    // rarely has traffic still in flight when its Hello lands, so the
+    // epoch filter is pinned by
+    // `old_epoch_traffic_in_flight_past_the_hello_is_filtered` instead.
     assert!(retransmits > 0, "no retransmissions across the schedules");
-    assert!(filtered > 0, "no old-epoch traffic was ever filtered");
 }
 
 #[test]
@@ -219,6 +221,67 @@ fn rejoin_schedules_match_filtered_fault_free() {
 #[test]
 fn overlapping_crashes_of_two_sites_match_filtered_fault_free() {
     run_schedules(|_| vec![0, 2]);
+}
+
+#[test]
+fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
+    // The victim's link is slow (800 ms each way) until it crashes, so the
+    // heartbeats, events and retransmissions its dead incarnation sent in
+    // its last 800 ms are still in flight when it restarts 100 ms later.
+    // From the crash on the link is instant and FIFO: the Hello lands
+    // before any new-incarnation message, so everything the coordinator
+    // filters arrives from the older epoch, after the Hello.
+    let victim = 1u32;
+    let slow = LinkConfig {
+        base_latency_ns: 800_000_000,
+        jitter_ns: 0,
+        fifo: true,
+        drop_ppm: 0,
+        dup_ppm: 0,
+    };
+    let crash = Nanos(2_000_500_000);
+    let restart = Nanos(2_100_500_000);
+    for cfg in CONFIGS {
+        for seed in 0..2u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x5_1077);
+            let w = workload(&mut rng);
+            let clean_w: Vec<(u64, u32, &'static str)> = w
+                .iter()
+                .copied()
+                .filter(|&(ms, site, _)| {
+                    let at = Nanos::from_millis(ms);
+                    !(site == victim && at >= crash && at < restart)
+                })
+                .collect();
+            let mut clean = engine(seed, cfg, false, None);
+            inject_all(&mut clean, &clean_w);
+            let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
+
+            let dir = wal_dir(&format!("in-flight-{seed}-{}{}", cfg.0 as u8, cfg.1 as u8));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut faulty = engine(seed, cfg, false, Some(&dir));
+            faulty.set_link_pair(victim, slow);
+            faulty.crash_site(crash, victim);
+            faulty.restart_site(restart, victim);
+            inject_all(&mut faulty, &w);
+            let mut faulty_det = keys(faulty.run_until(crash));
+            faulty.set_link_pair(victim, LinkConfig::instant());
+            faulty_det.extend(keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS))));
+
+            assert_eq!(
+                clean_det, faulty_det,
+                "seed {seed} cfg {cfg:?}: the rejoin must be invisible to detection"
+            );
+            let m = faulty.metrics();
+            assert!(m.rejoins >= 1, "seed {seed}: the Hello never landed: {m:?}");
+            assert!(
+                m.epoch_filtered >= 1,
+                "seed {seed} cfg {cfg:?}: no old-epoch straggler was filtered: {m:?}"
+            );
+            assert_eq!(faulty.buffered(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 #[test]
