@@ -3,7 +3,7 @@
 //! The stability rule delays releasing a notification until every site's
 //! watermark passes its global tick, so a detection waits for every site
 //! to announce the next tick and end-to-end latency grows with the global
-//! granularity. Every site announces a new tick with one heartbeat at the
+//! granularity. Every site announces a new tick with one batch at the
 //! instant its clock enters it, so how busy a site is should not matter.
 //! This experiment sweeps `g_g` over a cross-site sequence workload on
 //! idle sites and on busy ones (each also injecting an unsubscribed

@@ -1,24 +1,24 @@
 //! E10 (extension) — scalability with the number of sites, and with the
-//! batched notification protocol.
+//! batch interval.
 //!
 //! Fixed aggregate event rate, growing site count: how do simulation
 //! throughput, message counts, stability-buffer occupancy, and detections
-//! behave? The watermark rule needs *every* site's heartbeat, so the
-//! stability latency is governed by the slowest site — flat in sites —
-//! while message volume grows linearly: each site adds one heartbeat per
-//! global tick on top of its events. Batching coalesces each site's
-//! interval of events plus the watermark into one message, collapsing
-//! that per-message coordinator work.
+//! behave? The watermark rule needs *every* site's watermark, so the
+//! stability latency is governed by the slowest site — flat in sites.
+//! Every site ships each tick's events and its watermark in one batch at
+//! the tick edge, so message volume is one message per site per tick,
+//! whatever the event rate; a positive batch interval adds mid-tick
+//! flushes on top.
 //!
 //! Run: `cargo run -p decs-bench --release --bin scalability [batch_ms]`
-//! where `batch_ms` is the batch flush interval in milliseconds for the
-//! site sweep (default 0 = per-event transport). A second table sweeps the
-//! batch interval at a fixed site count regardless of the argument.
+//! where `batch_ms` is the mid-tick flush interval in milliseconds for the
+//! site sweep (default 0 = tick-edge flushes only). A second table sweeps
+//! the batch interval at a fixed site count regardless of the argument.
 
 use decs_bench::print_table;
 use decs_chronos::{Granularity, Nanos};
 use decs_distrib::{Engine, EngineConfig, Metrics};
-use decs_simnet::ScenarioBuilder;
+use decs_simnet::{ScenarioBuilder, SiteTimeSource};
 use decs_snoop::{Context, EventExpr as E};
 use decs_workloads::{ArrivalModel, WorkloadSpec};
 use std::time::Instant;
@@ -64,13 +64,39 @@ fn run(sites: u32, batch_ms: u64) -> RunOutcome {
             .unwrap();
     }
     let wall = Instant::now();
-    let detections = engine.run_for(Nanos::from_secs(5));
+    // Mid-tick, so every edge flush the sites send is delivered by then.
+    let horizon = Nanos::from_millis(5_050);
+    let detections = engine.run_for(horizon);
+    if batch_ms == 0 {
+        // On this lossless LAN every message is an edge flush.
+        let flushes: u64 = (0..sites)
+            .map(|i| edge_flushes(&scenario.time_source(i), horizon))
+            .sum();
+        assert_eq!(
+            engine.metrics().messages_processed,
+            flushes,
+            "{sites} sites: one message per site per tick edge, plus its Start beacon"
+        );
+    }
     RunOutcome {
         events: trace.len(),
         detections: detections.len(),
         metrics: engine.metrics(),
         elapsed: wall.elapsed().as_secs_f64(),
     }
+}
+
+/// The batches an edge-only site sends by `horizon`: its `Start` beacon
+/// (when its clock has started at time 0) and one per tick edge its clock
+/// crosses.
+fn edge_flushes(clock: &SiteTimeSource, horizon: Nanos) -> u64 {
+    let mut n = u64::from(clock.stamp(Nanos::ZERO).is_ok());
+    let mut t = Nanos::ZERO;
+    while let Some(edge) = clock.next_tick_edge(t).filter(|&e| e <= horizon) {
+        n += 1;
+        t = edge;
+    }
+    n
 }
 
 fn main() {
@@ -89,7 +115,6 @@ fn main() {
             format!("{}", r.events),
             format!("{}", m.events_released),
             format!("{}", m.messages_processed),
-            format!("{}", m.batches_received),
             format!("{}", r.detections),
             format!("{}", m.max_buffered),
             format!("{:.1}", m.mean_stability_latency_ns() as f64 / 1e6),
@@ -102,46 +127,32 @@ fn main() {
             "events",
             "released",
             "msgs proc",
-            "batches",
             "detections",
             "max buf",
             "stab lat(ms)",
             "events/s(wall)",
         ],
-        &[6, 8, 9, 10, 8, 11, 8, 13, 15],
+        &[6, 8, 9, 10, 11, 8, 13, 15],
         &rows,
     );
 
-    // Second sweep: fixed sites, growing batch interval. A site
-    // heartbeats once per global tick (g_g = 100 ms), so batch_ms = 100
-    // is the like-for-like comparison: same watermark cadence, events
-    // riding along for free.
+    // Second sweep: fixed sites, growing mid-tick flush interval
+    // (g_g = 100 ms; 0 = tick-edge flushes only).
     let sites = 8u32;
-    let gg_ms = 100;
-    println!("\nbatch-interval sweep at {sites} sites (heartbeat = g_g = {gg_ms} ms)\n");
+    println!("\nbatch-interval sweep at {sites} sites (g_g = 100 ms)\n");
     let baseline = run(sites, 0);
     let mut rows = Vec::new();
     for bms in [0u64, 5, 10, 20, 50, 100] {
         let r = run(sites, bms);
         let m = &r.metrics;
-        let reduction =
-            baseline.metrics.messages_processed as f64 / m.messages_processed.max(1) as f64;
         assert_eq!(
             r.detections, baseline.detections,
-            "batch {bms} ms must detect exactly what per-event transport does"
+            "batch {bms} ms must detect exactly what edge-only flushes do"
         );
-        if bms == gg_ms {
-            assert!(
-                reduction >= 2.0,
-                "batch = g_g must cut messages at least 2x, got {reduction:.2}x"
-            );
-        }
         rows.push(vec![
             format!("{}", bms),
             format!("{}", m.messages_processed),
-            format!("{}", m.batches_received),
             format!("{}", m.batch_size_max),
-            format!("{:.2}x", reduction),
             format!("{}", r.detections),
             format!("{:.1}", m.mean_stability_latency_ns() as f64 / 1e6),
         ]);
@@ -150,27 +161,24 @@ fn main() {
         &[
             "batch(ms)",
             "msgs proc",
-            "batches",
             "max batch",
-            "msg reduction",
             "detections",
             "stab lat(ms)",
         ],
-        &[10, 10, 8, 10, 14, 11, 13],
+        &[10, 10, 10, 11, 13],
         &rows,
     );
-    println!("\nexpected shape: per-event messages ≈ events + one heartbeat per site");
-    println!("per tick; batching folds both into one message per site per interval,");
-    println!("so at batch = g_g the coordinator processes ≥2x fewer messages");
-    println!("with identical detections (both asserted). The coordinator's");
-    println!("stability wait shrinks as the batch interval grows: events wait");
-    println!("for the flush at their site instead.");
+    println!("\nexpected shape: edge-only sites send exactly one message per site per");
+    println!("tick edge plus a Start beacon each (asserted), whatever the event rate;");
+    println!("mid-tick flushes add messages and detect the same (asserted). The");
+    println!("coordinator's stability wait grows as the interval shrinks: events");
+    println!("sent mid-tick only wait at the coordinator for the next edge.");
 }
 
 fn transport(batch_ms: u64) -> String {
     if batch_ms == 0 {
-        "per-event (Msg::Event + Msg::Heartbeat)".to_string()
+        "one Msg::Batch per tick edge".to_string()
     } else {
-        format!("batched (Msg::Batch every {batch_ms} ms)")
+        format!("Msg::Batch per tick edge and every {batch_ms} ms")
     }
 }

@@ -5,16 +5,15 @@ use decs_chronos::Nanos;
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// How often each site flushes its coalesced notification batch.
-    /// `Nanos::ZERO` (the default) disables batching: every occurrence is
-    /// sent as its own `Msg::Event` and the watermark travels as a
-    /// separate `Msg::Heartbeat`, one per global tick, sent at the instant
-    /// the site's clock enters the tick. Any positive interval switches
-    /// the site to `Msg::Batch` (which carries the watermark, so
-    /// heartbeats are subsumed). Detections are identical either way. A
-    /// batching site also flushes at each tick edge and pushes its next
-    /// periodic flush one interval out, so the interval sets how long an
-    /// event waits in the batch, never the watermark lag.
+    /// Period of the extra mid-tick flushes of each site's notification
+    /// batch. Every site stages its occurrences and sends them, with its
+    /// watermark, in one `Msg::Batch` at the instant its clock enters the
+    /// next global tick; an empty batch is its heartbeat. `Nanos::ZERO`
+    /// (the default) flushes at those tick edges only, which costs no
+    /// release latency: the coordinator cannot release a tick before
+    /// every site's watermark has passed it. A positive interval adds a
+    /// periodic flush between edges; the edge flush pushes the next one a
+    /// full interval out. Detections are identical either way.
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,
@@ -29,11 +28,8 @@ pub struct EngineConfig {
     /// resent only once this long has passed since the last ack that
     /// trimmed the buffer (or since the first send into an empty buffer),
     /// so messages whose acks are still in flight are never resent.
-    /// Without batching, keep it above `min(g_g, ack_interval)` plus a
-    /// round trip: an event is acked by its site's next tick-edge
-    /// heartbeat or by the periodic ack round, whichever comes first, so a
-    /// shorter timeout makes sites resend copies the coordinator then
-    /// drops as duplicates (harmless to detection, wasteful on the wire).
+    /// The coordinator acks every in-order delivery, so on a healthy link
+    /// a message is acked one round trip after it was sent.
     /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
     /// for lossless links or ablation).
     pub retransmit_timeout: Nanos,
@@ -83,8 +79,9 @@ pub struct EngineConfig {
     /// every allocation, ack and staged event is logged before it takes
     /// effect, and the frames whose loss could lose or duplicate an
     /// occurrence (staged events, occurrence-carrying sends, epochs and
-    /// Hellos) are synced first. Acks and event-free sends ride along
-    /// with the next sync.
+    /// Hellos) are synced first. Acks and empty batches ride along with
+    /// the next sync. A site without it loses, when it crashes, the
+    /// occurrences it staged since its last flush.
     pub site_durability: bool,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every

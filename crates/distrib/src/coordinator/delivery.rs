@@ -38,18 +38,6 @@ impl CoordinatorNode {
         // their watermark promises stay pinned at +∞.
         let evicted = self.streams[site].evicted;
         match msg {
-            Msg::Event { occ, .. } => {
-                if evicted {
-                    self.metrics.evict_refused += 1;
-                } else {
-                    self.accept_notification(site, occ, ctx);
-                }
-            }
-            Msg::Heartbeat { watermark, .. } => {
-                self.metrics.heartbeats_received += 1;
-                self.tracker.update(site, watermark);
-                self.release_round(ctx);
-            }
             Msg::Batch {
                 watermark, events, ..
             } => {
@@ -133,29 +121,6 @@ impl CoordinatorNode {
         }
     }
 
-    /// Whether consuming `msg`, the next in-order message of `site`'s
-    /// stream, calls for a cumulative ack. Acks only trim the sender's
-    /// retransmit window, so their timing changes no detection. A message
-    /// that carries a watermark or promise is acked
-    /// ([`Msg::carries_watermark`]), except a `Msg::Routed` from a site
-    /// that does not batch: one such message per event would otherwise be
-    /// acked one by one. It is acked only when it carries no events (a
-    /// beacon) or its watermark raises the site's mark at this replica.
-    /// Each uplink's beacon comes at every tick edge, so with the ack
-    /// round its window stays within `min(g_g, ack_interval)` plus a round
-    /// trip. A batching site's `Routed` messages are all flushes, each
-    /// acked. Call it before the message is applied.
-    fn ack_due(&self, site: usize, msg: &Msg) -> bool {
-        match msg {
-            Msg::Routed {
-                watermark, events, ..
-            } if !self.part.as_ref().is_some_and(|p| p.sites_batch) => {
-                events.is_empty() || *watermark > self.tracker.site_watermark(site)
-            }
-            m => m.carries_watermark(),
-        }
-    }
-
     /// Run the release machinery appropriate to this deployment: the
     /// partitioned round when this coordinator is a replica, the classic
     /// stability-buffer walk otherwise.
@@ -169,9 +134,7 @@ impl CoordinatorNode {
 
     pub(super) fn seq_of(msg: &Msg) -> Option<u64> {
         match msg {
-            Msg::Event { seq, .. }
-            | Msg::Heartbeat { seq, .. }
-            | Msg::Batch { seq, .. }
+            Msg::Batch { seq, .. }
             | Msg::Hello { seq, .. }
             | Msg::Routed { seq, .. }
             | Msg::Relay { seq, .. } => Some(*seq),
@@ -181,11 +144,9 @@ impl CoordinatorNode {
 
     pub(super) fn epoch_of(msg: &Msg) -> Option<u64> {
         match msg {
-            Msg::Event { epoch, .. }
-            | Msg::Heartbeat { epoch, .. }
-            | Msg::Batch { epoch, .. }
-            | Msg::Hello { epoch, .. }
-            | Msg::Routed { epoch, .. } => Some(*epoch),
+            Msg::Batch { epoch, .. } | Msg::Hello { epoch, .. } | Msg::Routed { epoch, .. } => {
+                Some(*epoch)
+            }
             // Replica → replica streams have no incarnation epochs (a
             // recovered replica resumes its durable sequence space).
             Msg::Relay { .. } => Some(0),
@@ -204,9 +165,9 @@ impl CoordinatorNode {
     ///   non-durable restart resets the site's sequence space below the old
     ///   frontier; a durable one resumes at or above every slot whose
     ///   message carried occurrences, so it may re-open only slots whose
-    ///   messages carried none (heartbeats and empty batches, whose log
-    ///   frames it does not sync). Consuming such a slot's watermark
-    ///   promise twice is harmless: the tracker keeps the maximum;
+    ///   messages carried none (empty batches, whose log frames it does
+    ///   not sync). Consuming such a slot's watermark promise twice is
+    ///   harmless: the tracker keeps the maximum;
     /// * an evicted site is un-evicted: its watermark pin drops from +∞
     ///   back to the Hello's fresh promise and its stall state clears.
     pub(super) fn epoch_transition(
@@ -432,7 +393,6 @@ impl CoordinatorNode {
         match seq.cmp(&stream.next) {
             std::cmp::Ordering::Equal => {
                 stream.next += 1;
-                let mut ack = self.ack_due(site, &msg);
                 self.handle_in_order(site, msg, ctx);
                 // Drain any parked successors.
                 loop {
@@ -445,7 +405,6 @@ impl CoordinatorNode {
                     };
                     self.parked_total -= 1;
                     stream.next += 1;
-                    ack |= self.ack_due(site, &m);
                     self.handle_in_order(site, m, ctx);
                 }
                 if self.wal_failed.is_some() {
@@ -454,14 +413,9 @@ impl CoordinatorNode {
                     // message no recovery will ever see.
                     return;
                 }
-                // Cumulative ack on the watermark cadence (see `ack_due`):
-                // occurrence-only messages are covered by the ack of the
-                // site's next tick-edge heartbeat or of the periodic ack
-                // round, so on a healthy link they stay unacked for at
-                // most `min(g_g, ack_interval)` plus a round trip.
-                if ack {
-                    self.send_ack(from, site, ctx);
-                }
+                // One cumulative ack covers the message and every parked
+                // successor the drain consumed.
+                self.send_ack(from, site, ctx);
             }
             std::cmp::Ordering::Greater => {
                 if stream.parked.insert(seq, msg).is_some() {

@@ -1,15 +1,15 @@
 //! The coordinator (global event detector).
 //!
 //! Receives stamped primitive-event notifications and watermarks from
-//! every site — either per-event (`Msg::Event` + `Msg::Heartbeat`) or
-//! coalesced into `Msg::Batch`es — reassembles each site's FIFO stream,
-//! buffers notifications in one FIFO per site until the watermark
-//! stability rule releases them, merges the stable heads of those FIFOs
-//! in watermark-bounded batches into a [`PlanDetector`] — the hash-consed
-//! shared plan by default, or its unshared mode with plan sharing
-//! disabled — in a canonical order, and services the detector's timer
-//! requests from its own clock. Detections are identical in both
-//! transport modes and in both sharing modes.
+//! every site in `Msg::Batch`es — one per tick edge, an empty one being
+//! the site's heartbeat — reassembles each site's FIFO stream, acks every
+//! in-order delivery, buffers notifications in one FIFO per site until the
+//! watermark stability rule releases them, merges the stable heads of
+//! those FIFOs in watermark-bounded batches into a [`PlanDetector`] — the
+//! hash-consed shared plan by default, or its unshared mode with plan
+//! sharing disabled — in a canonical order, and services the detector's
+//! timer requests from its own clock. Detections are identical in both
+//! sharing modes and for every batch interval.
 //!
 //! The implementation is split by concern:
 //!
@@ -88,10 +88,10 @@ impl CoordCtx for ReplayCtx {
 
 /// Canonical release key: (max global tick, origin site, per-site arrival
 /// counter). The counter is assigned when the notification enters the
-/// stability buffer, in reassembled FIFO order, so it is the same whether
-/// the notification traveled as its own `Msg::Event` or inside a
-/// `Msg::Batch` — detection stays a pure function of the workload,
-/// independent of both delivery order and transport mode.
+/// stability buffer, in reassembled FIFO order, so it is the same however
+/// the site's notifications were split into batches — detection stays a
+/// pure function of the workload, independent of both delivery order and
+/// batch interval.
 ///
 /// The key is never stored whole: a site stamps with its own monotone
 /// clock, so its notifications arrive (almost always) already in
@@ -403,20 +403,29 @@ mod tests {
         Simulation::new(vec![(coord, src)], LinkConfig::instant(), 1)
     }
 
-    fn ev(ty: u32, seq: u64, s: u32, g: u64, l: u64) -> Msg {
-        Msg::Event {
+    fn batch(
+        seq: u64,
+        epoch: u64,
+        watermark: u64,
+        events: Vec<Occurrence<CompositeTimestamp>>,
+    ) -> Msg {
+        Msg::Batch {
             seq,
-            epoch: 0,
-            occ: Occurrence::bare(EventId(ty), cts(&[(s, g, l)])),
+            epoch,
+            watermark,
+            events: std::sync::Arc::new(events),
         }
     }
 
+    /// A one-event batch flushed while the site still reads the event's
+    /// tick `g`, so the event cannot release on its own watermark.
+    fn ev(ty: u32, seq: u64, s: u32, g: u64, l: u64) -> Msg {
+        batch(seq, 0, g, vec![occ(ty, s, g, l)])
+    }
+
+    /// An empty batch: the site's heartbeat.
     fn hb(seq: u64, w: u64) -> Msg {
-        Msg::Heartbeat {
-            seq,
-            epoch: 0,
-            watermark: w,
-        }
+        batch(seq, 0, w, vec![])
     }
 
     fn occ(ty: u32, s: u32, g: u64, l: u64) -> Occurrence<CompositeTimestamp> {
@@ -433,10 +442,12 @@ mod tests {
     fn stability_gates_release_and_detection() {
         let mut sim = coordinator_sim(1);
         let n = decs_simnet::NodeIdx(0);
-        // A@(s0, g5), B@(s0, g6) arrive, then watermarks advance.
-        sim.inject(Nanos(10), n, ev(0, 0, 0, 5, 50));
-        sim.inject(Nanos(20), n, ev(1, 1, 0, 6, 60));
-        sim.inject(Nanos(30), n, hb(2, 6));
+        // A@(s0, g5) and B@(s0, g6) arrive in one batch with watermark 6.
+        sim.inject(
+            Nanos(10),
+            n,
+            batch(0, 0, 6, vec![occ(0, 0, 5, 50), occ(1, 0, 6, 60)]),
+        );
         sim.run_to_completion();
         {
             let c = sim.node(n);
@@ -444,16 +455,21 @@ mod tests {
             assert_eq!(c.buffered(), 1);
             assert!(c.detections.is_empty());
             assert_eq!(c.metrics.events_released, 1);
+            assert_eq!(c.metrics.batch_size_max, 2);
         }
-        sim.inject(Nanos(40), n, hb(3, 7));
+        // An empty batch is the site's heartbeat.
+        sim.inject(Nanos(40), n, hb(1, 7));
         sim.run_to_completion();
-        {
-            let c = sim.node(n);
-            // Watermark 7 releases g ≤ 6: B follows A; SEQ fires.
-            assert_eq!(c.buffered(), 0);
-            assert_eq!(c.detections.len(), 1);
-            assert_eq!(c.metrics.events_released, 2);
-        }
+        let c = sim.node(n);
+        // Watermark 7 releases g ≤ 6: B follows A; SEQ fires.
+        assert_eq!(c.buffered(), 0);
+        assert_eq!(c.detections.len(), 1);
+        assert_eq!(c.metrics.events_received, 2);
+        assert_eq!(c.metrics.events_released, 2);
+        assert_eq!(c.metrics.release_batches, 2);
+        assert_eq!(c.metrics.messages_processed, 2);
+        assert_eq!(c.metrics.batches_received, 2);
+        assert_eq!(c.metrics.shard_count, 1);
     }
 
     #[test]
@@ -507,42 +523,23 @@ mod tests {
     }
 
     #[test]
-    fn in_order_events_are_acked_by_the_next_heartbeat() {
+    fn every_in_order_delivery_is_acked_once() {
         let mut c = coordinator(1);
         let mut p = Probe::default();
         let s0 = NodeIdx(0);
-        for seq in 0..3 {
-            c.deliver(s0, ev(0, seq, 0, 5, 50), &mut p);
-        }
-        assert!(
-            p.acks().is_empty(),
-            "occurrence-only deliveries ack nothing"
-        );
-        c.deliver(s0, hb(3, 6), &mut p);
-        // One cumulative ack covers the events and the heartbeat.
-        assert_eq!(p.acks(), vec![(0, 4, 0)]);
-        assert_eq!(c.metrics.acks_sent, 1);
-        assert_eq!(c.metrics.events_received, 3);
-    }
-
-    #[test]
-    fn parked_heartbeat_acks_once_when_drained() {
-        let mut c = coordinator(1);
-        let mut p = Probe::default();
-        let s0 = NodeIdx(0);
-        // Events only: the drain of a parked event acks nothing.
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
-        c.deliver(s0, ev(0, 2, 0, 5, 52), &mut p);
-        c.deliver(s0, ev(0, 1, 0, 5, 51), &mut p);
+        c.deliver(s0, hb(1, 6), &mut p);
+        assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
+        // Parking acks nothing; the drain that consumes the parked
+        // successors acks once for all of them.
+        c.deliver(s0, ev(1, 3, 0, 6, 61), &mut p);
+        c.deliver(s0, hb(4, 7), &mut p);
         assert!(p.acks().is_empty());
-        // A heartbeat parked behind a late event: parking acks nothing,
-        // the drain that consumes it acks exactly once.
-        c.deliver(s0, hb(4, 6), &mut p);
-        c.deliver(s0, ev(1, 5, 0, 6, 60), &mut p);
-        assert!(p.acks().is_empty());
-        c.deliver(s0, ev(1, 3, 0, 6, 59), &mut p);
-        assert_eq!(p.acks(), vec![(0, 6, 0)]);
-        assert_eq!(c.metrics.reassembly_parks, 3);
+        c.deliver(s0, ev(1, 2, 0, 6, 60), &mut p);
+        assert_eq!(p.acks(), vec![(0, 5, 0)]);
+        assert_eq!(c.metrics.reassembly_parks, 2);
+        assert_eq!(c.metrics.acks_sent, 3);
+        assert_eq!(c.metrics.events_received, 3);
     }
 
     #[test]
@@ -552,7 +549,7 @@ mod tests {
         let s0 = NodeIdx(0);
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
         c.deliver(s0, ev(0, 1, 0, 5, 51), &mut p);
-        assert!(p.acks().is_empty());
+        assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
         assert_eq!(p.acks(), vec![(0, 2, 0)]);
         assert_eq!(c.metrics.duplicates_dropped, 1);
@@ -560,31 +557,26 @@ mod tests {
     }
 
     #[test]
-    fn watermark_bearing_messages_ack_every_in_order_delivery() {
+    fn hellos_uplinks_and_relays_are_each_acked() {
         let mut c = coordinator(1);
         let mut p = Probe::default();
         let s0 = NodeIdx(0);
-        let batch = |seq, events| Msg::Batch {
-            seq,
-            epoch: 0,
-            watermark: 6,
-            events: std::sync::Arc::new(events),
-        };
-        c.deliver(s0, batch(0, vec![occ(0, 0, 5, 50)]), &mut p);
-        assert_eq!(p.acks(), vec![(0, 1, 0)]);
-        c.deliver(s0, batch(1, vec![]), &mut p);
-        assert_eq!(p.acks(), vec![(0, 2, 0)]);
+        c.deliver(s0, hb(0, 6), &mut p);
         let hello = Msg::Hello {
-            seq: 2,
+            seq: 1,
             epoch: 1,
             watermark: 7,
         };
         c.deliver(s0, hello, &mut p);
-        assert_eq!(p.acks(), vec![(0, 3, 1)], "acked in the new epoch");
+        assert_eq!(
+            p.acks(),
+            vec![(0, 1, 0), (0, 2, 1)],
+            "acked in the new epoch"
+        );
 
         // A replica over one site, with one peer (stream index 2) that
         // gates its releases: site uplinks and peer relays.
-        let replica = |sites_batch| {
+        let replica = || {
             let mut r = coordinator(1);
             let ids: HashMap<u32, u32> = (0..3).map(|i| (i, i)).collect();
             r.enable_partition(partition::PartitionState::new(
@@ -599,7 +591,6 @@ mod tests {
                 0b10,
                 1,
                 Nanos::ZERO,
-                sites_batch,
             ));
             r
         };
@@ -616,22 +607,11 @@ mod tests {
                     .collect(),
             ),
         };
-        // Per-event uplinks ack on the watermark cadence: a beacon (no
-        // events) always, an event only when its watermark raised the
-        // site's mark here.
-        let mut r = replica(false);
-        r.deliver(s0, routed(0, 5, 0), &mut p);
-        r.deliver(s0, routed(1, 6, 1), &mut p);
-        assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
-        r.deliver(s0, routed(2, 6, 1), &mut p);
-        r.deliver(s0, routed(3, 6, 1), &mut p);
-        assert!(p.acks().is_empty(), "same-tick events wait for a beacon");
-        r.deliver(s0, routed(4, 6, 0), &mut p);
-        assert_eq!(p.acks(), vec![(0, 5, 0)]);
-        // Batching uplinks send only periodic flushes: each is acked.
-        let mut rb = replica(true);
-        for seq in 0..3 {
-            rb.deliver(s0, routed(seq, 5, 2), &mut p);
+        // Site uplinks: every flush is acked, whether or not it raised the
+        // site's watermark here.
+        let mut r = replica();
+        for (seq, n) in [(0, 0), (1, 2), (2, 1)] {
+            r.deliver(s0, routed(seq, 5, n), &mut p);
         }
         assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0), (0, 3, 0)]);
         let relay = |seq, g| Msg::Relay {
@@ -656,7 +636,7 @@ mod tests {
         let mut p = Probe::default();
         c.deliver(NodeIdx(1), ev(0, 0, 1, 5, 50), &mut p);
         c.deliver(NodeIdx(1), ev(1, 1, 1, 6, 60), &mut p);
-        assert!(p.acks().is_empty());
+        assert_eq!(p.acks(), vec![(1, 1, 0), (1, 2, 0)]);
         c.ack_round(&mut p);
         assert_eq!(p.acks(), vec![(0, 0, 0), (1, 2, 0), (2, 0, 0)]);
     }
@@ -674,7 +654,9 @@ mod tests {
         }
         assert_eq!(c.metrics.parked_dropped, 1);
         assert_eq!(c.metrics.parked_peak, PARKED_CAP);
+        assert!(p.acks().is_empty());
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
+        assert_eq!(p.acks(), vec![(0, cap + 1, 0)]);
         assert_eq!(c.metrics.events_received, cap + 1);
         // A heartbeat behind the gap parks; the retransmitted copy of the
         // discarded message fills the gap and both are consumed in order.
@@ -684,55 +666,6 @@ mod tests {
         assert_eq!(p.acks(), vec![(0, cap + 3, 0)]);
         assert_eq!(c.metrics.events_received, cap + 2);
         assert_eq!(c.metrics.parked_dropped, 1);
-    }
-
-    #[test]
-    fn batch_transport_matches_per_event_transport() {
-        // The same workload delivered as two batches instead of two events
-        // plus two heartbeats: identical release and detection.
-        let mut sim = coordinator_sim(1);
-        let n = decs_simnet::NodeIdx(0);
-        sim.inject(
-            Nanos(10),
-            n,
-            Msg::Batch {
-                seq: 0,
-                epoch: 0,
-                watermark: 6,
-                events: std::sync::Arc::new(vec![occ(0, 0, 5, 50), occ(1, 0, 6, 60)]),
-            },
-        );
-        sim.run_to_completion();
-        {
-            let c = sim.node(n);
-            // Watermark 6 releases only g ≤ 5: A released, B buffered.
-            assert_eq!(c.buffered(), 1);
-            assert!(c.detections.is_empty());
-            assert_eq!(c.metrics.events_released, 1);
-            assert_eq!(c.metrics.batches_received, 1);
-            assert_eq!(c.metrics.batch_size_max, 2);
-        }
-        // An empty batch is exactly a heartbeat.
-        sim.inject(
-            Nanos(20),
-            n,
-            Msg::Batch {
-                seq: 1,
-                epoch: 0,
-                watermark: 7,
-                events: std::sync::Arc::new(vec![]),
-            },
-        );
-        sim.run_to_completion();
-        let c = sim.node(n);
-        assert_eq!(c.buffered(), 0);
-        assert_eq!(c.detections.len(), 1);
-        assert_eq!(c.metrics.events_received, 2);
-        assert_eq!(c.metrics.events_released, 2);
-        assert_eq!(c.metrics.release_batches, 2);
-        assert_eq!(c.metrics.messages_processed, 2);
-        assert_eq!(c.metrics.heartbeats_received, 0);
-        assert_eq!(c.metrics.shard_count, 1);
     }
 
     #[test]
@@ -769,24 +702,8 @@ mod tests {
         // Old-incarnation traffic still in flight is filtered, not parked.
         sim.inject(Nanos(40), n, ev(1, 8, 0, 6, 60));
         // New-incarnation traffic flows normally (seq 1 follows the Hello).
-        sim.inject(
-            Nanos(50),
-            n,
-            Msg::Event {
-                seq: 1,
-                epoch: 1,
-                occ: Occurrence::bare(EventId(1), cts(&[(0, 6, 60)])),
-            },
-        );
-        sim.inject(
-            Nanos(60),
-            n,
-            Msg::Heartbeat {
-                seq: 2,
-                epoch: 1,
-                watermark: 9,
-            },
-        );
+        sim.inject(Nanos(50), n, batch(1, 1, 6, vec![occ(1, 0, 6, 60)]));
+        sim.inject(Nanos(60), n, batch(2, 1, 9, vec![]));
         sim.run_to_completion();
         let c = sim.node(n);
         assert_eq!(c.metrics.epoch_filtered, 1);
@@ -797,7 +714,7 @@ mod tests {
 
     #[test]
     fn durable_hello_may_reuse_a_consumed_event_free_slot() {
-        // A durable site lost its unsynced heartbeat frame at seq 2 to a
+        // A durable site lost its unsynced empty-batch frame at seq 2 to a
         // power loss, so its next incarnation announces itself at seq 2
         // again, a slot the coordinator has already consumed.
         let mut sim = coordinator_sim(1);
@@ -829,22 +746,10 @@ mod tests {
         }
         // The next event follows at seq 3, and a retransmitted copy of it
         // is dropped as a duplicate.
-        let b = Msg::Event {
-            seq: 3,
-            epoch: 1,
-            occ: occ(1, 0, 6, 60),
-        };
+        let b = batch(3, 1, 6, vec![occ(1, 0, 6, 60)]);
         sim.inject(Nanos(50), n, b.clone());
         sim.inject(Nanos(60), n, b);
-        sim.inject(
-            Nanos(70),
-            n,
-            Msg::Heartbeat {
-                seq: 4,
-                epoch: 1,
-                watermark: 9,
-            },
-        );
+        sim.inject(Nanos(70), n, batch(4, 1, 9, vec![]));
         sim.run_to_completion();
         let c = sim.node(n);
         assert_eq!(c.metrics.duplicates_dropped, 1);
@@ -860,15 +765,8 @@ mod tests {
         let mut sim = coordinator_sim(1);
         let n = decs_simnet::NodeIdx(0);
         // Epoch-1 data races ahead of its Hello: dropped unacked.
-        sim.inject(
-            Nanos(10),
-            n,
-            Msg::Event {
-                seq: 1,
-                epoch: 1,
-                occ: Occurrence::bare(EventId(0), cts(&[(0, 5, 50)])),
-            },
-        );
+        let data = batch(1, 1, 5, vec![occ(0, 0, 5, 50)]);
+        sim.inject(Nanos(10), n, data.clone());
         sim.run_to_completion();
         {
             let c = sim.node(n);
@@ -886,15 +784,7 @@ mod tests {
                 watermark: 0,
             },
         );
-        sim.inject(
-            Nanos(30),
-            n,
-            Msg::Event {
-                seq: 1,
-                epoch: 1,
-                occ: Occurrence::bare(EventId(0), cts(&[(0, 5, 50)])),
-            },
-        );
+        sim.inject(Nanos(30), n, data);
         sim.run_to_completion();
         let c = sim.node(n);
         assert_eq!(c.metrics.events_received, 1);

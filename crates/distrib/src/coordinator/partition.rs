@@ -209,10 +209,6 @@ pub(crate) struct PartitionState {
     pub(crate) last_w: u64,
     /// Period of the relay retransmission round (`ZERO` disables it).
     pub(crate) relay_retx: Nanos,
-    /// Whether sites batch their uplinks. Every `Msg::Routed` is then a
-    /// periodic flush, so each in-order one is acked; per-event uplinks
-    /// ack on the watermark cadence instead (see `ack_due`).
-    pub(crate) sites_batch: bool,
 }
 
 impl PartitionState {
@@ -229,7 +225,6 @@ impl PartitionState {
         gaters: u64,
         max_depth: u32,
         relay_retx: Nanos,
-        sites_batch: bool,
     ) -> Self {
         let strata = max_depth.max(1) as usize;
         let mut peer_bound = vec![vec![PlanePos::MIN; strata]; n_replicas];
@@ -256,7 +251,6 @@ impl PartitionState {
             fed_since_sample: false,
             last_w: 0,
             relay_retx,
-            sites_batch,
         }
     }
 

@@ -545,22 +545,6 @@ impl Encode for Msg {
                 ty.encode(out);
                 values.encode(out);
             }
-            Msg::Event { seq, epoch, occ } => {
-                out.push(2);
-                seq.encode(out);
-                epoch.encode(out);
-                occ.encode(out);
-            }
-            Msg::Heartbeat {
-                seq,
-                epoch,
-                watermark,
-            } => {
-                out.push(3);
-                seq.encode(out);
-                epoch.encode(out);
-                watermark.encode(out);
-            }
             Msg::Batch {
                 seq,
                 epoch,
@@ -626,16 +610,6 @@ impl Decode for Msg {
             1 => Ok(Msg::Inject {
                 ty: EventId::decode(r)?,
                 values: Vec::decode(r)?,
-            }),
-            2 => Ok(Msg::Event {
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                occ: Occurrence::decode(r)?,
-            }),
-            3 => Ok(Msg::Heartbeat {
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                watermark: r.u64()?,
             }),
             4 => Ok(Msg::Batch {
                 seq: r.u64()?,
@@ -727,7 +701,6 @@ impl Decode for PlanState<CompositeTimestamp> {
 impl Encode for Metrics {
     fn encode(&self, out: &mut Vec<u8>) {
         self.events_received.encode(out);
-        self.heartbeats_received.encode(out);
         self.events_released.encode(out);
         self.detections.encode(out);
         self.reassembly_parks.encode(out);
@@ -779,7 +752,6 @@ impl Decode for Metrics {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Metrics {
             events_received: r.u64()?,
-            heartbeats_received: r.u64()?,
             events_released: r.u64()?,
             detections: r.u64()?,
             reassembly_parks: r.u64()?,
@@ -910,16 +882,6 @@ mod tests {
                 ty: EventId(1),
                 values: vec![Value::Float(2.5)],
             },
-            Msg::Event {
-                seq: 9,
-                epoch: 1,
-                occ: Occurrence::bare(EventId(0), cts(&[(2, 7, 70)])),
-            },
-            Msg::Heartbeat {
-                seq: 10,
-                epoch: 0,
-                watermark: 8,
-            },
             Msg::Batch {
                 seq: 11,
                 epoch: 2,
@@ -988,10 +950,14 @@ mod tests {
             from_bytes::<bool>(&[9]),
             Err(CodecError::Invalid("bool tag"))
         );
-        assert_eq!(
-            from_bytes::<Msg>(&[99]),
-            Err(CodecError::Invalid("Msg tag"))
-        );
+        // Tags 2 and 3 are retired: a log holding them is refused, not
+        // misread.
+        for tag in [2, 3, 99] {
+            assert_eq!(
+                from_bytes::<Msg>(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
+                Err(CodecError::Invalid("Msg tag"))
+            );
+        }
         // A length prefix claiming more elements than bytes remain.
         let mut buf = Vec::new();
         u64::MAX.encode(&mut buf);
@@ -1000,10 +966,11 @@ mod tests {
             Err(CodecError::Invalid(_))
         ));
         // Truncation anywhere is an Eof, not a panic.
-        let full = to_bytes(&Msg::Heartbeat {
+        let full = to_bytes(&Msg::Batch {
             seq: 1,
             epoch: 0,
             watermark: 2,
+            events: Arc::new(vec![]),
         });
         for cut in 0..full.len() {
             assert!(from_bytes::<Msg>(&full[..cut]).is_err());

@@ -18,13 +18,13 @@
 //! A frame is synced before the site acts on it only if losing it could
 //! lose or duplicate an occurrence ([`SiteWalRecord::must_sync`]): staged
 //! occurrences, sends that carry occurrences, epochs and Hellos. Acks and
-//! event-free sends (heartbeats, empty batches) are appended unsynced and
+//! empty batches (the site's heartbeats) are appended unsynced and
 //! reach the disk with the next synced frame or the writer's periodic
 //! sync. Each sync makes its whole prefix durable and the scanner stops
 //! at the first bad frame, so a power loss drops only a suffix of those
 //! unsynced frames. Losing an ack makes the recovered retransmit window a
 //! superset, and the coordinator drops the re-sent copies as duplicates.
-//! Losing an event-free send lets the restarted site reuse its sequence
+//! Losing an empty batch lets the restarted site reuse its sequence
 //! slot: the coordinator's epoch transition lowers its frontier to the
 //! Hello's sequence number, and consuming a watermark promise twice is
 //! harmless because the tracker keeps the maximum.
@@ -60,9 +60,8 @@ pub enum SiteWalRecord {
         /// The next sequence number the coordinator expects.
         cum_seq: u64,
     },
-    /// An occurrence was staged into the pending batch (batching mode
-    /// only). A later `Sent { msg: Msg::Batch { .. } }` consumes the whole
-    /// staged set.
+    /// An occurrence was staged into the pending batch. A later
+    /// `Sent { msg: Msg::Batch { .. } }` consumes the whole staged set.
     Staged {
         /// The stamped occurrence awaiting the next flush.
         occ: Occurrence<CompositeTimestamp>,
@@ -74,13 +73,12 @@ impl SiteWalRecord {
     /// when losing it could lose or duplicate an occurrence. A staged
     /// occurrence exists nowhere else, and a lost occurrence-carrying send
     /// would be re-staged and re-sent under a reused sequence number.
-    /// Epochs and Hellos are rare and stay synced. Acks and event-free
-    /// sends are safe to lose (see the module docs).
+    /// Epochs and Hellos are rare and stay synced. Acks and empty batches
+    /// are safe to lose (see the module docs).
     pub fn must_sync(&self) -> bool {
         match self {
             SiteWalRecord::Acked { .. } => false,
             SiteWalRecord::Sent { msg } => match msg {
-                Msg::Heartbeat { .. } => false,
                 Msg::Batch { events, .. } => !events.is_empty(),
                 _ => true,
             },
@@ -169,10 +167,7 @@ pub fn fold_records(records: &[SiteWalRecord]) -> SiteWalState {
             SiteWalRecord::Epoch { epoch } => st.epoch = st.epoch.max(*epoch),
             SiteWalRecord::Sent { msg } => {
                 let seq = match msg {
-                    Msg::Event { seq, .. }
-                    | Msg::Heartbeat { seq, .. }
-                    | Msg::Batch { seq, .. }
-                    | Msg::Hello { seq, .. } => *seq,
+                    Msg::Batch { seq, .. } | Msg::Hello { seq, .. } => *seq,
                     // Only sequence-numbered messages are ever logged.
                     _ => continue,
                 };
@@ -231,10 +226,11 @@ mod tests {
     use decs_snoop::EventId;
 
     fn ev(seq: u64, epoch: u64, g: u64) -> Msg {
-        Msg::Event {
+        Msg::Batch {
             seq,
             epoch,
-            occ: Occurrence::bare(EventId(1), cts(&[(0, g, g * 10)])),
+            watermark: g + 1,
+            events: std::sync::Arc::new(vec![Occurrence::bare(EventId(1), cts(&[(0, g, g * 10)]))]),
         }
     }
 

@@ -527,10 +527,11 @@ mod tests {
             WalRecord::Delivered {
                 site: 0,
                 at: 1_000,
-                msg: Msg::Heartbeat {
+                msg: Msg::Batch {
                     seq: 0,
                     epoch: 0,
                     watermark: 1,
+                    events: std::sync::Arc::new(vec![]),
                 },
             },
             WalRecord::TimerFired {

@@ -527,7 +527,6 @@ impl Engine {
             gaters,
             layout.max_depth,
             config.retransmit_timeout,
-            config.batch_interval.get() > 0,
         ));
         Ok(node)
     }
@@ -861,7 +860,6 @@ impl Engine {
             positions += c.detector.position_count();
             let r = &c.metrics;
             m.events_received += r.events_received;
-            m.heartbeats_received += r.heartbeats_received;
             m.events_released += r.events_released;
             m.detections += r.detections;
             m.reassembly_parks += r.reassembly_parks;
@@ -1096,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_per_event_engine() {
+    fn mid_tick_flushes_match_edge_only_flushes() {
         let workload: Vec<(u64, u32, &str)> = vec![
             (1_000, 0, "A"),
             (1_250, 1, "B"),
@@ -1131,19 +1129,19 @@ mod tests {
                 e.metrics(),
             )
         };
-        let (plain, m_plain) = run(Nanos::ZERO);
-        // Batch = g_g: one flush per tick, the cadence of the per-event
-        // heartbeats, so the events ride along for free.
-        let (batched, m_batched) = run(Nanos::from_millis(100));
-        assert_eq!(plain, batched, "batching must not change detections");
-        assert!(!plain.is_empty());
-        // Transport actually switched: batches instead of events+heartbeats.
-        assert_eq!(m_plain.batches_received, 0);
-        assert!(m_batched.batches_received > 0);
-        assert_eq!(m_batched.heartbeats_received, 0);
-        assert!(m_batched.batch_size_max >= 1);
-        assert!(m_batched.messages_processed < m_plain.messages_processed);
-        assert_eq!(m_batched.shard_count, 1);
+        let (edge, m_edge) = run(Nanos::ZERO);
+        // 30 ms flushes: two more per 100 ms tick, 30 and 60 ms after its
+        // edge (the one due at 90 ms is left to the next edge).
+        let (mid, m_mid) = run(Nanos::from_millis(30));
+        assert_eq!(edge, mid, "mid-tick flushes must not change detections");
+        assert!(!edge.is_empty());
+        // Every message is a batch; edge-only sites send one per tick, the
+        // Start beacon and each edge before the 10 s horizon.
+        assert_eq!(m_edge.batches_received, m_edge.messages_processed);
+        assert_eq!(m_mid.batches_received, m_mid.messages_processed);
+        assert_eq!(m_edge.messages_processed, 2 * 100);
+        assert_eq!(m_mid.messages_processed, 3 * m_edge.messages_processed);
+        assert_eq!(m_mid.shard_count, 1);
     }
 
     #[test]
@@ -1208,8 +1206,9 @@ mod tests {
         e.run_for(Nanos::from_secs(3));
         let m = e.metrics();
         assert_eq!(m.events_received, 2);
-        // 3 sites, one heartbeat per 100 ms tick over 3 s plus the Start.
-        assert!(m.heartbeats_received >= 90, "{}", m.heartbeats_received);
+        // 3 sites, one batch per 100 ms tick over 3 s: the Start beacon
+        // and each edge before the horizon.
+        assert_eq!(m.batches_received, 3 * 30);
         assert!(m.mean_stability_latency_ns() > 0);
     }
 

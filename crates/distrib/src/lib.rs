@@ -14,9 +14,9 @@
 //! ## Architecture
 //!
 //! ```text
-//!  site 0 ─┐ EventMsg(seq)                 ┌──────────────────────────┐
+//!  site 0 ─┐ Batch(seq, watermark, events) ┌──────────────────────────┐
 //!  site 1 ─┼──── reordering links ────────▶│ coordinator              │
-//!  site 2 ─┘ Heartbeat(watermark, seq)     │  per-site FIFO reassembly│
+//!  site 2 ─┘ one per tick edge             │  per-site FIFO reassembly│
 //!                                          │  watermark stability     │
 //!                                          │  canonical release order │
 //!                                          │  PlanDetector<Composite> │
@@ -27,7 +27,7 @@
 //!   number; the coordinator processes them in sequence order even when
 //!   the network reorders (the TCP-like substrate the semantics assumes).
 //! * **Watermark stability** — a notification whose timestamp has maximum
-//!   global tick `g` is *stable* once every site's heartbeat watermark
+//!   global tick `g` is *stable* once every site's batch watermark
 //!   exceeds `g`: everything that could still arrive sorts after it in the
 //!   canonical release order `(max global, site, arrival)`. Stable
 //!   notifications are released into the detector in that order, which

@@ -5,8 +5,6 @@
 pub struct Metrics {
     /// Event notifications received (after reassembly).
     pub events_received: u64,
-    /// Heartbeats received.
-    pub heartbeats_received: u64,
     /// Notifications released into the detector.
     pub events_released: u64,
     /// Named composite detections produced.
@@ -20,8 +18,9 @@ pub struct Metrics {
     pub stability_latency_sum_ns: u128,
     /// Timer fires serviced for temporal operators.
     pub timer_fires: u64,
-    /// Protocol messages the coordinator processed in order (events,
-    /// heartbeats and batches — the per-message work of the hot path).
+    /// Protocol messages the coordinator processed in order (batches,
+    /// Hellos, uplinks and relays — the per-message work of the hot
+    /// path).
     pub messages_processed: u64,
     /// `Msg::Batch` messages received.
     pub batches_received: u64,

@@ -130,31 +130,12 @@ pub enum Msg {
         /// Event parameters.
         values: Vec<Value>,
     },
-    /// A stamped primitive event notification, site → coordinator.
-    Event {
-        /// Per-site sequence number.
-        seq: u64,
-        /// The sender's incarnation epoch.
-        epoch: u64,
-        /// The stamped occurrence (singleton composite timestamp).
-        occ: Occurrence<CompositeTimestamp>,
-    },
-    /// A liveness/watermark beacon, site → coordinator: "every event I
-    /// will ever send from now on has global tick ≥ `watermark`".
-    Heartbeat {
-        /// Per-site sequence number (shared stream with events).
-        seq: u64,
-        /// The sender's incarnation epoch.
-        epoch: u64,
-        /// The site's current global tick.
-        watermark: u64,
-    },
-    /// Batched notification, site → coordinator: every occurrence the site
-    /// stamped during one batch interval plus the watermark at flush time,
-    /// in one message. Subsumes `Heartbeat` (an empty batch is exactly a
-    /// heartbeat) and `Event` (each element is processed as if it had
-    /// arrived individually, in order). One sequence number covers the
-    /// whole batch on the shared per-site stream.
+    /// The one site → coordinator notification: every occurrence the site
+    /// stamped since its previous flush plus the watermark at flush time.
+    /// A site flushes at each tick edge (and, with a positive
+    /// `batch_interval`, periodically between edges); an empty batch is
+    /// the site's heartbeat. One sequence number covers the whole batch
+    /// on the per-site stream.
     Batch {
         /// Per-site sequence number (shared stream).
         seq: u64,
@@ -171,12 +152,11 @@ pub enum Msg {
     },
     /// Cumulative acknowledgement, coordinator → site: every message with
     /// sequence number `< cum_seq` has been delivered (in order). The site
-    /// trims its retransmit buffer on receipt. Sent on every in-order
-    /// delivery that consumed a watermark-bearing message (`Heartbeat`,
-    /// `Batch`, `Hello`, `Routed` or `Relay`), on every duplicate (so a
-    /// lost ack is repaired by the retransmission it failed to suppress),
-    /// and periodically. In-order `Msg::Event`s alone are not acked: the
-    /// site's next heartbeat is, and that ack covers them.
+    /// trims its retransmit buffer on receipt. Sent once per in-order
+    /// delivery (a drain of parked successors included), on every
+    /// duplicate (so a lost ack is repaired by the retransmission it
+    /// failed to suppress), and periodically. Every sequenced message
+    /// carries a watermark or promise, so each one is worth an ack.
     Ack {
         /// The next sequence number the coordinator expects.
         cum_seq: u64,
@@ -254,72 +234,13 @@ pub enum Msg {
     },
 }
 
-impl Msg {
-    /// Whether this message carries a watermark or promise: a
-    /// `Heartbeat`, `Batch`, `Hello`, `Routed` or `Relay`. The coordinator
-    /// acks an in-order delivery only when it consumed such a message; an
-    /// occurrence-only `Msg::Event` is covered by the cumulative ack of
-    /// the site's next heartbeat. Acks only trim the site's retransmit
-    /// window, so their timing changes no detection.
-    pub(crate) fn carries_watermark(&self) -> bool {
-        matches!(
-            self,
-            Msg::Heartbeat { .. }
-                | Msg::Batch { .. }
-                | Msg::Hello { .. }
-                | Msg::Routed { .. }
-                | Msg::Relay { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use decs_core::cts;
 
     #[test]
-    fn only_watermark_and_promise_carriers_carry_watermarks() {
-        let hb = Msg::Heartbeat {
-            seq: 0,
-            epoch: 0,
-            watermark: 1,
-        };
-        let relay = Msg::Relay {
-            seq: 0,
-            promise: vec![PlanePos::MIN],
-            events: Arc::new(vec![]),
-        };
-        assert!(hb.carries_watermark() && relay.carries_watermark());
-        let event = Msg::Event {
-            seq: 0,
-            epoch: 0,
-            occ: Occurrence::bare(EventId(1), cts(&[(1, 8, 80)])),
-        };
-        let ack = Msg::Ack {
-            cum_seq: 1,
-            epoch: 0,
-        };
-        for m in [event, ack, Msg::Start, Msg::Crash, Msg::Restart] {
-            assert!(!m.carries_watermark(), "{m:?}");
-        }
-    }
-
-    #[test]
     fn messages_are_cloneable_and_debuggable() {
-        let m = Msg::Event {
-            seq: 3,
-            epoch: 0,
-            occ: Occurrence::bare(EventId(1), cts(&[(1, 8, 80)])),
-        };
-        let m2 = m.clone();
-        assert!(format!("{m2:?}").contains("seq: 3"));
-        let h = Msg::Heartbeat {
-            seq: 4,
-            epoch: 0,
-            watermark: 9,
-        };
-        assert!(format!("{h:?}").contains("watermark"));
         let hello = Msg::Hello {
             seq: 6,
             epoch: 2,

@@ -1,10 +1,11 @@
 //! The per-site actor: stamps injected primitive events with the site
 //! clock, optionally runs **local detection** (the paper's
 //! architecture detects site-local composite events at the site and
-//! propagates their set-valued timestamps), and streams primitive events,
-//! local detections and watermark heartbeats to the coordinator under a
-//! single per-site sequence number. A site announces its watermark once
-//! per global tick, at the true instant its own clock enters the tick.
+//! propagates their set-valued timestamps), and ships primitive events and
+//! local detections to the coordinator in batches under a single per-site
+//! sequence number. A site flushes its batch, carrying its watermark, at
+//! the true instant its own clock enters each global tick; an empty batch
+//! is its heartbeat.
 
 use crate::durability::site_wal::{
     compaction_records, recover_site_state, SiteWalRecord, SiteWalState,
@@ -109,16 +110,16 @@ struct Uplink {
 #[derive(Debug)]
 pub struct SiteNode {
     coordinator: NodeIdx,
-    /// Batch flush period; `Nanos::ZERO` disables batching (per-event
-    /// `Msg::Event` + tick-edge `Msg::Heartbeat` instead of `Msg::Batch`).
+    /// Period of the mid-tick flushes between tick edges; `Nanos::ZERO`
+    /// flushes at tick edges only.
     batch_interval: Nanos,
-    /// Occurrences coalesced since the last flush (batching mode only),
-    /// in send order.
+    /// Occurrences staged since the last flush, in send order.
     pending: Vec<Occurrence<CompositeTimestamp>>,
-    /// Earliest true time the periodic batch flush may fire (batching
-    /// mode). A tick-edge flush pushes it one `batch_interval` out; a
-    /// flush timer that fires before it re-arms for the remainder, so the
-    /// periodic chain stays one timer and batches per tick do not grow.
+    /// Earliest true time the periodic mid-tick flush may fire (positive
+    /// `batch_interval` only). A tick-edge flush pushes it one
+    /// `batch_interval` out; a flush timer that fires before it re-arms
+    /// for the remainder, so the periodic chain stays one timer and
+    /// batches per tick do not grow.
     next_flush: Nanos,
     /// The true instant the armed edge timer is due: when the site clock
     /// enters its next global tick (`u64::MAX` ns if it never does).
@@ -372,17 +373,12 @@ impl SiteNode {
             .fold(self.retx.len(), usize::max)
     }
 
-    /// Switch the site to batched notifications flushed every `interval`
-    /// (`Nanos::ZERO` keeps per-event mode). In batching mode every flush
-    /// carries the watermark, and the tick-edge beacon is a flush, so no
-    /// separate heartbeat is sent.
+    /// Add a periodic flush every `interval` between tick edges
+    /// (`Nanos::ZERO`, the default, flushes at tick edges only). Every
+    /// flush carries the watermark.
     pub fn with_batching(mut self, interval: Nanos) -> Self {
         self.batch_interval = interval;
         self
-    }
-
-    fn batching(&self) -> bool {
-        self.batch_interval.get() > 0
     }
 
     /// A site with a local detection plan.
@@ -395,9 +391,9 @@ impl SiteNode {
         s
     }
 
-    /// Forward an occurrence to the coordinator, translating its event id
+    /// Stage an occurrence for the next flush, translating its event id
     /// into the coordinator's id space when a local detector is present.
-    fn forward(&mut self, mut occ: Occurrence<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
+    fn forward(&mut self, mut occ: Occurrence<CompositeTimestamp>) {
         if let Some(local) = &self.local {
             match local.translate.get(&occ.ty) {
                 Some(&coord_ty) => occ.ty = coord_ty,
@@ -405,43 +401,28 @@ impl SiteNode {
             }
         }
         if self.partitioned() {
-            self.forward_routed(occ, ctx);
-        } else if self.batching() {
+            self.forward_routed(occ);
+        } else {
             self.wal_log(|| SiteWalRecord::Staged { occ: occ.clone() });
             self.pending.push(occ);
-        } else {
-            let seq = self.next_seq();
-            let epoch = self.epoch;
-            self.send_seq(seq, Msg::Event { seq, epoch, occ }, ctx);
         }
     }
 
     /// Stage a stamped occurrence on every subscribing uplink (consuming
     /// one stamp ordinal either way — unsubscribed types leave a gap, and
-    /// only the relative order matters to replicas). Without batching the
-    /// subscribed uplinks flush immediately.
-    fn forward_routed(&mut self, occ: Occurrence<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
+    /// only the relative order matters to replicas).
+    fn forward_routed(&mut self, occ: Occurrence<CompositeTimestamp>) {
         let ordinal = self.ordinal;
         self.ordinal += 1;
-        let ty = occ.ty.0 as usize;
-        let Some(subs) = self.routes.get_mut(ty).map(std::mem::take) else {
+        let Some(subs) = self.routes.get(occ.ty.0 as usize) else {
             return;
         };
-        for &u in &subs {
+        for &u in subs {
             self.uplinks[u].staged.push(RoutedEvent {
                 ordinal,
                 occ: occ.clone(),
             });
         }
-        if !self.batching() {
-            if let Ok(parts) = ctx.stamp() {
-                for &u in &subs {
-                    self.flush_uplink(u, parts.global.get(), ctx);
-                }
-            }
-        }
-        // The list was moved out, not copied, for the sends above.
-        self.routes[ty] = subs;
     }
 
     /// Send a sequence-numbered message on uplink `u`, retaining it for
@@ -638,7 +619,7 @@ impl SiteNode {
         }
         for occ in r.detected {
             self.local_detections += 1;
-            self.forward(occ, ctx);
+            self.forward(occ);
         }
     }
 
@@ -648,29 +629,15 @@ impl SiteNode {
         s
     }
 
-    /// Announce `watermark`: a heartbeat in per-event mode, a flush of
-    /// the pending batch in batching mode, a flush of every uplink on the
-    /// partitioned plane (staged events in batching mode, an empty
-    /// `Msg::Routed` otherwise).
+    /// Announce `watermark` with everything staged: a flush of the
+    /// pending batch, or of every uplink on the partitioned plane.
     fn beacon(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
         if self.partitioned() {
             for u in 0..self.uplinks.len() {
                 self.flush_uplink(u, watermark, ctx);
             }
-        } else if self.batching() {
-            self.send_batch(watermark, ctx);
         } else {
-            let seq = self.next_seq();
-            let epoch = self.epoch;
-            self.send_seq(
-                seq,
-                Msg::Heartbeat {
-                    seq,
-                    epoch,
-                    watermark,
-                },
-                ctx,
-            );
+            self.send_batch(watermark, ctx);
         }
     }
 
@@ -685,20 +652,21 @@ impl SiteNode {
         }
     }
 
-    /// Arm a fresh incarnation's beacons: the edge timer and, when
-    /// batching, the periodic flush one `batch_interval` out.
+    /// Arm a fresh incarnation's beacons: the edge timer and, with a
+    /// positive `batch_interval`, the periodic flush one interval out.
     fn arm_beacons(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.arm_edge(ctx);
-        if self.batching() {
+        if self.batch_interval.get() > 0 {
             self.next_flush = ctx.true_now().saturating_add(self.batch_interval.get());
             ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
         }
     }
 
     /// The edge timer fired: the site's one watermark beacon per global
-    /// tick. A watermark changes only at a tick edge, so this is the only
-    /// instant worth announcing it; the tick's events follow the beacon.
-    /// A batching edge flush pushes the next periodic flush one
+    /// tick, flushing the tick it closes. A watermark changes only at a
+    /// tick edge, and the coordinator releases a tick only once every
+    /// site's watermark has passed it, so the edge is the only instant
+    /// worth sending. The edge flush pushes the next periodic flush one
     /// `batch_interval` out, so flushes per tick do not grow. A fire
     /// before [`Self::next_edge`], while the clock still reads the old
     /// tick, only re-arms for the remainder. A crashed site neither
@@ -712,22 +680,18 @@ impl SiteNode {
             if let Ok(parts) = ctx.stamp() {
                 self.beacon(parts.global.get(), ctx);
             }
-            if self.batching() {
-                self.next_flush = now.saturating_add(self.batch_interval.get());
-            }
+            self.next_flush = now.saturating_add(self.batch_interval.get());
         }
         self.arm_edge(ctx);
     }
 
-    /// The periodic batch flush (see [`Self::beacon`]), re-armed one
+    /// The periodic mid-tick flush (see [`Self::beacon`]), re-armed one
     /// `batch_interval` out. A fire before [`Self::next_flush`] (a
     /// tick-edge flush went out since it was armed) only re-arms for the
     /// remainder. A flush due less than half an interval before the tick
     /// edge is left to the edge's flush, so a site flushes about
     /// `g_g / batch_interval` times per tick whichever way its clock
-    /// drifts. A crashed site neither flushes nor re-arms, so buffered
-    /// occurrences die with it (the coordinator must evict to make
-    /// progress).
+    /// drifts. A crashed site neither flushes nor re-arms.
     fn flush_batch(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.crashed {
             return; // pending events are lost: the site is silent.
@@ -749,8 +713,8 @@ impl SiteNode {
     }
 
     /// Send the pending batch: one `Msg::Batch` carrying every occurrence
-    /// coalesced since the previous flush plus `watermark`. An empty batch
-    /// is still sent — it is exactly a heartbeat.
+    /// staged since the previous flush plus `watermark`. An empty batch
+    /// is still sent — it is the site's heartbeat.
     fn send_batch(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
         let seq = self.next_seq();
         let epoch = self.epoch;
@@ -825,20 +789,17 @@ impl SiteNode {
         // Retag the recovered backlog to the new epoch (the coordinator
         // drops anything older). A recovered Hello from a *previous*
         // restart must not announce this epoch a second time — it degrades
-        // to a heartbeat in the same sequence slot, which keeps the slot
-        // filled and still carries its watermark promise.
+        // to an empty batch in the same sequence slot, which keeps the
+        // slot filled and still carries its watermark promise.
         for m in self.retx.messages_mut() {
             match m {
-                Msg::Event { epoch, .. }
-                | Msg::Heartbeat { epoch, .. }
-                | Msg::Batch { epoch, .. } => {
-                    *epoch = self.epoch;
-                }
+                Msg::Batch { epoch, .. } => *epoch = self.epoch,
                 Msg::Hello { seq, watermark, .. } => {
-                    *m = Msg::Heartbeat {
+                    *m = Msg::Batch {
                         seq: *seq,
                         epoch: self.epoch,
                         watermark: *watermark,
+                        events: std::sync::Arc::default(),
                     };
                 }
                 _ => {}
@@ -889,12 +850,18 @@ impl SiteNode {
             return;
         }
         // Announce the incarnation. The watermark falls back to 0 (always
-        // a valid promise) if the site clock has not started yet. The
-        // backlog burst is snapshotted first so it excludes the Hello
-        // itself, but sent after it: on in-order links the epoch
-        // transition precedes every retagged message.
+        // a valid promise) if the site clock has not started yet, and
+        // stays at or below every recovered staged occurrence, which
+        // reaches the coordinator only in the next flush, behind the
+        // Hello. The backlog burst is snapshotted first so it excludes
+        // the Hello itself, but sent after it: on in-order links the
+        // epoch transition precedes every retagged message.
         let burst: Vec<Msg> = self.retx.messages().take(RETX_BURST).cloned().collect();
-        let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
+        let watermark = self
+            .pending
+            .iter()
+            .map(|occ| occ.time.max_global())
+            .fold(ctx.stamp().map(|p| p.global.get()).unwrap_or(0), u64::min);
         let seq = self.next_seq();
         let epoch = self.epoch;
         self.send_seq(
@@ -955,7 +922,7 @@ impl Actor for SiteNode {
                         // local detections.
                         let local_result =
                             self.local.as_mut().map(|l| l.detector.feed(occ.clone()));
-                        self.forward(occ, ctx);
+                        self.forward(occ);
                         if let Some(r) = local_result {
                             self.absorb_local(r, ctx);
                         }
@@ -971,9 +938,7 @@ impl Actor for SiteNode {
                 }
             }
             // Sites do not receive protocol traffic in the star topology.
-            Msg::Event { .. }
-            | Msg::Heartbeat { .. }
-            | Msg::Batch { .. }
+            Msg::Batch { .. }
             | Msg::Hello { .. }
             | Msg::Evict { .. }
             | Msg::Routed { .. }
@@ -1046,10 +1011,6 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct Collector {
-        events: Vec<(u64, Occurrence<CompositeTimestamp>)>,
-        heartbeats: Vec<(u64, u64)>,
-        /// True arrival time of every Heartbeat received.
-        heartbeat_times: Vec<Nanos>,
         batches: Vec<BatchRecord>,
         /// (seq, epoch, watermark) of every Hello received.
         hellos: Vec<(u64, u64, u64)>,
@@ -1062,11 +1023,6 @@ mod tests {
 
         fn on_message(&mut self, _from: NodeIdx, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
             match msg {
-                Msg::Event { seq, occ, .. } => self.events.push((seq, occ)),
-                Msg::Heartbeat { seq, watermark, .. } => {
-                    self.heartbeats.push((seq, watermark));
-                    self.heartbeat_times.push(ctx.true_now());
-                }
                 Msg::Batch {
                     seq,
                     watermark,
@@ -1132,8 +1088,13 @@ mod tests {
         )
     }
 
+    /// The watermark and event count of every batch received.
+    fn shape(c: &Collector) -> Vec<(u64, usize)> {
+        c.batches.iter().map(|(_, w, e)| (*w, e.len())).collect()
+    }
+
     #[test]
-    fn site_stamps_and_streams() {
+    fn site_ships_each_tick_in_its_edge_batch() {
         let coord = NodeIdx(1);
         let nodes = vec![
             (Node::Site(SiteNode::new(coord)), source(0)),
@@ -1141,84 +1102,30 @@ mod tests {
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
-        sim.inject(
-            Nanos::from_secs(1),
-            NodeIdx(0),
-            Msg::Inject {
-                ty: EventId(7),
-                values: vec![],
-            },
-        );
+        // Two injections inside tick 10.
+        for ms in [1_010, 1_030] {
+            inject_at(&mut sim, ms);
+        }
         sim.run_until(Nanos::from_secs(2));
         let Node::Collector(c) = sim.node(coord) else {
             panic!("collector expected")
         };
-        // One event, stamped (site0, global 10, local 100).
-        assert_eq!(c.events.len(), 1);
-        let occ = &c.events[0].1;
+        // One batch per 100 ms tick: the Start beacon for tick 0, then one
+        // at each edge through 2 s, none repeating a watermark. Both events
+        // ride the batch of the edge that closes their tick.
+        let expect: Vec<(u64, usize)> =
+            (0..=20).map(|w| (w, if w == 11 { 2 } else { 0 })).collect();
+        assert_eq!(shape(c), expect);
+        for (i, (seq, _, _)) in c.batches.iter().enumerate() {
+            assert_eq!(*seq, i as u64);
+        }
+        // Stamped (site0, global 10, local 101).
+        let occ = &c.batches[11].2[0];
         assert_eq!(occ.ty, EventId(7));
         let member = occ.time.members()[0];
         assert_eq!(member.site().get(), 0);
         assert_eq!(member.global().get(), 10);
-        assert_eq!(member.local().get(), 100);
-        // One heartbeat per 100 ms tick: the Start beacon for tick 0, then
-        // one at each edge through 2 s, none repeating a watermark.
-        let w: Vec<u64> = c.heartbeats.iter().map(|(_, w)| *w).collect();
-        assert_eq!(w, (0..=20).collect::<Vec<u64>>());
-        // Sequence numbers strictly increase across the shared stream.
-        let mut seqs: Vec<u64> = c
-            .events
-            .iter()
-            .map(|(s, _)| *s)
-            .chain(c.heartbeats.iter().map(|(s, _)| *s))
-            .collect();
-        seqs.sort_unstable();
-        for (i, s) in seqs.iter().enumerate() {
-            assert_eq!(*s, i as u64);
-        }
-    }
-
-    #[test]
-    fn batching_site_coalesces_events_and_suppresses_heartbeats() {
-        let coord = NodeIdx(1);
-        let nodes = vec![
-            (
-                Node::Site(SiteNode::new(coord).with_batching(Nanos::from_millis(100))),
-                source(0),
-            ),
-            (Node::Collector(Collector::default()), source(1)),
-        ];
-        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
-        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
-        // Two injections inside one 100 ms batch window.
-        for dt in [0u64, 20_000_000] {
-            sim.inject(
-                Nanos(1_010_000_000 + dt),
-                NodeIdx(0),
-                Msg::Inject {
-                    ty: EventId(7),
-                    values: vec![],
-                },
-            );
-        }
-        sim.run_until(Nanos::from_secs(2));
-        let Node::Collector(c) = sim.node(coord) else {
-            panic!("collector expected")
-        };
-        // Batching mode: no Event or Heartbeat traffic at all.
-        assert!(c.events.is_empty());
-        assert!(c.heartbeats.is_empty());
-        // ~20 batches over 2 s at 100 ms; both events ride one batch.
-        assert!(c.batches.len() >= 19, "{}", c.batches.len());
-        let sizes: Vec<usize> = c.batches.iter().map(|(_, _, e)| e.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 2);
-        assert!(sizes.contains(&2), "{sizes:?}");
-        // One seq per batch, strictly increasing; watermarks non-decreasing.
-        for (i, (seq, _, _)) in c.batches.iter().enumerate() {
-            assert_eq!(*seq, i as u64);
-        }
-        let w: Vec<u64> = c.batches.iter().map(|(_, w, _)| *w).collect();
-        assert!(w.windows(2).all(|p| p[0] <= p[1]));
+        assert_eq!(member.local().get(), 101);
     }
 
     fn inject_at(sim: &mut Simulation<Node>, ms: u64) {
@@ -1233,11 +1140,11 @@ mod tests {
     }
 
     #[test]
-    fn edge_heartbeats_follow_the_site_clock() {
+    fn edge_beacons_follow_the_site_clock() {
         // A clock 37 ms ahead and 1000 ppm fast enters each global tick
-        // well before true time does. Every heartbeat after the Start
-        // beacon goes out at the exact instant the clock enters its tick,
-        // one per tick, ahead of the tick's events.
+        // well before true time does. Every batch after the Start beacon
+        // goes out at the exact instant the clock enters its tick, one per
+        // tick, carrying the events of the tick it closes.
         let coord = NodeIdx(1);
         let base = GlobalTimeBase::new(
             Granularity::per_second(10).unwrap(),
@@ -1268,17 +1175,18 @@ mod tests {
         let Node::Collector(c) = sim.node(coord) else {
             panic!("collector expected")
         };
-        let marks: Vec<u64> = c.heartbeats.iter().map(|&(_, w)| w).collect();
         let last = ahead.stamp(Nanos::from_millis(2_500)).unwrap().global.get();
-        assert_eq!(marks, (0..=last).collect::<Vec<u64>>());
-        for (&t, &(_, w)) in c.heartbeat_times.iter().zip(&c.heartbeats).skip(1) {
+        let sizes = |w: u64| match w {
+            11 => 1,
+            13 => 2,
+            _ => 0,
+        };
+        let expect: Vec<(u64, usize)> = (0..=last).map(|w| (w, sizes(w))).collect();
+        assert_eq!(shape(c), expect);
+        for (&t, &(_, w, _)) in c.batch_times.iter().zip(&c.batches).skip(1) {
             let global = |t: u64| ahead.stamp(Nanos(t)).unwrap().global.get();
             assert_eq!((global(t.get() - 1), global(t.get())), (w - 1, w));
         }
-        // The tick-12 edge heartbeat precedes both tick-12 events.
-        let (beat, _) = c.heartbeats[12];
-        let seqs: Vec<u64> = c.events.iter().map(|&(seq, _)| seq).collect();
-        assert!(seqs[0] < beat && beat < seqs[1] && seqs[1] < seqs[2]);
     }
 
     #[test]
@@ -1316,8 +1224,8 @@ mod tests {
     #[test]
     fn restarted_site_beacons_from_its_next_tick_edge() {
         // The Hello announces tick 20 at 2.05 s; the new incarnation's
-        // first heartbeat is the 2.1 s edge, between its tick-20 and
-        // tick-21 injections. The dead incarnation's edge timers fire
+        // first batch is the 2.1 s edge, carrying its tick-20 injection
+        // but not the tick-21 one. The dead incarnation's edge timers fire
         // into the void.
         let coord = NodeIdx(1);
         let nodes = vec![
@@ -1338,11 +1246,10 @@ mod tests {
         assert_eq!(c.hellos.len(), 1);
         let (hello_seq, _, hello_wm) = c.hellos[0];
         assert_eq!(hello_wm, 20);
-        let seqs: Vec<u64> = c.events.iter().map(|&(s, _)| s).collect();
-        assert_eq!(seqs, vec![hello_seq + 1, hello_seq + 3]);
         // Eleven beats before the crash (0 ms to 1 s), then the edge beat.
-        assert_eq!(c.heartbeats.len(), 12, "{:?}", c.heartbeats);
-        assert_eq!(c.heartbeats[11], (hello_seq + 2, 21));
+        let expect: Vec<(u64, usize)> = (0..=10).map(|w| (w, 0)).chain([(21, 1)]).collect();
+        assert_eq!(shape(c), expect);
+        assert_eq!(c.batches[11].0, hello_seq + 1);
     }
 
     #[test]
@@ -1460,13 +1367,16 @@ mod tests {
             wm >= 20,
             "restart at 2.05 s should stamp global ≥ 20, got {wm}"
         );
-        // Both injections made it out (one per incarnation).
-        assert_eq!(c.events.len(), 2);
-        // Heartbeats resumed after the restart, and the old incarnation's
+        // Beacons resumed after the restart, and the old incarnation's
         // chain did not double the cadence: one per tick, 0 to 1 s before
-        // the crash and 2.1 s to 3 s after the restart.
-        let w: Vec<u64> = c.heartbeats.iter().map(|&(_, w)| w).collect();
-        assert_eq!(w, (0..=10).chain(21..=30).collect::<Vec<u64>>());
+        // the crash and 2.1 s to 3 s after the restart. Both injections
+        // made it out (one per incarnation); each landed on a tick edge,
+        // just ahead of that edge's flush, so it rides it.
+        let expect: Vec<(u64, usize)> = (0..=10)
+            .chain(21..=30)
+            .map(|w| (w, usize::from(w == 5 || w == 25)))
+            .collect();
+        assert_eq!(shape(c), expect);
     }
 
     #[test]
@@ -1498,14 +1408,15 @@ mod tests {
         }
         sim.inject(Nanos(1_050_000_000), NodeIdx(0), Msg::Crash);
         sim.inject(Nanos(2_050_000_000), NodeIdx(0), Msg::Restart);
-        sim.run_until(Nanos(2_100_000_000));
+        // Stop before the new incarnation's first retransmission round.
+        sim.run_until(Nanos(2_090_000_000));
         let Node::Site(s) = sim.node(NodeIdx(0)) else {
             panic!()
         };
         assert_eq!(s.wal_errors, 0, "{:?}", s.wal_failed());
         assert_eq!(s.epoch(), 1);
-        // The crashed incarnation's unacked window (events + heartbeats,
-        // nothing was ever acked) survived, plus the new Hello.
+        // The crashed incarnation's unacked window (every batch, nothing
+        // was ever acked) survived, plus the new Hello.
         assert!(s.unacked() > 2, "recovered {} unacked", s.unacked());
         let Node::Collector(c) = sim.node(coord) else {
             panic!()
@@ -1518,28 +1429,28 @@ mod tests {
         assert!(c.hellos.iter().all(|h| *h == c.hellos[0]), "{:?}", c.hellos);
         assert!(c.hellos[0].0 > 0, "durable Hello got seq 0");
         assert_eq!(c.hellos[0].1, 1);
-        // The recovered backlog was resent behind the Hello, retagged to
-        // the new epoch: both old events arrive again.
-        let replayed: Vec<u64> = c.events.iter().map(|(s, _)| *s).collect();
-        let dups = replayed
+        // The recovered backlog was resent behind the Hello: both batches
+        // carrying the old events arrive again after the restart.
+        let resent = c
+            .batches
             .iter()
-            .filter(|s| replayed.iter().filter(|t| t == s).count() > 1)
+            .zip(&c.batch_times)
+            .filter(|((_, _, e), &t)| !e.is_empty() && t >= Nanos(2_050_000_000))
             .count();
-        assert!(dups >= 2, "backlog not resent: {replayed:?}");
+        assert_eq!(resent, 2, "backlog not resent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn durable_batching_site_syncs_only_occurrence_frames() {
+    fn durable_site_syncs_only_occurrence_frames() {
         let dir = std::env::temp_dir().join(format!(
             "decs-site-wal-test-{}-sync-count",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let coord = NodeIdx(1);
-        let mut site = SiteNode::new(coord)
-            .with_batching(Nanos::from_millis(100))
-            .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
+        let mut site =
+            SiteNode::new(coord).with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
         site.set_durability(&dir).unwrap();
         let nodes = vec![
             (Node::Site(site), source(0)),
@@ -1547,7 +1458,7 @@ mod tests {
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
-        // Three injections: two share one batch window, one has its own.
+        // Three injections: two share one tick, one has its own.
         let injects = [1_010_000_000u64, 1_030_000_000, 1_350_000_000];
         for at in injects {
             sim.inject(

@@ -80,10 +80,11 @@ mod tests {
     use decs_simnet::SplitMix64;
 
     fn hb(seq: u64, epoch: u64) -> Msg {
-        Msg::Heartbeat {
+        Msg::Batch {
             seq,
             epoch,
             watermark: seq * 3,
+            events: std::sync::Arc::new(vec![]),
         }
     }
 

@@ -55,18 +55,18 @@ fn eviction_restores_progress() {
 }
 
 #[test]
-fn crash_after_sending_preserves_its_events() {
+fn crash_after_an_edge_flush_preserves_the_flushed_tick() {
     let mut e = seq_engine(2);
-    // Site 1 sends B mid-tick 20 then dies before its next tick edge;
-    // site 0 stays alive.
+    // Site 1 stamps B in tick 20, ships it in its 2.1 s edge batch, then
+    // dies; site 0 stays alive.
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_millis(2_050), 1, "B", vec![]).unwrap();
-    e.crash_site(Nanos::from_millis(2_080), 1);
-    // Stuck: site 1's watermark froze at B's tick, so B never releases.
-    assert!(e.run_for(Nanos::from_secs(5)).is_empty());
-    e.evict_site(Nanos::from_secs(5), 1);
-    let det = e.run_for(Nanos::from_secs(6));
-    assert_eq!(det.len(), 1, "the pre-crash event must still detect");
+    e.crash_site(Nanos::from_millis(2_150), 1);
+    // The batch's watermark (21) already passed B's tick, so B releases
+    // without an eviction; only later ticks wait on the dead site.
+    let det = e.run_for(Nanos::from_secs(5));
+    assert_eq!(det.len(), 1, "the flushed tick must detect");
+    assert_eq!(e.buffered(), 0);
 }
 
 fn batched_seq_engine(sites: u32, batch_ms: u64) -> Engine {
@@ -83,13 +83,14 @@ fn batched_seq_engine(sites: u32, batch_ms: u64) -> Engine {
 }
 
 #[test]
-fn crash_mid_batch_loses_pending_events_without_wedging() {
-    // 100 ms batch interval: flushes land at 0.0, 0.1, 0.2 … s. Site 1's B
-    // is injected at 2.055 s (buffered for the 2.1 s flush) and the site
+fn crash_before_the_edge_flush_loses_the_unflushed_tick_without_wedging() {
+    // Sites flush at their tick edges: 0.0, 0.1, 0.2 … s. Site 1's B is
+    // injected at 2.055 s (staged for the 2.1 s flush) and the site
     // crashes at 2.07 s — before that flush — so B dies in the site's
-    // pending buffer and never reaches the coordinator. Had it been
-    // flushed, A (g=10) → B (g=20) would have detected X.
-    let mut e = batched_seq_engine(2, 100);
+    // pending batch and never reaches the coordinator: a non-durable
+    // site loses its unflushed tick. Had it been flushed, A (g=10) → B
+    // (g=20) would have detected X.
+    let mut e = seq_engine(2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_millis(2_055), 1, "B", vec![]).unwrap();
     e.crash_site(Nanos::from_millis(2_070), 1);
@@ -136,13 +137,14 @@ fn evict_with_flushed_batches_buffered_preserves_them() {
 
 #[test]
 fn durable_restart_backlog_at_the_release_boundary_is_accepted() {
-    // Site 1 announces tick 20 with A at 2.02 s, then loses its link from
-    // 2.05 to 2.9 s: B (2.06 s, tick 20) and C (2.13 s, tick 21) are
-    // logged but never delivered. It crashes at 2.3 s and restarts at
-    // 3.0 s, resending that backlog behind its Hello. Meanwhile the
+    // Site 1 announces tick 20 at 2.0 s, then loses its link from 2.05 to
+    // 2.9 s: its 2.1 s edge batch carrying A (2.02 s) and B (2.06 s), both
+    // tick 20, and its 2.2 s one carrying C (2.13 s, tick 21) are logged
+    // but never delivered. It crashes at 2.3 s and restarts at 3.0 s,
+    // resending that backlog behind its Hello. Meanwhile the
     // coordinator's minimum watermark is site 1's frozen 20, so it
     // releases every tick ≤ 19 and its stale horizon reaches 20: the
-    // backlog's B sits exactly on it and must still be accepted.
+    // backlog's A and B sit exactly on it and must still be accepted.
     let dir = std::env::temp_dir().join(format!("decs-failures-boundary-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let events: [(u64, u32, &str); 8] = [
@@ -181,10 +183,9 @@ fn durable_restart_backlog_at_the_release_boundary_is_accepted() {
             e.restart_site(Nanos::from_secs(3), 1);
             det = e.run_until(Nanos::from_millis(2_900));
             // Released through tick 19 (the As at 10 and 19); held from
-            // tick 20 on are site 1's A and site 2's C (20) and site 0's
-            // B (25).
+            // tick 20 on are site 2's C (20) and site 0's B (25).
             assert_eq!(e.metrics().events_released, 2);
-            assert_eq!(e.buffered(), 3);
+            assert_eq!(e.buffered(), 2);
         }
         det.extend(e.run_until(Nanos::from_secs(6)));
         let m = e.metrics();
@@ -338,10 +339,10 @@ fn inject_bursts(e: &mut Engine, w: &[(u64, u32)]) {
 
 #[test]
 fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
-    // Default non-batching config on a lossless LAN: events are acked by
-    // the next tick-edge heartbeat or ack round (100 ms), well inside the
-    // retransmission timeout, so
-    // no copy is ever resent and no duplicate reaches the coordinator.
+    // Default config on a lossless LAN: each site's edge batch carries its
+    // burst and is acked one round trip later, well inside the
+    // retransmission timeout, so no copy is ever resent and no duplicate
+    // reaches the coordinator.
     let mut e = seq_engine(4);
     let w = bursts(4, 60, 45);
     inject_bursts(&mut e, &w);
@@ -350,94 +351,40 @@ fn bursty_events_on_a_healthy_link_are_acked_without_copies() {
     assert_eq!(m.events_received, w.len() as u64);
     assert_eq!(m.retransmits, 0, "healthy link resent");
     assert_eq!(m.duplicates_dropped, 0);
-    // Occurrence-only events are not acked one by one: every ack answers
-    // a heartbeat or belongs to the periodic round (4 sites × 41 rounds
-    // of 100 ms).
-    assert!(
-        m.acks_sent <= m.heartbeats_received + 4 * 41,
-        "{} acks for {} heartbeats and {} events",
-        m.acks_sent,
-        m.heartbeats_received,
-        w.len()
-    );
+    // Events are not acked one by one: one ack answers each site's batch
+    // per tick (the Start beacon and 39 edges), and the periodic round
+    // acks each site once per 100 ms.
+    assert_eq!(m.messages_processed, 4 * 40);
+    assert_eq!(m.acks_sent, m.messages_processed + 4 * 40);
     for site in 0..4 {
-        // At most the latest heartbeat, still in flight.
+        // At most the latest batch, still in flight.
         assert!(e.unacked(site) <= 1, "site {site}: {}", e.unacked(site));
     }
 }
 
 #[test]
-fn unacked_window_is_bounded_by_one_heartbeat_plus_a_round_trip() {
-    // Site 0 on the LAN, site 1 on a WAN link (40 ± 10 ms each way). A
-    // site heartbeats at every tick edge, `g_g` apart, and the coordinator
-    // runs an ack round every `ack_interval`. A message that reaches the
-    // coordinator by `h` is acked by the first heartbeat or round after
-    // it, and that ack is back by `h + rtt`; each cumulative ack covers
-    // everything sent before. So at any instant `t` a site holds unacked
-    // only what it sent in `(t - min(g_g, ack_interval) - rtt, t]`: the
-    // events it stamped then, plus the heartbeats in that window.
-    let mut e = seq_engine(2);
-    let wan = LinkConfig::wan();
-    e.set_link_pair(1, wan);
-    let heartbeat = scenario(2).base.gg().nanos_per_tick();
-    let cadence = heartbeat.min(EngineConfig::default().ack_interval.get());
-    let lan = LinkConfig::lan();
-    let rtt = [
-        2 * (lan.base_latency_ns + lan.jitter_ns),
-        2 * (wan.base_latency_ns + wan.jitter_ns),
-    ];
-    let w = bursts(2, 40, 30);
-    inject_bursts(&mut e, &w);
-    let mut peak = [0usize; 2];
-    for ms in 1..=3_000u64 {
-        let t = ms * 1_000_000;
-        e.run_until(Nanos(t));
-        for site in 0..2u32 {
-            let window = cadence + rtt[site as usize];
-            let from = t.saturating_sub(window);
-            let stamped = w
-                .iter()
-                .filter(|&&(ns, s)| s == site && ns >= from && ns <= t)
-                .count();
-            let heartbeats = (window / heartbeat + 1) as usize;
-            let unacked = e.unacked(site);
-            assert!(
-                unacked <= stamped + heartbeats,
-                "site {site} at {ms} ms: {unacked} unacked, bound {stamped} + {heartbeats}"
-            );
-            peak[site as usize] = peak[site as usize].max(unacked);
-        }
-    }
-    // The bound is exercised, not vacuous: bursts do sit unacked.
-    assert!(peak[0] > 5 && peak[1] > 20, "peak unacked {peak:?}");
-    assert_eq!(e.metrics().retransmits, 0);
-}
-
-#[test]
-fn partitioned_uplink_windows_are_bounded_by_one_beacon_plus_a_round_trip() {
-    // The same bound per replica uplink. A per-event uplink's `Routed`
-    // carrying an event is acked only when its watermark raises the
-    // site's mark at the replica, but every tick-edge beacon and every
-    // ack round is acked; a batching uplink sends only flushes, each
-    // acked, at most a batch interval apart. So at any instant `t` a
-    // site's fullest uplink holds unacked only what it sent in
-    // `(t - interval - rtt, t]`, the interval being `min(g_g,
-    // ack_interval)` per event or the batch interval.
+fn unacked_windows_are_bounded_by_one_flush_plus_a_round_trip() {
+    // Site 0 on the LAN, site 1 on a WAN link (40 ± 10 ms each way), on
+    // the single coordinator's stream and on per-replica uplinks. A site
+    // flushes at every tick edge, `g_g` apart, or with a batch interval
+    // about that often, and the coordinator acks every in-order delivery.
+    // So at any instant `t` a site's fullest stream holds unacked only the
+    // flushes it sent in `(t - interval - rtt, t]`.
     let wan = LinkConfig::wan();
     let lan = LinkConfig::lan();
     let rtt = [
         2 * (lan.base_latency_ns + lan.jitter_ns),
         2 * (wan.base_latency_ns + wan.jitter_ns),
     ];
-    for batch_ms in [0u64, 20] {
+    let mut peaks = Vec::new();
+    for (replicas, batch_ms) in [(1, 0u64), (2, 0), (1, 20), (2, 20)] {
         let config = EngineConfig {
-            coordinator_replicas: 2,
+            coordinator_replicas: replicas,
             batch_interval: Nanos::from_millis(batch_ms),
             ..EngineConfig::default()
         };
         let interval = if batch_ms == 0 {
-            let gg = scenario(2).base.gg().nanos_per_tick();
-            gg.min(config.ack_interval.get())
+            scenario(2).base.gg().nanos_per_tick()
         } else {
             config.batch_interval.get()
         };
@@ -456,32 +403,23 @@ fn partitioned_uplink_windows_are_bounded_by_one_beacon_plus_a_round_trip() {
         inject_bursts(&mut e, &w);
         let mut peak = [0usize; 2];
         for ms in 1..=3_000u64 {
-            let t = ms * 1_000_000;
-            e.run_until(Nanos(t));
+            e.run_until(Nanos::from_millis(ms));
             for site in 0..2u32 {
                 let window = interval + rtt[site as usize];
-                let from = t.saturating_sub(window);
-                let stamped = w
-                    .iter()
-                    .filter(|&&(ns, s)| s == site && ns >= from && ns <= t)
-                    .count();
-                let beacons = (window / interval + 1) as usize;
+                let flushes = (window / interval + 1) as usize;
                 let unacked = e.unacked(site);
                 assert!(
-                    unacked <= stamped + beacons,
-                    "batch {batch_ms} ms, site {site} at {ms} ms: \
-                     {unacked} unacked, bound {stamped} + {beacons}"
+                    unacked <= flushes,
+                    "{replicas} replicas, batch {batch_ms} ms, site {site} at {ms} ms: \
+                     {unacked} unacked, bound {flushes}"
                 );
                 peak[site as usize] = peak[site as usize].max(unacked);
             }
         }
-        // The bound is exercised: per-event bursts sit unacked until a
-        // beacon, and the WAN uplink keeps several flushes in flight.
-        let busy = if batch_ms == 0 { [5, 20] } else { [0, 2] };
-        assert!(
-            peak[0] > busy[0] && peak[1] > busy[1],
-            "batch {batch_ms} ms: peak unacked {peak:?}"
-        );
+        peaks.push(peak);
         assert_eq!(e.metrics().retransmits, 0, "batch {batch_ms} ms");
     }
+    // With edge flushes at most one batch is ever unacked, even over the
+    // WAN (bound 3); 20 ms flushes keep five in flight there (bound 7).
+    assert_eq!(peaks, vec![[1, 1], [1, 1], [1, 5], [1, 5]]);
 }

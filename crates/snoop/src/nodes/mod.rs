@@ -23,6 +23,7 @@ use crate::error::Result;
 use crate::event::{EventId, Occurrence};
 use crate::state::{shape_err, NodeState};
 use crate::time::EventTime;
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 /// A compiled operator instance inside the detection graph.
@@ -262,8 +263,10 @@ struct BandEntry<T: EventTime> {
 /// band. `tests/prop_fastpath.rs` pins this against the linear-scan oracle.
 #[derive(Debug)]
 pub(crate) struct BandedBuffer<T: EventTime> {
-    /// Sorted by `(band, seq)`; `seq` values are unique.
-    entries: Vec<BandEntry<T>>,
+    /// Sorted by `(band, seq)`; `seq` values are unique. A deque, so
+    /// Chronicle's usual match, the oldest entry at the front, is taken
+    /// without shifting the rest.
+    entries: VecDeque<BandEntry<T>>,
     next_seq: u64,
     /// Reusable index staging for [`BandedBuffer::terminate_before`]: the
     /// matched entry positions of one termination, re-sorted into arrival
@@ -275,7 +278,7 @@ pub(crate) struct BandedBuffer<T: EventTime> {
 impl<T: EventTime> Default for BandedBuffer<T> {
     fn default() -> Self {
         BandedBuffer {
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             next_seq: 0,
             scratch: Vec::new(),
         }
@@ -295,7 +298,7 @@ impl<T: EventTime> BandedBuffer<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if ctx == Context::Recent {
-            if let Some(existing) = self.entries.first() {
+            if let Some(existing) = self.entries.front() {
                 if occ.time.before(&existing.occ.time) {
                     return; // older than the buffered one: ignore
                 }
@@ -372,7 +375,7 @@ impl<T: EventTime> BandedBuffer<T> {
             }
             Context::Recent => {
                 // Buffer holds at most one occurrence.
-                if let Some(e) = self.entries.first() {
+                if let Some(e) = self.entries.front() {
                     if prefix > 0 || in_band(e) {
                         sink.emit_pair(&e.occ, term);
                     }
@@ -389,8 +392,7 @@ impl<T: EventTime> BandedBuffer<T> {
                         oldest = Some(i);
                     }
                 }
-                if let Some(i) = oldest {
-                    let e = self.entries.remove(i);
+                if let Some(e) = oldest.and_then(|i| self.entries.remove(i)) {
                     sink.emit_pair(&e.occ, term);
                 }
             }

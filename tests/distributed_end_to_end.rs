@@ -222,8 +222,17 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
             retransmit_jitter_seed: jitter,
             ..EngineConfig::default()
         };
+        // Identical, perfect clocks: every site flushes at the same tick
+        // edges, so their first sends into the outage arm their
+        // retransmission timers at the same instant — maximal lockstep.
+        let lockstep_clocks = ScenarioBuilder::new(3, 99)
+            .global_granularity(Granularity::per_second(10).unwrap())
+            .max_offset_ns(0)
+            .max_drift_ppb(0)
+            .build()
+            .unwrap();
         let mut e = Engine::new(
-            &scenario(3, 99),
+            &lockstep_clocks,
             config,
             &["A", "B"],
             &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
@@ -234,7 +243,7 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
         }
         for site in 0..3 {
             // The same injection instant everywhere: identical unacked
-            // windows, identical timer arm times — maximal lockstep.
+            // windows.
             e.inject(Nanos::from_millis(400), site, "A", vec![])
                 .unwrap();
         }
@@ -254,9 +263,9 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
                 }
             }
         }
-        // Filter the heartbeats out: a tick-edge heartbeat is a lone
-        // send, while a retry round resends the whole unacked window at
-        // one instant, the event and the heartbeats queued behind it.
+        // Filter the tick-edge batches out: an edge flush is a lone send,
+        // while a retry round resends the whole unacked window at one
+        // instant.
         let times = drops
             .into_iter()
             .map(|d| {

@@ -101,16 +101,17 @@ proptest! {
 
     /// Detection is independent of the network: any two link models —
     /// arbitrary latency, jitter, even non-FIFO reordering — yield the
-    /// same detections with the same composite timestamps, in per-event
-    /// mode and in batched mode alike. (Promoted from a two-point unit
-    /// test in `decs-distrib` to a property over randomized links.)
+    /// same detections with the same composite timestamps, with
+    /// edge-only flushes and with mid-tick ones alike. (Promoted from a
+    /// two-point unit test in `decs-distrib` to a property over
+    /// randomized links.)
     #[test]
     fn detection_is_independent_of_link_jitter(
         trace in workload(3),
         seed in 0u64..200,
         link_a in link(),
         link_b in link(),
-        batch_ms in 0u64..40, // 0 = per-event transport
+        batch_ms in 0u64..40, // 0 = tick-edge flushes only
     ) {
         let names = ["A", "B"];
         let run = |l: LinkConfig| {

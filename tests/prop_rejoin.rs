@@ -18,7 +18,11 @@
 //!
 //! A directed case pins the epoch filter itself: the victim's old
 //! incarnation still has traffic in flight when its Hello lands, and that
-//! traffic must be filtered, not consumed.
+//! traffic must be filtered, not consumed. Its non-durable leg restarts
+//! the victim's sequence numbers at 0, so only the epoch drop keeps the
+//! stragglers out; there the oracle also drops what a non-durable crash
+//! loses by contract: the victim's unflushed tick and every flush still
+//! on the link when the Hello lands.
 //!
 //! Two directed properties cover the eviction interaction:
 //! * an auto-evicted site that later rejoins un-pins its watermark, clears
@@ -28,7 +32,7 @@
 //!   that backlog refused as stale — counted, not double-released.
 
 use decs::distrib::{Detection, Engine, EngineConfig};
-use decs::simnet::{LinkConfig, ScenarioBuilder, SplitMix64};
+use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E};
 use decs_chronos::{Granularity, Nanos};
 
@@ -42,19 +46,22 @@ const HORIZON_SECS: u64 = 20;
 /// equality must hold under.
 const CONFIGS: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
 
+fn scenario(seed: u64) -> Scenario {
+    ScenarioBuilder::new(SITES, seed)
+        .global_granularity(Granularity::per_second(10).unwrap())
+        .max_offset_ns(1_000_000)
+        .build()
+        .unwrap()
+}
+
 fn engine(
     seed: u64,
     (gc, sharing): (bool, bool),
     auto_evict: bool,
     wal_dir: Option<&std::path::Path>,
 ) -> Engine {
-    let scenario = ScenarioBuilder::new(SITES, seed)
-        .global_granularity(Granularity::per_second(10).unwrap())
-        .max_offset_ns(1_000_000)
-        .build()
-        .unwrap();
     Engine::new(
-        &scenario,
+        &scenario(seed),
         EngineConfig {
             buffer_gc: gc,
             plan_sharing: sharing,
@@ -226,11 +233,11 @@ fn overlapping_crashes_of_two_sites_match_filtered_fault_free() {
 #[test]
 fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
     // The victim's link is slow (800 ms each way) until it crashes, so the
-    // heartbeats, events and retransmissions its dead incarnation sent in
-    // its last 800 ms are still in flight when it restarts 100 ms later.
-    // From the crash on the link is instant and FIFO: the Hello lands
-    // before any new-incarnation message, so everything the coordinator
-    // filters arrives from the older epoch, after the Hello.
+    // batches and retransmissions its dead incarnation sent in its last
+    // 800 ms are still in flight when it restarts 100 ms later. From the
+    // crash on the link is instant and FIFO: the Hello lands before any
+    // new-incarnation message, so everything the coordinator filters
+    // arrives from the older epoch, after the Hello.
     let victim = 1u32;
     let slow = LinkConfig {
         base_latency_ns: 800_000_000,
@@ -241,45 +248,59 @@ fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
     };
     let crash = Nanos(2_000_500_000);
     let restart = Nanos(2_100_500_000);
-    for cfg in CONFIGS {
-        for seed in 0..2u64 {
-            let mut rng = SplitMix64::new(seed ^ 0x5_1077);
-            let w = workload(&mut rng);
-            let clean_w: Vec<(u64, u32, &'static str)> = w
-                .iter()
-                .copied()
-                .filter(|&(ms, site, _)| {
-                    let at = Nanos::from_millis(ms);
-                    !(site == victim && at >= crash && at < restart)
-                })
-                .collect();
-            let mut clean = engine(seed, cfg, false, None);
-            inject_all(&mut clean, &clean_w);
-            let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
+    for durable in [true, false] {
+        for cfg in CONFIGS {
+            for seed in 0..2u64 {
+                let mut rng = SplitMix64::new(seed ^ 0x5_1077);
+                let w = workload(&mut rng);
+                let clock = scenario(seed).time_source(victim);
+                // The flush carrying an injection is the victim's next
+                // tick edge; a non-durable victim loses it unless it
+                // reached the coordinator before the Hello.
+                let lost_flush = |at: Nanos| {
+                    clock.next_tick_edge(at).is_none_or(|edge| {
+                        edge >= crash || edge.get() + slow.base_latency_ns > restart.get()
+                    })
+                };
+                let clean_w: Vec<(u64, u32, &'static str)> = w
+                    .iter()
+                    .copied()
+                    .filter(|&(ms, site, _)| {
+                        let at = Nanos::from_millis(ms);
+                        let down = at >= crash && at < restart;
+                        let unflushed = !durable && at < crash && lost_flush(at);
+                        !(site == victim && (down || unflushed))
+                    })
+                    .collect();
+                let mut clean = engine(seed, cfg, false, None);
+                inject_all(&mut clean, &clean_w);
+                let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
-            let dir = wal_dir(&format!("in-flight-{seed}-{}{}", cfg.0 as u8, cfg.1 as u8));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut faulty = engine(seed, cfg, false, Some(&dir));
-            faulty.set_link_pair(victim, slow);
-            faulty.crash_site(crash, victim);
-            faulty.restart_site(restart, victim);
-            inject_all(&mut faulty, &w);
-            let mut faulty_det = keys(faulty.run_until(crash));
-            faulty.set_link_pair(victim, LinkConfig::instant());
-            faulty_det.extend(keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS))));
+                let dir = wal_dir(&format!("in-flight-{seed}-{}{}", cfg.0 as u8, cfg.1 as u8));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut faulty = engine(seed, cfg, false, durable.then_some(dir.as_path()));
+                faulty.set_link_pair(victim, slow);
+                faulty.crash_site(crash, victim);
+                faulty.restart_site(restart, victim);
+                inject_all(&mut faulty, &w);
+                let mut faulty_det = keys(faulty.run_until(crash));
+                faulty.set_link_pair(victim, LinkConfig::instant());
+                faulty_det.extend(keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS))));
 
-            assert_eq!(
-                clean_det, faulty_det,
-                "seed {seed} cfg {cfg:?}: the rejoin must be invisible to detection"
-            );
-            let m = faulty.metrics();
-            assert!(m.rejoins >= 1, "seed {seed}: the Hello never landed: {m:?}");
-            assert!(
-                m.epoch_filtered >= 1,
-                "seed {seed} cfg {cfg:?}: no old-epoch straggler was filtered: {m:?}"
-            );
-            assert_eq!(faulty.buffered(), 0);
-            let _ = std::fs::remove_dir_all(&dir);
+                let case = format!("durable {durable} seed {seed} cfg {cfg:?}");
+                assert_eq!(
+                    clean_det, faulty_det,
+                    "{case}: the rejoin must lose only the documented window"
+                );
+                let m = faulty.metrics();
+                assert!(m.rejoins >= 1, "{case}: the Hello never landed: {m:?}");
+                assert!(
+                    m.epoch_filtered >= 1,
+                    "{case}: no old-epoch straggler was filtered: {m:?}"
+                );
+                assert_eq!(faulty.buffered(), 0);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! (`SiteWalRecord::must_sync`). This suite drives the real `WalWriter`
 //! through `SiteWalRecord::log_to`, exactly as a site does, into a sink
 //! that remembers how many bytes the last sync made durable. A random run
-//! of stage / flush / event / heartbeat / ack steps is cut at a random
+//! of stage / flush / ack steps is cut at a random
 //! point, and the log is recovered from what a power loss could leave:
 //! the synced prefix, or any longer prefix of the written bytes. Each
 //! recovery must satisfy the release rule's needs:
@@ -63,22 +63,17 @@ impl WalSink for RecordingSink {
 enum Step {
     /// An occurrence is staged for the next batch.
     Stage,
-    /// The pending batch is flushed (empty or not).
+    /// The pending batch is flushed (empty or not: an empty batch is the
+    /// site's heartbeat).
     Flush,
-    /// An occurrence is sent on its own (per-event transport).
-    Event,
-    /// A heartbeat is sent.
-    Heartbeat,
     /// A cumulative ack arrives; the value picks how far it reaches.
     Ack(u64),
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..5, 0u64..1_000).prop_map(|(kind, n)| match kind {
+    (0u8..3, 0u64..1_000).prop_map(|(kind, n)| match kind {
         0 => Step::Stage,
         1 => Step::Flush,
-        2 => Step::Event,
-        3 => Step::Heartbeat,
         _ => Step::Ack(n),
     })
 }
@@ -149,18 +144,6 @@ impl Site {
                 };
                 self.send(msg, carries);
             }
-            Step::Event => {
-                let occ = self.occurrence();
-                self.send(Msg::Event { seq, epoch: 0, occ }, true);
-            }
-            Step::Heartbeat => {
-                let msg = Msg::Heartbeat {
-                    seq,
-                    epoch: 0,
-                    watermark: self.tick,
-                };
-                self.send(msg, false);
-            }
             Step::Ack(n) => {
                 // The coordinator acks only what it received, and a site
                 // logs only an ack that trims its window.
@@ -179,7 +162,7 @@ impl Site {
 
 fn seq_of(msg: &Msg) -> u64 {
     match msg {
-        Msg::Event { seq, .. } | Msg::Batch { seq, .. } | Msg::Heartbeat { seq, .. } => *seq,
+        Msg::Batch { seq, .. } => *seq,
         other => unreachable!("not logged by this model: {other:?}"),
     }
 }

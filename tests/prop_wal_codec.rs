@@ -65,16 +65,6 @@ fn wide_occurrence() -> impl Strategy<Value = Occurrence<decs::core::CompositeTi
 
 fn msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
-        (0u64..1000, 0u64..4, occurrence()).prop_map(|(seq, epoch, occ)| Msg::Event {
-            seq,
-            epoch,
-            occ
-        }),
-        (0u64..1000, 0u64..4, 0u64..100).prop_map(|(seq, epoch, watermark)| Msg::Heartbeat {
-            seq,
-            epoch,
-            watermark
-        }),
         (
             0u64..1000,
             0u64..4,
@@ -214,7 +204,12 @@ proptest! {
             .map(|(i, occ)| WalRecord::Delivered {
                 site: i as u32,
                 at: i as u64,
-                msg: Msg::Event { seq: i as u64, epoch: 0, occ: occ.clone() },
+                msg: Msg::Batch {
+                    seq: i as u64,
+                    epoch: 0,
+                    watermark: 0,
+                    events: std::sync::Arc::new(vec![occ.clone()]),
+                },
             })
             .collect();
         let (bytes, _) = image(&records);
@@ -223,8 +218,8 @@ proptest! {
         prop_assert_eq!(&scan.records[..], &records[..]);
         let mut back = Vec::new();
         for r in &scan.records {
-            if let WalRecord::Delivered { msg: Msg::Event { occ, .. }, .. } = r {
-                back.push(occ.time.clone());
+            if let WalRecord::Delivered { msg: Msg::Batch { events, .. }, .. } = r {
+                back.extend(events.iter().map(|occ| occ.time.clone()));
             }
         }
         prop_assert_eq!(back.len(), occs.len());
