@@ -27,8 +27,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 # E9 that every sequence detects in every cell, idle latency is within
 # one LAN link latency (0.5 ms) of busy latency and busy latency stays
 # below g_g, E10 that edge-only sites send exactly one message per site
-# per tick edge plus a Start beacon and that every batch interval detects
-# the same.
+# per tick edge plus a Start beacon, that the coordinator sends exactly
+# one ack per message (acks_sent == messages_processed), and that every
+# batch interval detects the same.
 for bin in fig1_intervals fig2_regions ex_orderings ex_clocks ordering_validity \
     restrictiveness detection_latency scalability context_matrix; do
     cargo run --release --offline --quiet -p decs-bench --bin "$bin"

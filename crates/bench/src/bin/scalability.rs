@@ -72,10 +72,14 @@ fn run(sites: u32, batch_ms: u64) -> RunOutcome {
         let flushes: u64 = (0..sites)
             .map(|i| edge_flushes(&scenario.time_source(i), horizon))
             .sum();
+        let m = engine.metrics();
         assert_eq!(
-            engine.metrics().messages_processed,
-            flushes,
+            m.messages_processed, flushes,
             "{sites} sites: one message per site per tick edge, plus its Start beacon"
+        );
+        assert_eq!(
+            m.acks_sent, m.messages_processed,
+            "{sites} sites: one ack per delivered message, and no other"
         );
     }
     RunOutcome {

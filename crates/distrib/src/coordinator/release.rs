@@ -2,7 +2,7 @@
 //! the watermark rule, draining the stable prefix in canonical order,
 //! operator-buffer GC, and servicing detector timer fires.
 
-use super::{CoordCtx, CoordinatorNode, RawDetection, ReleaseKey, ACK_TIMER_TAG, RELAY_RETX_TAG};
+use super::{CoordCtx, CoordinatorNode, RawDetection, ReleaseKey, RELAY_RETX_TAG};
 use crate::durability::WalRecord;
 use crate::protocol::Msg;
 use decs_chronos::Nanos;
@@ -294,17 +294,13 @@ impl CoordinatorNode {
         self.metrics.max_buffered = self.metrics.max_buffered.max(self.buffer.len());
     }
 
-    /// The body of [`decs_simnet::Actor::on_timer`]: the periodic
-    /// ack/stall round, or a detector timer fire stamped with the
+    /// The body of [`decs_simnet::Actor::on_timer`]: a replica's relay
+    /// retransmission round, or a detector timer fire stamped with the
     /// coordinator's own clock.
     pub(super) fn timer_fire(&mut self, tag: u64, ctx: &mut Ctx<'_, Msg>) {
         if self.wal_failed.is_some() {
             // Fail-stop: a timer fire is a consumed input too, and it can
             // no longer be logged.
-            return;
-        }
-        if tag == ACK_TIMER_TAG {
-            self.ack_round(ctx);
             return;
         }
         if tag == RELAY_RETX_TAG {

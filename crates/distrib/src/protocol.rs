@@ -120,7 +120,9 @@ pub struct RelayedEvent {
 /// corrupting reassembly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Engine control: start heartbeating (delivered at simulation start).
+    /// Engine control, delivered at simulation start: a site starts
+    /// heartbeating, a coordinator replica arms its relay retransmission
+    /// round.
     Start,
     /// External workload: a primitive event of type `ty` happened *here*,
     /// with these parameters. The receiving site stamps it with its clock.
@@ -153,10 +155,11 @@ pub enum Msg {
     /// Cumulative acknowledgement, coordinator → site: every message with
     /// sequence number `< cum_seq` has been delivered (in order). The site
     /// trims its retransmit buffer on receipt. Sent once per in-order
-    /// delivery (a drain of parked successors included), on every
-    /// duplicate (so a lost ack is repaired by the retransmission it
-    /// failed to suppress), and periodically. Every sequenced message
-    /// carries a watermark or promise, so each one is worth an ack.
+    /// delivery (a drain of parked successors included) and on every
+    /// duplicate, never periodically: a lost ack is covered by the next
+    /// one or by the re-ack of the retransmission it failed to suppress.
+    /// Every sequenced message carries a watermark or promise, so each
+    /// one is worth an ack.
     Ack {
         /// The next sequence number the coordinator expects.
         cum_seq: u64,

@@ -33,9 +33,14 @@ impl WatermarkTracker {
     }
 
     /// Update a site's watermark (monotonic; regressions are ignored).
-    pub fn update(&mut self, site: usize, watermark: u64) {
-        if let Some(m) = self.marks.get_mut(site) {
-            *m = (*m).max(watermark);
+    /// Returns whether the site's watermark rose.
+    pub fn update(&mut self, site: usize, watermark: u64) -> bool {
+        match self.marks.get_mut(site) {
+            Some(m) if watermark > *m => {
+                *m = watermark;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -95,8 +100,9 @@ mod tests {
     #[test]
     fn monotonic_updates() {
         let mut w = WatermarkTracker::new(1);
-        w.update(0, 10);
-        w.update(0, 5); // regression ignored
+        assert!(w.update(0, 10));
+        assert!(!w.update(0, 5)); // regression ignored
+        assert!(!w.update(0, 10)); // a repeat is no rise
         assert_eq!(w.min_watermark(), 10);
     }
 
@@ -139,7 +145,7 @@ mod tests {
     #[test]
     fn out_of_range_site_is_ignored() {
         let mut w = WatermarkTracker::new(1);
-        w.update(5, 100);
+        assert!(!w.update(5, 100));
         assert_eq!(w.min_watermark(), 0);
     }
 

@@ -1,11 +1,12 @@
 //! A site ships each tick's occurrences in one batch at the instant its
 //! clock enters the next tick, and the coordinator acks every in-order
-//! delivery, so a site's window holds only its latest flush for a round
-//! trip. Ack timing never decides what is detected. Even with a `g_g`
-//! coarser than the retransmission timeout, so flushes come slower than
-//! it, over lossy links and with or without the periodic ack round, an
-//! engine detects exactly what a fault-free engine detects: lost acks may
-//! cost resent copies, never a lost or duplicated detection.
+//! delivery and re-acks every duplicate — it runs no periodic ack round —
+//! so a site's window holds only its latest flush for a round trip. Ack
+//! timing never decides what is detected. Even with a `g_g` coarser than
+//! the retransmission timeout, so flushes come slower than it, over lossy
+//! links an engine detects exactly what a fault-free engine detects: a
+//! lost ack is covered by the next one or by the re-ack of a resent copy,
+//! and may cost resent copies, never a lost or duplicated detection.
 
 use decs::core::CompositeTimestamp;
 use decs::distrib::{Engine, EngineConfig, Metrics};
@@ -83,15 +84,6 @@ fn run(
     (det, e.metrics(), e.buffered())
 }
 
-/// The default configuration without the periodic ack round: a batch is
-/// acked only when it is delivered.
-fn no_ack_round() -> EngineConfig {
-    EngineConfig {
-        ack_interval: Nanos::ZERO,
-        ..EngineConfig::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -107,17 +99,15 @@ proptest! {
             .collect();
         let (clean, m0, _) = run(sites, seed, EngineConfig::default(), 0, &trace);
         prop_assert_eq!(m0.events_received, trace.len() as u64);
-        for config in [EngineConfig::default(), no_ack_round()] {
-            let (lossy, m1, buffered) = run(sites, seed, config, 50_000, &trace);
-            prop_assert_eq!(&clean, &lossy);
-            prop_assert_eq!(m1.events_received, trace.len() as u64);
-            prop_assert_eq!(buffered, 0);
-        }
+        let (lossy, m1, buffered) = run(sites, seed, EngineConfig::default(), 50_000, &trace);
+        prop_assert_eq!(&clean, &lossy);
+        prop_assert_eq!(m1.events_received, trace.len() as u64);
+        prop_assert_eq!(buffered, 0);
     }
 }
 
 #[test]
-fn slow_heartbeats_on_a_lossless_link_lean_on_the_ack_round() {
+fn slow_heartbeats_on_a_lossless_link_empty_every_window_after_each_edge() {
     // One event every 70 ms, round-robin over three sites: a site's
     // events are 210 ms apart, on 300 ms ticks. Without loss every flush
     // is acked a round trip after it was sent, long before the 200 ms
@@ -127,10 +117,11 @@ fn slow_heartbeats_on_a_lossless_link_lean_on_the_ack_round() {
         .collect();
     let (clean, m, _) = run(3, 7, EngineConfig::default(), 0, &trace);
     assert_eq!((m.retransmits, m.duplicates_dropped), (0, 0));
-    // With the round off, a few milliseconds after every tick edge
-    // (clocks within 1 ms of true time, LAN round trips) each site's
-    // window is empty: nothing is sent between edges.
-    let mut e = engine(3, 7, no_ack_round(), 0, &trace);
+    assert_eq!(m.acks_sent, m.messages_processed, "one ack per delivery");
+    // A few milliseconds after every tick edge (clocks within 1 ms of
+    // true time, LAN round trips) each site's window is empty: nothing is
+    // sent between edges.
+    let mut e = engine(3, 7, EngineConfig::default(), 0, &trace);
     let mut det = Vec::new();
     for edge in (GG_MS..=3_300).step_by(GG_MS as usize) {
         det.extend(e.run_until(Nanos::from_millis(edge + 3)));
@@ -148,21 +139,21 @@ fn slow_heartbeats_on_a_lossless_link_lean_on_the_ack_round() {
 }
 
 #[test]
-fn slow_heartbeats_without_the_ack_round_resend_nothing() {
+fn slow_heartbeats_with_followers_resend_nothing() {
     // The same trace plus a follower 5 ms behind each event, on the same
     // site and tick. Both ride their site's next edge batch, which is
-    // acked on delivery, so even with the round off and flushes 300 ms
-    // apart no site resends a copy.
+    // acked on delivery, so with flushes 300 ms apart no site resends a
+    // copy and every ack answers exactly one delivery.
     let trace: Vec<(u64, u32, usize)> = (0..40u64)
         .flat_map(|i| {
             let (ms, site, ev) = (50 + i * 70, (i % 3) as u32, (i % 3) as usize);
             [(ms, site, ev), (ms + 5, site, (ev + 1) % 3)]
         })
         .collect();
-    let (clean, m, _) = run(3, 7, EngineConfig::default(), 0, &trace);
-    assert_eq!((m.retransmits, m.duplicates_dropped), (0, 0));
-    let (lean, m, buffered) = run(3, 7, no_ack_round(), 0, &trace);
-    assert_eq!(clean, lean);
+    let (det, m, buffered) = run(3, 7, EngineConfig::default(), 0, &trace);
+    assert_eq!(m.events_received, trace.len() as u64);
+    assert!(!det.is_empty(), "the trace must detect something");
     assert_eq!(buffered, 0);
     assert_eq!((m.retransmits, m.duplicates_dropped), (0, 0));
+    assert_eq!(m.acks_sent, m.messages_processed, "one ack per delivery");
 }

@@ -38,9 +38,9 @@ fn engine(seed: u64, auto_evict: bool) -> Engine {
         &scenario,
         EngineConfig {
             auto_evict,
-            // Suspect after 1 s of one-sided silence (10 × 100 ms) so the
-            // auto-evict property converges well inside the horizon.
-            stall_intervals: if auto_evict { 10 } else { 50 },
+            // Suspect after 1 s of one-sided silence so the auto-evict
+            // property converges well inside the horizon.
+            stall_timeout: Nanos::from_secs(if auto_evict { 1 } else { 5 }),
             ..EngineConfig::default()
         },
         &["A", "B"],

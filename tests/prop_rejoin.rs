@@ -66,7 +66,7 @@ fn engine(
             buffer_gc: gc,
             plan_sharing: sharing,
             auto_evict,
-            stall_intervals: if auto_evict { 10 } else { 50 },
+            stall_timeout: Nanos::from_secs(if auto_evict { 1 } else { 5 }),
             site_durability: wal_dir.is_some(),
             wal_dir: wal_dir.map(|d| d.to_string_lossy().into_owned()),
             retransmit_jitter_seed: Some(seed),

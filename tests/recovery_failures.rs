@@ -154,6 +154,71 @@ fn snapshots_shorten_replay_at_the_same_kill_point() {
     );
 }
 
+/// The stall detector runs at watermark rises, which the WAL logs with
+/// their true times, so replay re-derives every suspicion and
+/// auto-eviction. Site 2 dies at 50 ms and, 1 s of silence later, is
+/// suspected (and, with `auto_evict`, evicted); the coordinator crashes
+/// after that with no snapshot taken since genesis, so all of its stall
+/// state comes from replay. Both legs must end exactly where the
+/// uninterrupted run does.
+#[test]
+fn recovered_stall_state_matches_uninterrupted() {
+    let stall_engine = |auto_evict: bool, wal_dir: Option<&Path>| {
+        let config = EngineConfig {
+            auto_evict,
+            stall_timeout: Nanos::from_secs(1),
+            durability: wal_dir.is_some(),
+            // Larger than the run's whole watermark advance: no snapshot.
+            snapshot_interval: 1_000,
+            wal_dir: wal_dir.map(|p| p.to_string_lossy().into_owned()),
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(&scenario(11), config, &["A", "B", "C"], &defs()).unwrap();
+        e.crash_site(Nanos::from_millis(50), 2);
+        // The workload on the surviving sites only.
+        let w: Vec<_> = workload().into_iter().filter(|&(_, s, _)| s != 2).collect();
+        inject_all(&mut e, &w);
+        e
+    };
+    let horizon = Nanos::from_secs(6);
+    for auto_evict in [true, false] {
+        let mut clean = stall_engine(auto_evict, None);
+        let expect = keys(clean.run_until(horizon));
+        let want = clean.metrics();
+        assert_eq!(want.suspect_sites, 1, "auto_evict {auto_evict}");
+        assert_eq!(want.auto_evictions, u64::from(auto_evict));
+
+        let dir = tmp_dir(&format!("stall-{auto_evict}"));
+        let mut e = stall_engine(auto_evict, Some(&dir));
+        let mut det = keys(e.run_until(Nanos::from_millis(2_500)));
+        let before = e.metrics();
+        assert_eq!(
+            (before.suspect_sites, before.auto_evictions),
+            (1, u64::from(auto_evict)),
+            "auto_evict {auto_evict}: site 2 is suspect before the crash"
+        );
+        e.crash_and_recover_coordinator().unwrap();
+        det.extend(keys(e.run_until(horizon)));
+        let got = e.metrics();
+        assert_eq!(
+            got.snapshots_taken, 0,
+            "replay must rebuild the stall state"
+        );
+        assert_eq!(det, expect, "auto_evict {auto_evict}: detections");
+        assert_eq!(
+            (got.suspect_sites, got.auto_evictions, got.stall_ns),
+            (want.suspect_sites, want.auto_evictions, want.stall_ns),
+            "auto_evict {auto_evict}: (suspect_sites, auto_evictions, stall_ns)"
+        );
+        if auto_evict {
+            assert!(!expect.is_empty(), "eviction must unwedge detection");
+        } else {
+            assert!(want.stall_ns > 0, "suspect time must accumulate");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
     let expect = uninterrupted();
