@@ -88,28 +88,56 @@ impl std::fmt::Debug for LocalDetection {
 /// FIFO order exactly like the classic single-coordinator stream.
 #[derive(Debug)]
 struct Uplink {
-    /// The replica this uplink streams to.
-    node: NodeIdx,
-    /// Next sequence number on this stream.
-    seq: u64,
+    /// The stream to the replica.
+    link: Link,
     /// Subscribed occurrences staged since the last flush, in site
     /// stamping order.
     staged: Vec<RoutedEvent>,
+}
+
+/// One sequence-numbered send stream — the site's stream to the
+/// coordinator, or an uplink's to its replica — and its retransmission
+/// state.
+#[derive(Debug)]
+struct Link {
+    /// The node this stream goes to.
+    node: NodeIdx,
+    /// Next sequence number on this stream.
+    seq: u64,
     /// Sent-but-unacked messages, oldest first.
-    retx: SendWindow,
-    /// Current retransmission backoff for this stream.
+    window: SendWindow,
+    /// Current backoff (reset to the base timeout whenever an ack makes
+    /// progress).
     backoff: Nanos,
     /// Whether this stream's retransmission timer is outstanding.
     armed: bool,
-    /// Earliest true time this stream's next round may resend (see
-    /// [`SiteNode::retx_deadline`]).
+    /// Earliest true time the next retransmission round may resend. Set
+    /// `backoff` ahead when the window goes from empty to non-empty, and
+    /// restarted the base timeout ahead by every ack that trims it, so
+    /// messages whose acks are still in flight are not resent. A timer
+    /// that fires before it re-arms for the remainder instead.
     deadline: Nanos,
+}
+
+impl Link {
+    /// A fresh stream to `node` at sequence 0, backing off from `base`.
+    fn new(node: NodeIdx, base: Nanos) -> Self {
+        Link {
+            node,
+            seq: 0,
+            window: SendWindow::default(),
+            backoff: base,
+            armed: false,
+            deadline: Nanos::ZERO,
+        }
+    }
 }
 
 /// A site: event source + optional local detector + tick-edge beacon.
 #[derive(Debug)]
 pub struct SiteNode {
-    coordinator: NodeIdx,
+    /// The stream to the coordinator (unused on the partitioned plane).
+    link: Link,
     /// Period of the mid-tick flushes between tick edges; `Nanos::ZERO`
     /// flushes at tick edges only.
     batch_interval: Nanos,
@@ -124,7 +152,6 @@ pub struct SiteNode {
     /// The true instant the armed edge timer is due: when the site clock
     /// enters its next global tick (`u64::MAX` ns if it never does).
     next_edge: Nanos,
-    seq: u64,
     /// Events dropped because the site clock had not started yet.
     pub dropped_pre_epoch: u64,
     /// Whether the site has crashed (failure injection).
@@ -140,19 +167,6 @@ pub struct SiteNode {
     /// up to this bound, then stays there — retries never stop, so any
     /// partition that eventually heals is eventually crossed.
     retx_cap: Nanos,
-    /// Current backoff (reset to `retx_base` whenever an ack makes
-    /// progress).
-    retx_backoff: Nanos,
-    /// Whether a retransmission timer is outstanding.
-    retx_armed: bool,
-    /// Earliest true time the next retransmission round may resend. Set
-    /// `backoff` ahead when the buffer goes from empty to non-empty, and
-    /// restarted `retx_base` ahead by every ack that trims the buffer, so
-    /// messages whose acks are still in flight are not resent. A timer
-    /// that fires before it re-arms for the remainder instead.
-    retx_deadline: Nanos,
-    /// Sent-but-unacked messages, oldest first.
-    retx: SendWindow,
     /// Messages resent by the retransmission timer.
     pub retransmits: u64,
     /// Incarnation epoch: 0 for the first incarnation, bumped on every
@@ -206,22 +220,17 @@ impl SiteNode {
     /// A site that reports to `coordinator`.
     pub fn new(coordinator: NodeIdx) -> Self {
         SiteNode {
-            coordinator,
+            link: Link::new(coordinator, Nanos::ZERO),
             batch_interval: Nanos::ZERO,
             pending: Vec::new(),
             next_flush: Nanos::ZERO,
             next_edge: Nanos::ZERO,
-            seq: 0,
             dropped_pre_epoch: 0,
             crashed: false,
             local: None,
             local_detections: 0,
             retx_base: Nanos::ZERO,
             retx_cap: Nanos::ZERO,
-            retx_backoff: Nanos::ZERO,
-            retx_armed: false,
-            retx_deadline: Nanos::ZERO,
-            retx: SendWindow::default(),
             retransmits: 0,
             epoch: 0,
             gen: 0,
@@ -256,13 +265,8 @@ impl SiteNode {
         self.uplinks = replicas
             .into_iter()
             .map(|node| Uplink {
-                node,
-                seq: 0,
+                link: Link::new(node, self.retx_base),
                 staged: Vec::new(),
-                retx: SendWindow::default(),
-                backoff: self.retx_base,
-                armed: false,
-                deadline: Nanos::ZERO,
             })
             .collect();
         let types = routes.keys().max().map_or(0, |&t| t as usize + 1);
@@ -356,9 +360,9 @@ impl SiteNode {
     pub fn with_reliability(mut self, base: Nanos, cap: Nanos) -> Self {
         self.retx_base = base;
         self.retx_cap = Nanos(cap.get().max(base.get()));
-        self.retx_backoff = base;
+        self.link.backoff = base;
         for up in &mut self.uplinks {
-            up.backoff = base;
+            up.link.backoff = base;
         }
         self
     }
@@ -369,8 +373,8 @@ impl SiteNode {
     pub fn unacked(&self) -> usize {
         self.uplinks
             .iter()
-            .map(|up| up.retx.len())
-            .fold(self.retx.len(), usize::max)
+            .map(|up| up.link.window.len())
+            .fold(self.link.window.len(), usize::max)
     }
 
     /// Add a periodic flush every `interval` between tick edges
@@ -425,38 +429,16 @@ impl SiteNode {
         }
     }
 
-    /// Send a sequence-numbered message on uplink `u`, retaining it for
-    /// retransmission until cumulatively acked (when reliability is on).
-    fn send_uplink(&mut self, u: usize, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let retx_on = self.retx_base.get() > 0;
-        let tag = self.gen_tag(PART_RETX_BASE + u as u64);
-        let up = &mut self.uplinks[u];
-        let seq = up.seq;
-        up.seq += 1;
-        if retx_on {
-            if up.retx.is_empty() {
-                up.deadline = ctx.true_now().saturating_add(up.backoff.get());
-            }
-            up.retx.push(seq, msg.clone());
-            if !up.armed {
-                up.armed = true;
-                let delay = up.backoff;
-                ctx.set_timer(delay, tag);
-            }
-        }
-        ctx.send(up.node, msg);
-    }
-
     /// Flush uplink `u`: one `Msg::Routed` carrying everything staged for
     /// it since the last flush plus the watermark (an empty flush is
     /// exactly a heartbeat).
     fn flush_uplink(&mut self, u: usize, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
         let epoch = self.epoch;
         let up = &mut self.uplinks[u];
-        let seq = up.seq;
+        let seq = up.link.seq;
         let events = std::sync::Arc::new(std::mem::take(&mut up.staged));
-        self.send_uplink(
-            u,
+        self.send_seq(
+            Some(u),
             Msg::Routed {
                 seq,
                 epoch,
@@ -467,139 +449,111 @@ impl SiteNode {
         );
     }
 
-    /// Cumulative ack from replica `from` at true time `now`: trim that
-    /// uplink's window.
-    fn on_ack_uplink(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64, now: Nanos) {
-        if epoch != self.epoch || self.retx_base.get() == 0 {
-            return;
-        }
-        let Some(u) = self.uplinks.iter().position(|up| up.node == from) else {
-            return;
-        };
-        let base = self.retx_base;
-        let up = &mut self.uplinks[u];
-        if up.retx.ack(cum_seq) > 0 {
-            up.backoff = base;
-            up.deadline = now.saturating_add(base.get());
-        }
+    /// Link `u`'s retransmission timer tag: uplink `u`, or the stream to
+    /// the coordinator for `None`.
+    fn retx_tag(&self, u: Option<usize>) -> u64 {
+        self.gen_tag(u.map_or(RETX_TAG, |u| PART_RETX_BASE + u as u64))
     }
 
-    /// Retransmission round for uplink `u` (see
-    /// [`Self::retransmit_round`] — same burst/backoff discipline, scoped
-    /// to one replica stream).
-    fn retransmit_uplink(&mut self, u: usize, ctx: &mut Ctx<'_, Msg>) {
-        let base = self.retx_base;
-        let cap = self.retx_cap;
-        let tag = self.gen_tag(PART_RETX_BASE + u as u64);
-        let crashed = self.crashed;
-        let up = &mut self.uplinks[u];
-        up.armed = false;
-        if crashed {
-            return;
+    /// Send `msg`, which carries the next sequence number of link `u`
+    /// (see [`Self::retx_tag`]), retaining a copy for retransmission until
+    /// it is cumulatively acked (when reliability is enabled).
+    fn send_seq(&mut self, u: Option<usize>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        if u.is_none() {
+            // Log-before-send: the allocation is durable before the
+            // message is observable, so recovery's retransmit buffer is a
+            // superset of anything the coordinator could have received.
+            self.wal_log(|| SiteWalRecord::Sent { msg: msg.clone() });
         }
-        if up.retx.is_empty() {
-            up.backoff = base;
-            return;
-        }
-        let now = ctx.true_now();
-        if now < up.deadline {
-            up.armed = true;
-            ctx.set_timer(Nanos(up.deadline.get() - now.get()), tag);
-            return;
-        }
-        let mut resent = 0u64;
-        let node = up.node;
-        let burst: Vec<Msg> = up.retx.messages().take(RETX_BURST).cloned().collect();
-        for msg in burst {
-            resent += 1;
-            ctx.send(node, msg);
-        }
-        self.retransmits += resent;
-        let up = &mut self.uplinks[u];
-        up.backoff = Nanos((2 * up.backoff.get()).min(cap.get()));
-        up.armed = true;
-        let delay = match self.jitter_rng.as_mut() {
-            Some(rng) => Nanos(rng.jitter(
-                self.uplinks[u].backoff.get(),
-                self.uplinks[u].backoff.get() / 4,
-            )),
-            None => self.uplinks[u].backoff,
+        let retx_on = self.retx_base.get() > 0;
+        let tag = self.retx_tag(u);
+        let link = match u {
+            Some(u) => &mut self.uplinks[u].link,
+            None => &mut self.link,
         };
-        self.uplinks[u].deadline = now.saturating_add(delay.get());
-        ctx.set_timer(delay, tag);
-    }
-
-    /// Send a sequence-numbered message, retaining a copy for
-    /// retransmission until it is cumulatively acked (when reliability is
-    /// enabled).
-    fn send_seq(&mut self, seq: u64, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        // Log-before-send: the allocation is durable before the message
-        // is observable, so recovery's retransmit buffer is a superset of
-        // anything the coordinator could have received.
-        self.wal_log(|| SiteWalRecord::Sent { msg: msg.clone() });
-        if self.retx_base.get() > 0 {
-            if self.retx.is_empty() {
-                self.retx_deadline = ctx.true_now().saturating_add(self.retx_backoff.get());
+        let seq = link.seq;
+        link.seq += 1;
+        if retx_on {
+            if link.window.is_empty() {
+                link.deadline = ctx.true_now().saturating_add(link.backoff.get());
             }
-            self.retx.push(seq, msg.clone());
-            if !self.retx_armed {
-                self.retx_armed = true;
-                ctx.set_timer(self.retx_backoff, self.gen_tag(RETX_TAG));
+            link.window.push(seq, msg.clone());
+            if !link.armed {
+                link.armed = true;
+                ctx.set_timer(link.backoff, tag);
             }
         }
-        ctx.send(self.coordinator, msg);
+        ctx.send(link.node, msg);
     }
 
-    /// Trim the retransmit buffer on a cumulative ack at true time `now`;
-    /// progress resets the backoff to its base and restarts the
+    /// Trim the window of the stream `from` acks (a replica's uplink, or
+    /// the stream to the coordinator) on a cumulative ack at true time
+    /// `now`; progress resets its backoff to the base and restarts its
     /// retransmission deadline. Acks stamped by a previous incarnation's
     /// traffic are ignored — after a non-durable restart the sequence
     /// space restarted from 0, and an old ack would wrongly release new
     /// allocations that happen to share numbers.
-    fn on_ack(&mut self, cum_seq: u64, epoch: u64, now: Nanos) {
+    fn on_ack(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64, now: Nanos) {
         if epoch != self.epoch || self.retx_base.get() == 0 {
             return;
         }
-        if self.retx.ack(cum_seq) > 0 {
-            self.retx_backoff = self.retx_base;
-            self.retx_deadline = now.saturating_add(self.retx_base.get());
-            self.wal_log(|| SiteWalRecord::Acked { cum_seq });
+        let u = self.uplinks.iter().position(|up| up.link.node == from);
+        if self.partitioned() && u.is_none() {
+            return;
+        }
+        let base = self.retx_base;
+        let link = match u {
+            Some(u) => &mut self.uplinks[u].link,
+            None => &mut self.link,
+        };
+        if link.window.ack(cum_seq) > 0 {
+            link.backoff = base;
+            link.deadline = now.saturating_add(base.get());
+            if u.is_none() {
+                self.wal_log(|| SiteWalRecord::Acked { cum_seq });
+            }
         }
     }
 
-    /// Retransmission round: resend the oldest unacked messages and back
-    /// off exponentially (capped — retries continue forever, so healing
-    /// partitions are always eventually crossed). A round that fires
-    /// before [`Self::retx_deadline`] only re-arms for the remainder.
-    fn retransmit_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.retx_armed = false;
+    /// Retransmission round on link `u` (see [`Self::retx_tag`]): resend
+    /// the oldest unacked messages and back off exponentially (capped —
+    /// retries continue forever, so healing partitions are always
+    /// eventually crossed). A round that fires before the link's deadline
+    /// only re-arms for the remainder.
+    fn retransmit_round(&mut self, u: Option<usize>, ctx: &mut Ctx<'_, Msg>) {
+        let (base, cap) = (self.retx_base, self.retx_cap);
+        let tag = self.retx_tag(u);
+        let link = match u {
+            Some(u) => &mut self.uplinks[u].link,
+            None => &mut self.link,
+        };
+        link.armed = false;
         if self.crashed {
             return; // the site is dead: nothing is ever resent.
         }
-        if self.retx.is_empty() {
-            self.retx_backoff = self.retx_base;
+        if link.window.is_empty() {
+            link.backoff = base;
             return; // fully acked: the timer dies until the next send.
         }
-        self.retx_armed = true;
+        link.armed = true;
         let now = ctx.true_now();
-        if now < self.retx_deadline {
-            let rest = Nanos(self.retx_deadline.get() - now.get());
-            ctx.set_timer(rest, self.gen_tag(RETX_TAG));
+        if now < link.deadline {
+            ctx.set_timer(Nanos(link.deadline.get() - now.get()), tag);
             return;
         }
-        for msg in self.retx.messages().take(RETX_BURST) {
+        for msg in link.window.messages().take(RETX_BURST) {
             self.retransmits += 1;
-            ctx.send(self.coordinator, msg.clone());
+            ctx.send(link.node, msg.clone());
         }
-        self.retx_backoff = Nanos((2 * self.retx_backoff.get()).min(self.retx_cap.get()));
+        link.backoff = Nanos((2 * link.backoff.get()).min(cap.get()));
         // Jitter the next round (±backoff/8) so sites that lost the same
         // link don't hammer the coordinator in lockstep when it heals.
         let delay = match self.jitter_rng.as_mut() {
-            Some(rng) => Nanos(rng.jitter(self.retx_backoff.get(), self.retx_backoff.get() / 4)),
-            None => self.retx_backoff,
+            Some(rng) => Nanos(rng.jitter(link.backoff.get(), link.backoff.get() / 4)),
+            None => link.backoff,
         };
-        self.retx_deadline = now.saturating_add(delay.get());
-        ctx.set_timer(delay, self.gen_tag(RETX_TAG));
+        link.deadline = now.saturating_add(delay.get());
+        ctx.set_timer(delay, tag);
     }
 
     /// Absorb a local feed result: count + forward detections, schedule
@@ -621,12 +575,6 @@ impl SiteNode {
             self.local_detections += 1;
             self.forward(occ);
         }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     /// Announce `watermark` with everything staged: a flush of the
@@ -716,13 +664,13 @@ impl SiteNode {
     /// staged since the previous flush plus `watermark`. An empty batch
     /// is still sent — it is the site's heartbeat.
     fn send_batch(&mut self, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
-        let seq = self.next_seq();
+        let seq = self.link.seq;
         let epoch = self.epoch;
         // One Arc wrap at flush: retransmit retention (and any WAL copy at
         // the coordinator) shares this allocation.
         let events = std::sync::Arc::new(std::mem::take(&mut self.pending));
         self.send_seq(
-            seq,
+            None,
             Msg::Batch {
                 seq,
                 epoch,
@@ -753,11 +701,7 @@ impl SiteNode {
         self.gen += 1;
         self.restarts += 1;
         self.pending.clear();
-        self.retx.clear();
-        self.retx_armed = false;
-        self.retx_deadline = Nanos::ZERO;
-        self.retx_backoff = self.retx_base;
-        self.seq = 0;
+        self.link = Link::new(self.link.node, self.retx_base);
         let pristine = self.local_pristine.clone();
         if let Some(local) = &mut self.local {
             local.timer_map.clear();
@@ -778,8 +722,8 @@ impl SiteNode {
             match recover_site_state(&dir) {
                 Ok((st, _scan)) => {
                     prior_epoch = prior_epoch.max(st.epoch);
-                    self.seq = st.next_seq;
-                    self.retx = st.retx.into();
+                    self.link.seq = st.next_seq;
+                    self.link.window = st.retx.into();
                     self.pending = st.staged;
                 }
                 Err(e) => self.wal_io_error(e),
@@ -791,7 +735,7 @@ impl SiteNode {
         // restart must not announce this epoch a second time — it degrades
         // to an empty batch in the same sequence slot, which keeps the
         // slot filled and still carries its watermark promise.
-        for m in self.retx.messages_mut() {
+        for m in self.link.window.messages_mut() {
             match m {
                 Msg::Batch { epoch, .. } => *epoch = self.epoch,
                 Msg::Hello { seq, watermark, .. } => {
@@ -808,8 +752,8 @@ impl SiteNode {
         if let Some(dir) = self.wal_dir.clone() {
             let img = SiteWalState {
                 epoch: self.epoch,
-                next_seq: self.seq,
-                retx: self.retx.to_map(),
+                next_seq: self.link.seq,
+                retx: self.link.window.to_map(),
                 staged: self.pending.clone(),
             };
             // Compact the log to the recovered image. The replacement is
@@ -827,17 +771,14 @@ impl SiteNode {
             // like the epoch, so new root keys sort after the dead
             // incarnation's.
             for up in &mut self.uplinks {
-                up.seq = 0;
+                up.link = Link::new(up.link.node, self.retx_base);
                 up.staged.clear();
-                up.retx.clear();
-                up.armed = false;
-                up.backoff = self.retx_base;
             }
             let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
             let epoch = self.epoch;
             for u in 0..self.uplinks.len() {
-                self.send_uplink(
-                    u,
+                self.send_seq(
+                    Some(u),
                     Msg::Hello {
                         seq: 0,
                         epoch,
@@ -856,16 +797,22 @@ impl SiteNode {
         // Hello. The backlog burst is snapshotted first so it excludes
         // the Hello itself, but sent after it: on in-order links the
         // epoch transition precedes every retagged message.
-        let burst: Vec<Msg> = self.retx.messages().take(RETX_BURST).cloned().collect();
+        let burst: Vec<Msg> = self
+            .link
+            .window
+            .messages()
+            .take(RETX_BURST)
+            .cloned()
+            .collect();
         let watermark = self
             .pending
             .iter()
             .map(|occ| occ.time.max_global())
             .fold(ctx.stamp().map(|p| p.global.get()).unwrap_or(0), u64::min);
-        let seq = self.next_seq();
+        let seq = self.link.seq;
         let epoch = self.epoch;
         self.send_seq(
-            seq,
+            None,
             Msg::Hello {
                 seq,
                 epoch,
@@ -875,7 +822,7 @@ impl SiteNode {
         );
         for m in burst {
             self.retransmits += 1;
-            ctx.send(self.coordinator, m);
+            ctx.send(self.link.node, m);
         }
         // Restart the beacons in the new timer generation. No immediate
         // beacon: the Hello already carried the watermark.
@@ -930,13 +877,7 @@ impl Actor for SiteNode {
                     Err(_) => self.dropped_pre_epoch += 1,
                 }
             }
-            Msg::Ack { cum_seq, epoch } => {
-                if self.partitioned() {
-                    self.on_ack_uplink(from, cum_seq, epoch, ctx.true_now());
-                } else {
-                    self.on_ack(cum_seq, epoch, ctx.true_now());
-                }
-            }
+            Msg::Ack { cum_seq, epoch } => self.on_ack(from, cum_seq, epoch, ctx.true_now()),
             // Sites do not receive protocol traffic in the star topology.
             Msg::Batch { .. }
             | Msg::Hello { .. }
@@ -965,13 +906,13 @@ impl Actor for SiteNode {
             return;
         }
         if tag == RETX_TAG {
-            self.retransmit_round(ctx);
+            self.retransmit_round(None, ctx);
             return;
         }
         if (PART_RETX_BASE..LOCAL_TIMER_BASE).contains(&tag) {
             let u = (tag - PART_RETX_BASE) as usize;
             if u < self.uplinks.len() {
-                self.retransmit_uplink(u, ctx);
+                self.retransmit_round(Some(u), ctx);
             }
             return;
         }

@@ -45,11 +45,6 @@ impl SendWindow {
         self.0.is_empty()
     }
 
-    /// Forget every message (the stream restarts).
-    pub(crate) fn clear(&mut self) {
-        self.0.clear();
-    }
-
     /// The unacked messages, oldest first.
     pub(crate) fn messages(&self) -> impl Iterator<Item = &Msg> {
         self.0.iter().map(|(_, m)| m)
@@ -135,7 +130,7 @@ mod tests {
                     13 => {
                         // Non-durable restart: the sequence space restarts.
                         epoch += 1;
-                        w.clear();
+                        w = SendWindow::default();
                         oracle.clear();
                         next = 0;
                         last_ack = 0;

@@ -313,3 +313,60 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
     assert_eq!(det_plain, det_jitter);
     assert!(!det_plain.is_empty());
 }
+
+/// A partition of every site from the coordinator stops all watermark
+/// progress, so the stall detector must not count it as any one site's
+/// silence: when the outage outlasts `stall_timeout`, the first rise after
+/// the heal still suspects nobody, and with `auto_evict` every site stays
+/// in. Detections equal a fault-free run's, with or without retransmit
+/// jitter spreading the sites' first post-heal deliveries.
+#[test]
+fn a_global_outage_longer_than_the_stall_timeout_evicts_nobody() {
+    fn run(outage: bool, jitter: Option<u64>) -> (Vec<(String, u64)>, decs::distrib::Metrics) {
+        let config = EngineConfig {
+            auto_evict: true,
+            retransmit_jitter_seed: jitter,
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(
+            &scenario(3, 99),
+            config,
+            &["A", "B"],
+            &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
+        )
+        .unwrap();
+        if outage {
+            assert!(Nanos::from_millis(9_650) > EngineConfig::default().stall_timeout);
+            for site in 0..3 {
+                e.partition_site(site, Nanos::from_millis(350), Nanos::from_secs(10));
+            }
+        }
+        for site in 0..3 {
+            e.inject(Nanos::from_millis(400), site, "A", vec![])
+                .unwrap();
+        }
+        // Composites that need sites 1 and 2 after the heal: an eviction
+        // of either would refuse their notifications.
+        e.inject(Nanos::from_secs(11), 1, "A", vec![]).unwrap();
+        e.inject(Nanos::from_secs(12), 2, "B", vec![]).unwrap();
+        e.inject(Nanos::from_millis(12_500), 1, "B", vec![])
+            .unwrap();
+        let det = e
+            .run_until(Nanos::from_secs(20))
+            .into_iter()
+            .map(|d| (d.name.to_string(), d.occ.time.max_global()))
+            .collect();
+        (det, e.metrics())
+    }
+    let (expect, _) = run(false, None);
+    assert!(!expect.is_empty());
+    for jitter in [None, Some(0xD1CE)] {
+        let (det, m) = run(true, jitter);
+        assert_eq!(
+            (m.auto_evictions, m.suspect_sites),
+            (0, 0),
+            "jitter {jitter:?}: a global outage is nobody's stall"
+        );
+        assert_eq!(det, expect, "jitter {jitter:?}: detections");
+    }
+}
