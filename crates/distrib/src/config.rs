@@ -58,19 +58,20 @@ pub struct EngineConfig {
     /// reference runs and the equivalence suites compare against.
     /// Detections are bit-for-bit identical either way.
     pub plan_sharing: bool,
-    /// Persist a write-ahead log of delivered notifications plus periodic
-    /// operator-state snapshots, so a crashed coordinator can be rebuilt
-    /// and resumed (`Engine::crash_and_recover_coordinator`). Requires
+    /// Persist a write-ahead log of delivered notifications, periodically
+    /// compacted to an operator-state snapshot, so a crashed coordinator
+    /// can be rebuilt and resumed
+    /// (`Engine::crash_and_recover_coordinator`). Requires
     /// [`EngineConfig::wal_dir`]. Off by default — durability costs a
     /// serialization + fsync-batched write per in-order message.
     pub durability: bool,
-    /// Take an operator-state snapshot whenever the minimum watermark has
-    /// advanced by at least this many global ticks since the last snapshot.
-    /// `0` means snapshot at every watermark advance; recovery still works
-    /// with any interval (larger intervals just replay a longer WAL
-    /// suffix).
+    /// Compact the coordinator's log to an operator-state snapshot
+    /// whenever the minimum watermark has advanced by at least this many
+    /// global ticks since the last snapshot. `0` means snapshot at every
+    /// watermark advance and `u64::MAX` never; recovery works with any
+    /// interval (larger intervals just replay, and keep, a longer log).
     pub snapshot_interval: u64,
-    /// Directory for the WAL and snapshot files. `None` (the default)
+    /// Directory for the write-ahead logs. `None` (the default)
     /// disables durability even if [`EngineConfig::durability`] is set.
     pub wal_dir: Option<String>,
     /// Persist each site's outbound state (unacked send window, sequence

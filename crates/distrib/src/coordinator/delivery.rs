@@ -13,25 +13,19 @@ impl CoordinatorNode {
     /// log it to the WAL first (recovery replays exactly this stream),
     /// then apply it.
     pub(super) fn handle_in_order(&mut self, site: usize, msg: Msg, ctx: &mut impl CoordCtx) {
-        if self.wal_failed.is_some() {
-            // Fail-stopped: `wal == None` no longer means durability-off.
-            return;
-        }
         // Log before applying: recovery replays exactly the in-order
         // consumption stream. Parked messages are logged here — when they
         // are consumed — not on arrival; until then the ack protocol keeps
-        // them the sender's responsibility.
-        if self.wal.is_some() && !self.replaying {
-            self.wal_append(WalRecord::Delivered {
-                site: site as u32,
-                at: ctx.true_now().get(),
-                msg: msg.clone(),
-            });
-            if self.wal_failed.is_some() {
-                // The message could not be logged: fail-stop *before*
-                // applying it, so disk state still matches applied state.
-                return;
-            }
+        // them the sender's responsibility. A message that cannot be
+        // logged fail-stops the node *before* it applies, so disk state
+        // still matches applied state.
+        let at = ctx.true_now().get();
+        if !self.log(|| WalRecord::Delivered {
+            site: site as u32,
+            at,
+            msg: msg.clone(),
+        }) {
+            return;
         }
         self.metrics.messages_processed += 1;
         // Evicted sites: stream bookkeeping continues (their retransmits
@@ -162,20 +156,15 @@ impl CoordinatorNode {
         watermark: u64,
         ctx: &mut impl CoordCtx,
     ) {
-        if self.wal_failed.is_some() {
+        let at = ctx.true_now().get();
+        if !self.log(|| WalRecord::HelloSeen {
+            site: site as u32,
+            at,
+            epoch,
+            base_seq,
+            watermark,
+        }) {
             return;
-        }
-        if self.wal.is_some() && !self.replaying {
-            self.wal_append(WalRecord::HelloSeen {
-                site: site as u32,
-                at: ctx.true_now().get(),
-                epoch,
-                base_seq,
-                watermark,
-            });
-            if self.wal_failed.is_some() {
-                return;
-            }
         }
         let restart = self.progress_at(ctx.true_now().get());
         let stream = &mut self.streams[site];
@@ -197,17 +186,15 @@ impl CoordinatorNode {
     /// Stop waiting for `site`: its watermark promise becomes +∞ and its
     /// future notifications are refused (buffered ones still release).
     pub(super) fn evict(&mut self, site: usize, ctx: &mut impl CoordCtx) {
-        if site >= self.streams.len() || self.streams[site].evicted || self.wal_failed.is_some() {
-            return;
-        }
-        if self.wal.is_some() && !self.replaying {
-            self.wal_append(WalRecord::Evicted {
+        let at = ctx.true_now().get();
+        if site >= self.streams.len()
+            || self.streams[site].evicted
+            || !self.log(|| WalRecord::Evicted {
                 site: site as u32,
-                at: ctx.true_now().get(),
-            });
-            if self.wal_failed.is_some() {
-                return;
-            }
+                at,
+            })
+        {
+            return;
         }
         self.streams[site].evicted = true;
         self.tracker.update(site, u64::MAX);

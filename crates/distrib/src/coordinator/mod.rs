@@ -25,7 +25,8 @@
 //! * `release` — the stability buffer (one FIFO per site, merged at
 //!   release into the canonical order), operator GC and detector feeding
 //!   (including timer fires);
-//! * `recovery` — WAL appends, snapshots, and crash recovery;
+//! * `recovery` — WAL appends, compaction to a snapshot record, and
+//!   crash recovery;
 //! * `partition` — the multi-replica detection plane: partition keys,
 //!   the promise protocol, and replica → replica relays.
 
@@ -35,7 +36,7 @@ pub(crate) mod partition;
 mod recovery;
 mod release;
 
-use crate::durability::{SnapshotStore, WalWriter};
+use crate::durability::WalWriter;
 use crate::metrics::Metrics;
 use crate::protocol::Msg;
 use crate::watermark::WatermarkTracker;
@@ -188,10 +189,9 @@ pub struct CoordinatorNode {
     pub(crate) last_rise_at: u64,
     /// Parked messages across all site streams (for `parked_peak`).
     pub(crate) parked_total: usize,
-    /// Write-ahead log of consumed inputs (`None` = durability off).
+    /// Write-ahead log of consumed inputs, headed by the last snapshot
+    /// (`None` = durability off, or off until `recover` has replayed).
     pub(crate) wal: Option<WalWriter>,
-    /// Snapshot store paired with the WAL.
-    pub(crate) snapshots: Option<SnapshotStore>,
     /// Minimum watermark advance (global ticks) between snapshots.
     pub(crate) snapshot_interval: u64,
     /// Watermark at which the last snapshot was taken.
@@ -199,9 +199,6 @@ pub struct CoordinatorNode {
     /// Absolute due time (true-time ns) of every armed detector timer, so
     /// a snapshot can record what to re-arm after recovery.
     pub(crate) timer_due: HashMap<u64, u64>,
-    /// True while `recover` is replaying the WAL: appends, snapshots, sends
-    /// and timer arms are all suppressed.
-    pub(crate) replaying: bool,
     /// Detections ever drained by the engine (kept aligned across
     /// crash/recovery by `WalRecord::Drained`).
     pub(crate) drained: u64,
@@ -266,11 +263,9 @@ impl CoordinatorNode {
             last_rise_at: 0,
             parked_total: 0,
             wal: None,
-            snapshots: None,
             snapshot_interval: 0,
             last_snapshot_wm: 0,
             timer_due: HashMap::new(),
-            replaying: false,
             drained: 0,
             release_horizon: 0,
             last_released: None,

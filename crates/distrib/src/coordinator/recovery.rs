@@ -1,10 +1,11 @@
-//! Durability: WAL appends, snapshotting, and crash recovery. See
-//! [`crate::durability`] for the formats and the recovery invariants.
+//! Durability: WAL appends, compaction to a snapshot record, and crash
+//! recovery. See [`crate::durability`] for the formats and the recovery
+//! invariants.
 
 use super::{CoordinatorNode, RawDetection, ReplayCtx};
 use crate::durability::{
-    read_wal, ArmedTimer, BufferedNotification, CoordinatorSnapshot, PendingDetection,
-    SnapshotStore, WalRecord, WalWriter,
+    read_wal, ArmedTimer, BufferedNotification, CoordinatorSnapshot, PendingDetection, WalRecord,
+    WalTail, WalWriter, WAL_FILE,
 };
 use decs_chronos::{GlobalTicks, LocalTicks, Nanos, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
@@ -13,23 +14,30 @@ use std::io;
 use std::path::Path;
 
 impl CoordinatorNode {
-    /// Append one record to the WAL (no-op during replay or with
-    /// durability off) and refresh the WAL metrics. Durability I/O errors
-    /// are **fail-stop**: a coordinator that silently stopped logging
-    /// would recover into a state that *looks* valid and detects wrongly,
-    /// so on the first error the node records the failure and thereafter
-    /// drops every input unprocessed (see `wal_failed`).
-    pub(super) fn wal_append(&mut self, rec: WalRecord) {
-        if self.replaying {
-            return;
+    /// Log one consumed input before its effects apply, and say whether
+    /// the caller may go on to apply it. With durability off the record
+    /// is never built. Durability I/O errors are **fail-stop**: a
+    /// coordinator that silently stopped logging would recover into a
+    /// state that *looks* valid and detects wrongly, so on the first error
+    /// the node records the failure and thereafter drops every input
+    /// unprocessed (see `wal_failed`).
+    pub(super) fn log(&mut self, rec: impl FnOnce() -> WalRecord) -> bool {
+        if self.wal_failed.is_some() {
+            return false;
         }
-        if let Some(w) = self.wal.as_mut() {
-            match w.append(&rec) {
-                Ok(()) => {
-                    self.metrics.wal_appends = w.appends();
-                    self.metrics.wal_bytes = w.bytes();
-                }
-                Err(e) => self.wal_fail(e),
+        let Some(w) = self.wal.as_mut() else {
+            return true;
+        };
+        let before = w.bytes();
+        match w.append(&rec()) {
+            Ok(()) => {
+                self.metrics.wal_appends += 1;
+                self.metrics.wal_bytes += w.bytes() - before;
+                true
+            }
+            Err(e) => {
+                self.wal_fail(e);
+                false
             }
         }
     }
@@ -41,45 +49,41 @@ impl CoordinatorNode {
             self.wal_failed = Some(e.to_string());
         }
         self.wal = None;
-        self.snapshots = None;
     }
 
-    /// Record that the engine drained `count` finished detections, so a
-    /// recovered coordinator does not re-report them.
-    pub(crate) fn note_drained(&mut self, count: u64) {
+    /// Record that the engine takes `count` finished detections, so a
+    /// recovered coordinator does not re-report them. Returns false, and
+    /// the engine takes nothing, once the node has fail-stopped: the drain
+    /// can no longer be logged, so the detections stay here and a
+    /// replacement's replay re-derives them instead.
+    pub(crate) fn note_drained(&mut self, count: u64) -> bool {
         if count == 0 {
-            return;
+            return true;
+        }
+        if !self.log(|| WalRecord::Drained { count }) {
+            return false;
         }
         self.drained += count;
-        if self.wal.is_some() && !self.replaying {
-            self.wal_append(WalRecord::Drained { count });
-        }
+        true
     }
 
-    /// Enable durability with a **fresh** log: any previous WAL and
-    /// snapshots in `dir` are discarded. `snapshot_interval` is in global
-    /// ticks of minimum-watermark advance between snapshots.
+    /// Enable durability with a **fresh** log: any previous log in `dir`
+    /// is discarded. `snapshot_interval` is in global ticks of
+    /// minimum-watermark advance between compactions.
     pub fn set_durability(&mut self, dir: &Path, snapshot_interval: u64) -> io::Result<()> {
-        let store = SnapshotStore::open(dir)?;
-        store.reset()?;
-        let wal = WalWriter::create(dir)?;
+        self.wal = Some(WalWriter::create(dir)?);
         self.metrics.wal_appends = 0;
         self.metrics.wal_bytes = 0;
-        self.wal = Some(wal);
-        self.snapshots = Some(store);
         self.snapshot_interval = snapshot_interval;
         self.last_snapshot_wm = 0;
         Ok(())
     }
 
-    /// Take a snapshot if the minimum watermark advanced enough since the
-    /// last one. Called at the end of every release round (a quiescent
-    /// point for the detector).
+    /// Compact the log if the minimum watermark advanced enough since the
+    /// last compaction. Called at the end of every release round (a
+    /// quiescent point for the detector).
     pub(super) fn maybe_snapshot(&mut self) {
-        if self.replaying || self.snapshots.is_none() || self.wal.is_none() {
-            return;
-        }
-        if self.part.is_some() {
+        if self.wal.is_none() || self.part.is_some() {
             // Replica durability is WAL-only: the snapshot format does not
             // cover the partition state (pbuffer, promises, relay windows),
             // so recovery always replays the full log. The relay windows
@@ -100,15 +104,10 @@ impl CoordinatorNode {
         self.take_snapshot();
     }
 
-    pub(super) fn take_snapshot(&mut self) {
-        let wal = self.wal.as_mut().expect("durability on");
-        // The snapshot claims "wal_records inputs are already applied
-        // here", so those records must be on disk before the claim is.
-        if let Err(e) = wal.sync() {
-            self.wal_fail(e);
-            return;
-        }
-        let wal_records = wal.appends();
+    /// Rewrite the log to one [`WalRecord::Snapshot`] of the current state
+    /// (atomically: see [`WalWriter::replace`]); later inputs append after
+    /// it. A failure fail-stops the node and leaves the old log in place.
+    fn take_snapshot(&mut self) {
         let mut timers: Vec<ArmedTimer> = self
             .timer_map
             .iter()
@@ -121,7 +120,6 @@ impl CoordinatorNode {
             .collect();
         timers.sort_by_key(|t| t.tag);
         let snap = CoordinatorSnapshot {
-            wal_records,
             detector: self.detector.save_state(),
             streams: self
                 .streams
@@ -166,11 +164,20 @@ impl CoordinatorNode {
             stall_clock: (self.progress_ns, self.last_rise_at),
             release_horizon: self.release_horizon,
         };
-        if let Err(e) = self.snapshots.as_ref().expect("durability on").save(&snap) {
-            self.wal_fail(e);
-            return;
+        let log = self.wal.as_ref().expect("durability on").path();
+        let dir = log
+            .parent()
+            .expect("the log lives in a directory")
+            .to_path_buf();
+        match WalWriter::replace(&dir, &[WalRecord::Snapshot(Box::new(snap))]) {
+            Ok(w) => {
+                self.metrics.wal_appends += w.appends();
+                self.metrics.wal_bytes += w.bytes();
+                self.metrics.snapshots_taken += 1;
+                self.wal = Some(w);
+            }
+            Err(e) => self.wal_fail(e),
         }
-        self.metrics.snapshots_taken += 1;
     }
 
     pub(super) fn restore_snapshot(&mut self, snap: CoordinatorSnapshot) -> io::Result<()> {
@@ -321,43 +328,63 @@ impl CoordinatorNode {
                 let mut ctx = ReplayCtx { now: Nanos(at) };
                 self.epoch_transition(site, epoch, base_seq, watermark, &mut ctx);
             }
+            WalRecord::Snapshot(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "WAL holds a snapshot record after its first record",
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Rebuild this (freshly constructed) coordinator from the durability
-    /// directory: load the newest usable snapshot, replay the WAL suffix
-    /// through the normal feed path, truncate any torn tail, and resume
-    /// logging. Returns the detector timers that were armed at crash time
-    /// as `(tag, due_true_time_ns)` pairs, sorted by due time — the
-    /// harness must re-schedule them for the replacement node.
+    /// Rebuild this (freshly constructed, durability-off) coordinator from
+    /// the log in `dir`: restore the snapshot record at its head, if any,
+    /// replay the records after it through the normal feed path, truncate
+    /// a torn or corrupt tail, and resume logging. A log with a frame
+    /// whose CRC holds but which does not decode (another build's record
+    /// format) is refused with `InvalidData` and left untouched: cutting
+    /// it there would silently drop acked input, or the whole state if
+    /// the frame is the snapshot. Returns the detector timers that were
+    /// armed at crash time as `(tag, due_true_time_ns)` pairs, sorted by
+    /// due time — the harness must re-schedule them for the replacement
+    /// node.
     pub fn recover(&mut self, dir: &Path, snapshot_interval: u64) -> io::Result<Vec<(u64, u64)>> {
         let t0 = std::time::Instant::now();
-        let store = SnapshotStore::open(dir)?;
         let scan = read_wal(dir)?;
-        let total = scan.records.len() as u64;
-        let mut skip = 0u64;
-        if let Some(snap) = store.load_best(total)? {
-            skip = snap.wal_records;
-            self.restore_snapshot(snap)?;
+        if let WalTail::Undecodable { discarded } = scan.tail {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} has a frame at byte {} that this build cannot decode \
+                     ({discarded} bytes from there on); refusing to truncate it",
+                    dir.join(WAL_FILE).display(),
+                    scan.valid_len
+                ),
+            ));
         }
-        self.replaying = true;
-        for rec in scan.records.into_iter().skip(skip as usize) {
-            if let Err(e) = self.replay_record(rec) {
-                self.replaying = false;
-                return Err(e);
+        let total = scan.records.len() as u64;
+        let mut replayed = 0;
+        for (i, rec) in scan.records.into_iter().enumerate() {
+            match rec {
+                WalRecord::Snapshot(snap) if i == 0 => {
+                    self.restore_snapshot(*snap)?;
+                    self.metrics.snapshots_taken += 1;
+                }
+                rec => {
+                    self.replay_record(rec)?;
+                    replayed += 1;
+                }
             }
         }
-        self.replaying = false;
         // Resume the log where validity ended — a torn or corrupt tail is
         // truncated away so it can never shadow future appends.
         let wal = WalWriter::resume(dir, scan.valid_len, total)?;
-        self.metrics.wal_appends = wal.appends();
-        self.metrics.wal_bytes = wal.bytes();
-        self.metrics.recovery_replayed = total - skip;
+        self.metrics.wal_appends += total;
+        self.metrics.wal_bytes += wal.bytes();
+        self.metrics.recovery_replayed = replayed;
         self.metrics.recovery_ns = t0.elapsed().as_nanos() as u64;
         self.wal = Some(wal);
-        self.snapshots = Some(store);
         self.snapshot_interval = snapshot_interval;
         let wm = self.tracker.min_watermark();
         if wm != u64::MAX {

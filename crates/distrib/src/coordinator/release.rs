@@ -321,19 +321,17 @@ impl CoordinatorNode {
         let Ok(parts) = ctx.stamp() else {
             return;
         };
-        if self.wal.is_some() && !self.replaying {
-            // The minted stamp is logged part-by-part: replay must rebuild
-            // the identical timestamp without consulting any clock.
-            self.wal_append(WalRecord::TimerFired {
-                tag,
-                at: Ctx::true_now(ctx).get(),
-                site: parts.site.0,
-                global: parts.global.get(),
-                local: parts.local.get(),
-            });
-            if self.wal_failed.is_some() {
-                return;
-            }
+        // The minted stamp is logged part-by-part: replay must rebuild the
+        // identical timestamp without consulting any clock.
+        let at = Ctx::true_now(ctx).get();
+        if !self.log(|| WalRecord::TimerFired {
+            tag,
+            at,
+            site: parts.site.0,
+            global: parts.global.get(),
+            local: parts.local.get(),
+        }) {
+            return;
         }
         let ts = CompositeTimestamp::singleton(PrimitiveTimestamp::new(
             parts.site,

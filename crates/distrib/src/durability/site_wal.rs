@@ -191,9 +191,9 @@ pub fn fold_records(records: &[SiteWalRecord]) -> SiteWalState {
 }
 
 /// Read, scan and fold the site log in `dir`. A missing log folds to the
-/// default (fresh-start) state. The scan's torn/corrupt tail is discarded
-/// exactly as for the coordinator; the caller resumes the writer at
-/// `valid_len`.
+/// default (fresh-start) state. Whatever tail ends the scan — torn,
+/// corrupt or undecodable — is discarded; the caller compacts the log to
+/// the folded state.
 pub fn recover_site_state(dir: &Path) -> io::Result<(SiteWalState, WalScan<SiteWalRecord>)> {
     let scan = read_wal_as::<SiteWalRecord>(dir)?;
     let state = fold_records(&scan.records);

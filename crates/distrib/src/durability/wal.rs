@@ -3,9 +3,11 @@
 //! Every nondeterministic input the coordinator consumes — an in-order
 //! message delivery, a detector timer fire, an operator eviction, a drain
 //! of the detection outbox — is appended as one framed record *before* its
-//! effects are applied. Recovery then is deterministic replay: restore the
-//! newest snapshot and re-feed the WAL suffix through the exact code paths
-//! that consumed the inputs live.
+//! effects are applied. Now and then the coordinator compacts the log to a
+//! single [`WalRecord::Snapshot`] of the state those inputs produced
+//! ([`WalWriter::replace`]). Recovery then is deterministic replay: restore
+//! the image at the head of the log, if any, and re-feed the records after
+//! it through the exact code paths that consumed the inputs live.
 //!
 //! ## Frame format
 //!
@@ -15,13 +17,17 @@
 //!
 //! Scanning stops at the first frame that does not check out, classifying
 //! the tail as *torn* (the file ends mid-frame — the normal shape after a
-//! crash between `write` and `fsync`) or *corrupt* (a full-length frame
-//! whose CRC or decode fails — bit rot). Everything before the bad frame
-//! is trusted; everything after is discarded, and the writer truncates the
-//! file back to the valid prefix before appending again so a future replay
-//! never stops early at a stale hole.
+//! crash between `write` and `fsync`), *corrupt* (a full-length frame
+//! whose CRC fails — bit rot) or *undecodable* (a frame whose CRC holds
+//! but whose payload is no record this build knows — a log written by
+//! another record format). Everything before the bad frame is trusted.
+//! After a torn or corrupt tail the writer truncates the file back to the
+//! valid prefix before appending again, so a future replay never stops
+//! early at a stale hole; the coordinator refuses to recover from an
+//! undecodable log and leaves the file as it is.
 
 use super::codec::{crc32, from_bytes, to_bytes, Decode, Encode, Reader};
+use super::snapshot::CoordinatorSnapshot;
 use crate::protocol::Msg;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -37,9 +43,9 @@ pub const WAL_FILE: &str = "wal.log";
 /// header.
 pub const MAX_FRAME: u32 = 1 << 30;
 
-/// Appends are `sync_data`ed every this many records (and explicitly at
-/// snapshot points), batching fsync cost at the price of a bounded
-/// unsynced suffix, which the torn-tail scan discards after a power loss.
+/// Appends are `sync_data`ed every this many records, batching fsync cost
+/// at the price of a bounded unsynced suffix, which the torn-tail scan
+/// discards after a power loss.
 /// That suffix is not always re-supplied: the coordinator acks a
 /// `Delivered` frame as soon as it is appended, up to `SYNC_EVERY − 1`
 /// appends before the frame is synced, so a power loss can lose messages
@@ -51,7 +57,7 @@ const SYNC_EVERY: u64 = 64;
 
 /// Temporary name of a log image being written by [`WalWriter::replace`]
 /// before it is renamed over [`WAL_FILE`]. Recovery never reads it.
-pub(crate) const WAL_TMP_FILE: &str = "wal.log.tmp";
+pub const WAL_TMP_FILE: &str = "wal.log.tmp";
 
 /// One durable coordinator input.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +121,10 @@ pub enum WalRecord {
         /// The site's first post-rejoin watermark promise.
         watermark: u64,
     },
+    /// The coordinator's whole recoverable state after every record that
+    /// preceded it. Only valid as the first record: a compaction rewrites
+    /// the log to this one record, and later inputs append after it.
+    Snapshot(Box<CoordinatorSnapshot>),
 }
 
 impl Encode for WalRecord {
@@ -163,6 +173,10 @@ impl Encode for WalRecord {
                 base_seq.encode(out);
                 watermark.encode(out);
             }
+            WalRecord::Snapshot(snap) => {
+                out.push(5);
+                snap.encode(out);
+            }
         }
     }
 }
@@ -196,6 +210,9 @@ impl Decode for WalRecord {
                 base_seq: u64::decode(r)?,
                 watermark: u64::decode(r)?,
             }),
+            5 => Ok(WalRecord::Snapshot(Box::new(CoordinatorSnapshot::decode(
+                r,
+            )?))),
             _ => Err(CodecError::Invalid("WalRecord tag")),
         }
     }
@@ -212,10 +229,18 @@ pub enum WalTail {
         /// Bytes of incomplete trailing frame discarded.
         discarded: usize,
     },
-    /// A complete frame failed its CRC or decode; it and everything after
-    /// it (`discarded` bytes) were dropped.
+    /// A complete frame failed its CRC; it and everything after it
+    /// (`discarded` bytes) were dropped.
     Corrupt {
         /// Bytes from the first bad frame onward discarded.
+        discarded: usize,
+    },
+    /// A complete frame passed its CRC but its payload does not decode as
+    /// a record: it was written by another record format, not damaged.
+    /// The scan stops there; it and everything after it (`discarded`
+    /// bytes) are not records this build can read.
+    Undecodable {
+        /// Bytes from the undecodable frame onward.
         discarded: usize,
     },
 }
@@ -306,12 +331,12 @@ pub fn scan_bytes_as<R: Decode>(bytes: &[u8]) -> WalScan<R> {
         match from_bytes::<R>(payload) {
             Ok(rec) => records.push(rec),
             Err(_) => {
-                // CRC passed but the payload is not a record — version
-                // drift or a CRC collision. Treat like corruption.
+                // CRC passed but the payload is not a record: version
+                // drift (or, far less likely, a CRC collision).
                 return WalScan {
                     records,
                     valid_len: pos as u64,
-                    tail: WalTail::Corrupt {
+                    tail: WalTail::Undecodable {
                         discarded: remaining,
                     },
                 };

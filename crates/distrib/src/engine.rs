@@ -588,16 +588,18 @@ impl Engine {
     ///
     /// The crash model: the coordinator process dies losing **all**
     /// in-memory state (the old actor is dropped wholesale); its durable
-    /// state (WAL + snapshots) survives; the network and the sites keep
-    /// running — in-flight messages still arrive (at the replacement) and
-    /// unacked messages are retransmitted by their sites. The replacement
-    /// recompiles the detector from the definitions, restores the newest
-    /// usable snapshot, replays the WAL suffix through the normal feed
-    /// path, and re-arms the detector timers that were outstanding.
+    /// state, the one log `wal.log`, survives; the network and the sites
+    /// keep running — in-flight messages still arrive (at the replacement)
+    /// and unacked messages are retransmitted by their sites. The
+    /// replacement recompiles the detector from the definitions, restores
+    /// the snapshot record the log was last compacted to (if any), replays
+    /// the records after it through the normal feed path, and re-arms the
+    /// detector timers that were outstanding.
     ///
     /// Errors if durability was not configured
     /// ([`EngineConfig::durability`] + [`EngineConfig::wal_dir`]) or the
-    /// durable state is unusable.
+    /// durable state is unusable — including a log holding a frame this
+    /// build cannot decode, which is refused rather than truncated.
     pub fn crash_and_recover_coordinator(&mut self) -> Result<()> {
         let dir = match (self.config.durability, &self.config.wal_dir) {
             (true, Some(dir)) => dir.clone(),
@@ -794,7 +796,9 @@ impl Engine {
         };
         // Durability: log the drain so a recovered coordinator does not
         // re-report detections this engine already returned.
-        c.note_drained(c.detections.len() as u64);
+        if !c.note_drained(c.detections.len() as u64) {
+            return Vec::new();
+        }
         c.detections
             .drain(..)
             .map(|d| detection(names, d))
@@ -813,12 +817,16 @@ impl Engine {
             let Node::Coordinator(c) = self.sim.node_mut(node) else {
                 unreachable!("coordinator index")
             };
-            let drained = c.detections.len();
-            let part = c.part.as_mut().expect("partitioned");
-            debug_assert_eq!(drained, part.keys.len(), "keys misaligned with detections");
-            let dets = c.detections.drain(..).map(|d| detection(&self.names, d));
-            self.pending.extend(part.keys.drain(..).zip(dets));
-            c.note_drained(drained as u64);
+            if c.note_drained(c.detections.len() as u64) {
+                let part = c.part.as_mut().expect("partitioned");
+                debug_assert_eq!(
+                    c.detections.len(),
+                    part.keys.len(),
+                    "keys misaligned with detections"
+                );
+                let dets = c.detections.drain(..).map(|d| detection(&self.names, d));
+                self.pending.extend(part.keys.drain(..).zip(dets));
+            }
             cut = cut.min(c.promise_floor());
         }
         let mut out = Vec::new();

@@ -53,7 +53,7 @@ pub mod watermark;
 mod window;
 
 pub use config::EngineConfig;
-pub use durability::{CoordinatorSnapshot, SnapshotStore, WalRecord, WalTail, WalWriter};
+pub use durability::{CoordinatorSnapshot, WalRecord, WalTail, WalWriter};
 pub use engine::{Detection, Engine};
 pub use metrics::Metrics;
 pub use protocol::Msg;

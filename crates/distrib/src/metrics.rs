@@ -72,17 +72,18 @@ pub struct Metrics {
     pub evict_refused: u64,
     /// Suspect sites escalated to eviction by the stall detector.
     pub auto_evictions: u64,
-    /// Records appended to the write-ahead log (lifetime of the log file,
-    /// surviving recovery).
+    /// Records ever written to the write-ahead log, snapshot records
+    /// included; never falls at a compaction or a recovery.
     pub wal_appends: u64,
-    /// Bytes written to the write-ahead log, including frame headers.
+    /// Bytes ever written to the write-ahead log, including frame headers,
+    /// on the same terms as `wal_appends`.
     pub wal_bytes: u64,
-    /// Operator-state snapshots persisted.
+    /// Compactions of the log to an operator-state snapshot record.
     pub snapshots_taken: u64,
     /// WAL records replayed by the most recent recovery.
     pub recovery_replayed: u64,
-    /// Wall-clock nanoseconds the most recent recovery took (snapshot load
-    /// plus WAL replay).
+    /// Wall-clock nanoseconds the most recent recovery took (log scan,
+    /// snapshot restore and replay).
     pub recovery_ns: u64,
     /// Site restarts (aggregated over sites by the engine; 0 in a bare
     /// coordinator).

@@ -7,9 +7,9 @@
 //! [`EventBatch`] amortizes all of that across a whole batch:
 //!
 //! * **SoA layout** — event types, stamps and parameter *handles* live in
-//!   parallel vectors, so batch-level prefilters (route presence, timer
-//!   boundaries) scan a dense `EventId`/tick column instead of chasing
-//!   per-occurrence pointers.
+//!   parallel vectors, so batch-level prefilters (route presence) scan a
+//!   dense `EventId`/tick column instead of chasing per-occurrence
+//!   pointers.
 //! * **Arena-backed parameters** — parameter lists are owned by a
 //!   [`ParamArena`] and referenced by generation-indexed
 //!   [`ParamHandle`]s. Bare (parameterless) events share one interned
@@ -34,9 +34,10 @@
 //! dense column) and the downstream operator compares therefore never
 //! re-derive anything from the member list, no matter how wide the stamp.
 //!
-//! The per-event path (`feed`/`feed_bare`) survives untouched as the
-//! differential oracle — `tests/prop_ingest.rs` pins columnar ingestion
-//! bit-identical to it across every context, GC mode and sharing mode.
+//! The per-event path (`PlanDetector::feed`) is the differential oracle:
+//! `tests/prop_ingest.rs` pins `PlanDetector::feed_batch_columnar` over
+//! chunked batches bit-identical to it across every context, GC mode and
+//! sharing mode.
 
 use crate::event::{fresh_uid, EventId, Occurrence, ParamList, ParamTuple, Value};
 use crate::time::EventTime;
@@ -147,8 +148,7 @@ impl ParamArena {
 /// A struct-of-arrays batch of primitive events awaiting ingestion.
 ///
 /// Columns are parallel: `types[i]`, `times[i]` and `params[i]` describe
-/// event `i`. Feed it through `CentralDetector::feed_columnar` (ticks) or
-/// `PlanDetector::feed_batch_columnar` (any time domain); then
+/// event `i`. Feed it through `PlanDetector::feed_batch_columnar`; then
 /// [`Self::clear`] and refill — steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct EventBatch<T> {
@@ -273,12 +273,6 @@ impl<T: EventTime> EventBatch<T> {
             .filter(|&i| routed(self.types[i]))
             .map(|i| self.occurrence(i))
             .collect()
-    }
-
-    /// Materialize rows `range` into plain occurrences, in order (the
-    /// timer-boundary split path of `CentralDetector::feed_columnar`).
-    pub(crate) fn materialize_range(&self, range: std::ops::Range<usize>) -> Vec<Occurrence<T>> {
-        range.map(|i| self.occurrence(i)).collect()
     }
 }
 

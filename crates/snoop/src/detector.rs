@@ -8,7 +8,6 @@
 //! coordinator) use [`PlanDetector`] directly and schedule its timer
 //! requests on their own clocks.
 
-use crate::batch::EventBatch;
 use crate::context::Context;
 use crate::error::Result;
 use crate::event::{Catalog, EventId, Occurrence, Value};
@@ -168,111 +167,6 @@ impl CentralDetector {
     /// Feed without parameters.
     pub fn feed_bare(&mut self, name: &str, tick: u64) -> Result<Vec<Occurrence<CentralTime>>> {
         self.feed(name, tick, Vec::new())
-    }
-
-    /// Feed a whole batch of `(name, tick, values)` triples (ticks
-    /// non-decreasing). Semantically identical to calling [`Self::feed`]
-    /// on each triple in order. Timer-free definition sets are fed through
-    /// [`PlanDetector::feed_batch`] in stretches split at due-timer
-    /// boundaries. Definition sets with temporal operators arm timers
-    /// whose due ticks derive from the arming occurrence, so they keep the
-    /// ordered per-occurrence path.
-    pub fn feed_batch(
-        &mut self,
-        batch: Vec<(&str, u64, Vec<Value>)>,
-    ) -> Result<Vec<Occurrence<CentralTime>>> {
-        // Resolve every name first so an unknown name fails atomically,
-        // before any state changes.
-        let mut occs = std::collections::VecDeque::with_capacity(batch.len());
-        for (name, tick, values) in batch {
-            let ty = self.catalog().lookup(name)?;
-            occs.push_back(Occurrence::primitive(ty, CentralTime(tick), values));
-        }
-        let batchable = self.min_timer_delay().is_none();
-        let mut out = Vec::new();
-        while let Some(front) = occs.front() {
-            let first = front.time.get();
-            out.extend(self.advance_to(first)?);
-            if !batchable {
-                let occ = occs.pop_front().expect("front exists");
-                let r = self.plan.feed(occ);
-                self.absorb(r, first, &mut out);
-                continue;
-            }
-            // No definition can arm a timer, so the only split points are
-            // the timers already queued (none, for timer-free graphs —
-            // the general form keeps the invariant obvious).
-            let next_due = self
-                .timers
-                .peek()
-                .map_or(u64::MAX, |&Reverse((due, _, _))| due);
-            let split = occs
-                .iter()
-                .position(|o| o.time.get() >= next_due)
-                .unwrap_or(occs.len())
-                .max(1);
-            let prefix: Vec<_> = occs.drain(..split).collect();
-            let last = prefix.last().expect("split ≥ 1").time.get();
-            let r = self.plan.feed_batch(prefix);
-            debug_assert!(r.timers.is_empty(), "timer-free graph armed a timer");
-            self.absorb(r, last, &mut out);
-            self.now = self.now.max(last);
-        }
-        if self.gc {
-            self.run_gc();
-        }
-        Ok(out)
-    }
-
-    /// Feed a columnar batch (ticks non-decreasing). Semantically
-    /// identical to materializing every row and calling [`Self::feed`] on
-    /// each in order, but the hot path stays struct-of-arrays: timer-free
-    /// definition sets hand the whole batch to the plan's columnar path
-    /// (which materializes only routed rows), the clock advances once per
-    /// stretch instead of once per row, and watermark GC runs once per
-    /// call instead of once per occurrence.
-    pub fn feed_columnar(
-        &mut self,
-        batch: &EventBatch<CentralTime>,
-    ) -> Result<Vec<Occurrence<CentralTime>>> {
-        let n = batch.len();
-        let batchable = self.min_timer_delay().is_none();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let first = batch.time(i).get();
-            out.extend(self.advance_to(first)?);
-            if !batchable {
-                let r = self.plan.feed(batch.occurrence(i));
-                self.absorb(r, first, &mut out);
-                i += 1;
-                continue;
-            }
-            // No definition can arm a timer, so the only split points are
-            // the timers already queued (none, for timer-free graphs).
-            let next_due = self
-                .timers
-                .peek()
-                .map_or(u64::MAX, |&Reverse((due, _, _))| due);
-            let mut split = i + 1;
-            while split < n && batch.time(split).get() < next_due {
-                split += 1;
-            }
-            let last = batch.time(split - 1).get();
-            let r = if i == 0 && split == n {
-                self.plan.feed_batch_columnar(batch)
-            } else {
-                self.plan.feed_batch(batch.materialize_range(i..split))
-            };
-            debug_assert!(r.timers.is_empty(), "timer-free graph armed a timer");
-            self.absorb(r, last, &mut out);
-            self.now = self.now.max(last);
-            i = split;
-        }
-        if self.gc {
-            self.run_gc();
-        }
-        Ok(out)
     }
 
     /// Resolve a detected occurrence's type name.
@@ -437,7 +331,7 @@ mod tests {
     }
 
     /// Two cross-referencing timer-free definitions plus one timer def
-    /// when `with_timers` — exercises both feed_batch arms.
+    /// when `with_timers`.
     fn populate(d: &mut CentralDetector, with_timers: bool) {
         for n in ["A", "B", "C"] {
             d.register(n).unwrap();
@@ -481,19 +375,6 @@ mod tests {
             .collect()
     }
 
-    fn run_batched(mut d: CentralDetector, with_timers: bool) -> Vec<(String, u64)> {
-        populate(&mut d, with_timers);
-        let batch = batch_trace()
-            .into_iter()
-            .map(|(n, t)| (n, t, Vec::new()))
-            .collect();
-        let mut out = d.feed_batch(batch).unwrap();
-        out.extend(d.advance_to(100).unwrap());
-        out.iter()
-            .map(|o| (d.name_of(o).to_owned(), o.time.get()))
-            .collect()
-    }
-
     #[test]
     fn unshared_matches_shared_plan() {
         for with_timers in [false, true] {
@@ -501,48 +382,6 @@ mod tests {
             let unshared = run_serial(CentralDetector::unshared(), with_timers);
             assert!(!shared.is_empty());
             assert_eq!(shared, unshared, "with_timers={with_timers}");
-        }
-    }
-
-    #[test]
-    fn feed_batch_equals_serial_feeds_in_both_modes() {
-        for with_timers in [false, true] {
-            let reference = run_serial(CentralDetector::new(), with_timers);
-            for make in [CentralDetector::new, CentralDetector::unshared] {
-                assert_eq!(
-                    run_batched(make(), with_timers),
-                    reference,
-                    "with_timers={with_timers}"
-                );
-            }
-        }
-    }
-
-    fn run_columnar(mut d: CentralDetector, with_timers: bool) -> Vec<(String, u64)> {
-        populate(&mut d, with_timers);
-        let mut batch = EventBatch::new();
-        for (n, t) in batch_trace() {
-            let ty = d.catalog().lookup(n).unwrap();
-            batch.push_bare(ty, CentralTime(t));
-        }
-        let mut out = d.feed_columnar(&batch).unwrap();
-        out.extend(d.advance_to(100).unwrap());
-        out.iter()
-            .map(|o| (d.name_of(o).to_owned(), o.time.get()))
-            .collect()
-    }
-
-    #[test]
-    fn feed_columnar_equals_serial_feeds_in_both_modes() {
-        for with_timers in [false, true] {
-            let reference = run_serial(CentralDetector::new(), with_timers);
-            for make in [CentralDetector::new, CentralDetector::unshared] {
-                assert_eq!(
-                    run_columnar(make(), with_timers),
-                    reference,
-                    "with_timers={with_timers}"
-                );
-            }
         }
     }
 

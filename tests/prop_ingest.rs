@@ -1,18 +1,22 @@
-//! Equivalence property suite for the columnar ingestion hot path.
+//! Equivalence property suite for the columnar ingestion path.
 //!
-//! The contract is exact: feeding a workload through the
-//! struct-of-arrays [`EventBatch`] path (`CentralDetector::feed_columnar`,
-//! arbitrarily chunked) must produce the same named detections — same
-//! composite timestamps, same accumulated parameters, same order — as
-//! feeding every occurrence individually through `CentralDetector::feed`,
-//! for arbitrary traces across all five parameter contexts, with buffer
-//! GC on or off, with plan sharing on or off. A deterministic companion
-//! test pins the arena no-resurrection guarantee: handles minted before
-//! a generation reset never resolve afterwards.
+//! The contract is exact: feeding a workload through the struct-of-arrays
+//! [`EventBatch`] path (`PlanDetector::feed_batch_columnar`, arbitrarily
+//! chunked, with the low watermark advanced after each chunk) must produce
+//! the same named detections — same composite timestamps, same
+//! accumulated parameters, same order — as feeding every occurrence
+//! individually through `PlanDetector::feed` and advancing the watermark
+//! after each one, for arbitrary traces across all five parameter
+//! contexts, with buffer GC on or off, with plan sharing on or off. Rows
+//! carry composite stamps from three sites and arrive in the
+//! coordinator's canonical release order `(global, site, arrival)`, the
+//! shape perfbench's `snoop_replay` times. A deterministic companion test
+//! pins the arena no-resurrection guarantee: handles minted before a
+//! generation reset never resolve afterwards.
 
+use decs::core::{cts, CompositeTimestamp};
 use decs::snoop::{
-    CentralDetector, CentralTime, Context, EventBatch, EventExpr as E, Occurrence, ParamArena,
-    Value,
+    Context, EventBatch, EventExpr as E, EventId, Occurrence, ParamArena, PlanDetector, Value,
 };
 use proptest::prelude::*;
 
@@ -26,20 +30,17 @@ const CTXS: [Context; 5] = [
     Context::Cumulative,
 ];
 
-/// One timer-free definition per context, so the columnar whole-batch
-/// path (not the per-row split fallback) is what runs. Bodies span the
-/// operator set: binary Seq/And/Or, n-ary Any, and NOT (whose middle
-/// negative slot makes parameter consumption order-sensitive — the
-/// sharpest probe for a reordered feed).
-fn build(unshared: bool, gc: bool) -> CentralDetector {
+/// One timer-free definition per context. Bodies span the operator set:
+/// binary Seq/And/Or, n-ary Any, and NOT (whose middle negative slot
+/// makes parameter consumption order-sensitive — the sharpest probe for a
+/// reordered feed).
+fn build(unshared: bool) -> (PlanDetector<CompositeTimestamp>, Vec<EventId>) {
     let mut d = if unshared {
-        CentralDetector::unshared()
+        PlanDetector::unshared()
     } else {
-        CentralDetector::new()
+        PlanDetector::new()
     };
-    for name in NAMES {
-        d.register(name).unwrap();
-    }
+    let ids = NAMES.iter().map(|n| d.register(n).unwrap()).collect();
     let ab = E::seq(E::prim("A"), E::prim("B"));
     let bodies = [
         ab.clone(),
@@ -51,74 +52,103 @@ fn build(unshared: bool, gc: bool) -> CentralDetector {
     for (i, (body, ctx)) in bodies.iter().zip(CTXS).enumerate() {
         d.define(&format!("D{i}"), body, ctx).unwrap();
     }
-    d.set_buffer_gc(gc);
-    d
+    (d, ids)
 }
 
-/// Random workload row: (tick delta, event index, parameter payload).
-/// Deltas of 0 keep several rows on one tick (the batch fan-out case);
+/// One stamped input row: (global tick, event index, stamp, payload).
+type Row = (u64, usize, CompositeTimestamp, Vec<u64>);
+
+/// Random workload rows (tick delta, site, event index, parameter
+/// payload), stamped and put in canonical release order. Deltas of 0 keep
+/// several rows on one tick, at one site or concurrently at several;
 /// non-empty payloads force arena-backed parameter staging.
-fn workload() -> impl Strategy<Value = Vec<(u64, usize, Vec<u64>)>> {
+fn workload() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(
         (
             0u64..3,
+            0u32..3,
             0usize..3,
             proptest::collection::vec(0u64..50, 0..3),
         ),
         0..60,
     )
+    .prop_map(|rows| {
+        let mut g = 1;
+        let mut stamped: Vec<(u64, u32, usize, usize, Vec<u64>)> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, (delta, site, ev, payload))| {
+                g += delta;
+                (g, site, i, ev, payload)
+            })
+            .collect();
+        stamped.sort_by_key(|r| (r.0, r.1, r.2));
+        stamped
+            .into_iter()
+            .map(|(g, site, i, ev, payload)| {
+                // Local ticks rise with arrival at every site.
+                let local = g * 100 + i as u64;
+                (g, ev, cts(&[(site, g, local)]), payload)
+            })
+            .collect()
+    })
 }
 
-type Detections = Vec<(String, Occurrence<CentralTime>)>;
+type Detections = Vec<(String, Occurrence<CompositeTimestamp>)>;
 
-fn named(d: &CentralDetector, r: Vec<Occurrence<CentralTime>>) -> Detections {
+fn named(
+    d: &PlanDetector<CompositeTimestamp>,
+    r: Vec<Occurrence<CompositeTimestamp>>,
+) -> Detections {
     r.into_iter()
-        .map(|o| (d.name_of(&o).to_string(), o))
+        .map(|o| (d.catalog().name(o.ty).to_string(), o))
         .collect()
 }
 
-/// Oracle: one `feed` call per row, in order.
-fn run_per_event(unshared: bool, gc: bool, trace: &[(u64, usize, Vec<u64>)]) -> Detections {
-    let mut d = build(unshared, gc);
+fn values(payload: &[u64]) -> Vec<Value> {
+    payload.iter().map(|&v| Value::Int(v as i64)).collect()
+}
+
+/// Oracle: one `feed` call per row, in order, with the watermark advanced
+/// to the row's tick after it when GC is on.
+fn run_per_event(unshared: bool, gc: bool, trace: &[Row]) -> Detections {
+    let (mut d, ids) = build(unshared);
     let mut out = Vec::new();
-    let mut tick = 1;
-    for (delta, ev, payload) in trace {
-        tick += delta;
-        let values: Vec<Value> = payload.iter().map(|&v| Value::Int(v as i64)).collect();
-        let r = d.feed(NAMES[*ev], tick, values).unwrap();
-        out.extend(named(&d, r));
+    for (g, ev, ts, payload) in trace {
+        let r = d.feed(Occurrence::primitive(ids[*ev], ts.clone(), values(payload)));
+        assert!(r.timers.is_empty(), "timer-free definitions");
+        out.extend(named(&d, r.detected));
+        if gc {
+            d.advance_watermark(*g);
+        }
     }
     out
 }
 
 /// Candidate: the same rows staged struct-of-arrays and fed through
-/// `feed_columnar` in `chunk`-sized batches (chunk ≥ trace length ⇒ one
-/// whole-batch call). The staging batch is reused across chunks, so the
+/// `feed_batch_columnar` in `chunk`-sized batches (chunk ≥ trace length ⇒
+/// one whole-batch call), with the watermark advanced after each chunk
+/// when GC is on. The staging batch is reused across chunks, so the
 /// arena's generation counter actually advances mid-run.
-fn run_columnar(
-    unshared: bool,
-    gc: bool,
-    chunk: usize,
-    trace: &[(u64, usize, Vec<u64>)],
-) -> Detections {
-    let mut d = build(unshared, gc);
+fn run_columnar(unshared: bool, gc: bool, chunk: usize, trace: &[Row]) -> Detections {
+    let (mut d, ids) = build(unshared);
     let mut batch = EventBatch::new();
     let mut out = Vec::new();
-    let mut tick = 1;
     for rows in trace.chunks(chunk.max(1)) {
         batch.clear();
-        for (delta, ev, payload) in rows {
-            tick += delta;
-            let ty = d.catalog().lookup(NAMES[*ev]).unwrap();
+        for (_, ev, ts, payload) in rows {
             if payload.is_empty() {
-                batch.push_bare(ty, CentralTime(tick));
+                batch.push_bare(ids[*ev], ts.clone());
             } else {
-                let values: Vec<Value> = payload.iter().map(|&v| Value::Int(v as i64)).collect();
-                batch.push(ty, CentralTime(tick), values);
+                batch.push(ids[*ev], ts.clone(), values(payload));
             }
         }
-        let r = d.feed_columnar(&batch).unwrap();
-        out.extend(named(&d, r));
+        let r = d.feed_batch_columnar(&batch);
+        assert!(r.timers.is_empty(), "timer-free definitions");
+        out.extend(named(&d, r.detected));
+        if gc {
+            d.advance_watermark(rows.last().expect("non-empty chunk").0);
+        }
     }
     out
 }
@@ -151,12 +181,8 @@ proptest! {
 /// immortal by construction.
 #[test]
 fn arena_reset_never_resurrects_owned_handles() {
-    let mut d = CentralDetector::new();
-    for name in NAMES {
-        d.register(name).unwrap();
-    }
-    let a = d.catalog().lookup("A").unwrap();
-    let b = d.catalog().lookup("B").unwrap();
+    let (_, ids) = build(false);
+    let (a, b) = (ids[0], ids[1]);
 
     let mut arena = ParamArena::new();
     let bare = arena.intern_bare(a);

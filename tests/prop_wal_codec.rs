@@ -13,10 +13,15 @@
 //!   from the damaged one onward (everything before is still recovered).
 //! * **Garbage** — scanning arbitrary random bytes never panics and the
 //!   decoder never allocates from an attacker-sized length prefix.
+//! * **Bad tag** — a frame whose CRC holds but whose record tag is none
+//!   of `WalRecord`'s (0–5, the last the snapshot record) ends the scan
+//!   as `Undecodable`, not `Corrupt`, with every frame before it kept.
 
-use decs::distrib::durability::{frame_record, scan_bytes, WalRecord, WalTail};
-use decs::distrib::Msg;
-use decs::snoop::{EventId, Occurrence, Value};
+use decs::distrib::durability::{
+    crc32, frame_record, scan_bytes, ArmedTimer, CoordinatorSnapshot, WalRecord, WalTail,
+};
+use decs::distrib::{Metrics, Msg};
+use decs::snoop::{EventId, Occurrence, PlanState, Value};
 use proptest::prelude::*;
 
 /// An arbitrary (but valid) composite-timestamped occurrence. Local ticks
@@ -103,7 +108,48 @@ fn record() -> impl Strategy<Value = WalRecord> {
         ),
         (0u32..4, 0u64..10_000_000).prop_map(|(site, at)| WalRecord::Evicted { site, at }),
         (1u64..100).prop_map(|count| WalRecord::Drained { count }),
+        (
+            proptest::collection::vec((0u64..100, 0u64..100, 0u64..100), 0..4),
+            0u64..1000,
+        )
+            .prop_map(|(streams, drained)| WalRecord::Snapshot(Box::new(snapshot(
+                &streams, drained
+            )))),
     ]
+}
+
+/// A snapshot image over `streams.len()` sites with an empty plan.
+fn snapshot(streams: &[(u64, u64, u64)], drained: u64) -> CoordinatorSnapshot {
+    CoordinatorSnapshot {
+        detector: PlanState {
+            nodes: Vec::new(),
+            execs: Vec::new(),
+            defs: Vec::new(),
+        },
+        streams: streams
+            .iter()
+            .map(|&(next, arrivals, epoch)| (next, arrivals, false, epoch))
+            .collect(),
+        watermarks: streams.iter().map(|s| s.0).collect(),
+        buffer: Vec::new(),
+        timers: streams
+            .iter()
+            .map(|&(tag, shard, timer)| ArmedTimer {
+                tag,
+                shard,
+                timer,
+                due_ns: tag + timer,
+            })
+            .collect(),
+        next_tag: drained,
+        detections: Vec::new(),
+        drained,
+        metrics: Metrics::default(),
+        last_gc_low: 0,
+        stall: streams.iter().map(|s| (s.1, false)).collect(),
+        stall_clock: (drained, drained),
+        release_horizon: 0,
+    }
 }
 
 fn image(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
@@ -233,6 +279,27 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_crc_valid_frame_with_a_bad_tag_is_undecodable(
+        before in proptest::collection::vec(record(), 0..4),
+        after in proptest::collection::vec(record(), 0..4),
+        tag in 6u8..=255,
+        body in proptest::collection::vec(0u8..=255, 0..16),
+    ) {
+        let (mut bytes, _) = image(&before);
+        let valid = bytes.len();
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&body);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&image(&after).0);
+        let scan = scan_bytes(&bytes);
+        prop_assert_eq!(&scan.records[..], &before[..]);
+        prop_assert_eq!(scan.valid_len, valid as u64);
+        prop_assert_eq!(scan.tail, WalTail::Undecodable { discarded: bytes.len() - valid });
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! Durability failure-path suite: torn WAL tails, missing durability
-//! directories, and the restart-dedup handshake between a recovered
-//! coordinator and the sites' retransmission protocol.
+//! Durability failure-path suite: torn WAL tails, undecodable frames,
+//! missing durability directories, log compaction and its failures, and
+//! the restart-dedup handshake between a recovered coordinator and the
+//! sites' retransmission protocol.
 //!
 //! The happy kill-anywhere path lives in `tests/prop_recovery.rs`; this
 //! file injects the ways the durable state itself can be damaged and
 //! checks the recovery contract: *replay to the last valid frame, discard
-//! the rest, never panic, and let the ack/retransmit protocol re-supply
-//! whatever the log lost.*
+//! a torn or corrupt rest, refuse a log this build cannot decode, never
+//! panic, and let the ack/retransmit protocol re-supply whatever the log
+//! lost.*
 
-use decs::distrib::durability::{read_wal, WalTail, WAL_FILE};
+use decs::distrib::durability::{
+    crc32, frame_record, read_wal, WalRecord, WalTail, WAL_FILE, WAL_TMP_FILE,
+};
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder};
 use decs::snoop::{Context, EventExpr as E};
@@ -267,6 +271,189 @@ fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
     for d in &det {
         assert!(expect.contains(d), "recovered run invented a detection");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The coordinator's durable state is one file: each compaction rewrites
+/// `wal.log` to a single snapshot record, and the inputs consumed since
+/// append after it. Recovery restores the image and replays exactly that
+/// suffix, and the lifetime WAL counters survive both.
+#[test]
+fn compaction_keeps_one_snapshot_record_and_the_suffix_since() {
+    let expect = uninterrupted();
+    let dir = tmp_dir("compact");
+    let mut e = engine(11, Some(&dir), 4);
+    inject_all(&mut e, &workload());
+    let mut det = keys(e.run_until(Nanos::from_millis(2_000)));
+    let before = e.metrics();
+    assert!(
+        before.snapshots_taken >= 3,
+        "{} compactions",
+        before.snapshots_taken
+    );
+
+    let scan = read_wal(&dir).unwrap();
+    assert_eq!(scan.tail, WalTail::Clean);
+    let WalRecord::Snapshot(image) = &scan.records[0] else {
+        panic!("the log must start with its snapshot record");
+    };
+    let suffix = scan.records.len() as u64 - 1;
+    assert!(suffix > 0, "inputs consumed since the last compaction");
+    assert!(!scan.records[1..]
+        .iter()
+        .any(|r| matches!(r, WalRecord::Snapshot(_))));
+    // The image counts what was written before it; the file holds the
+    // image and every record appended since, and nothing older.
+    assert_eq!(
+        image.metrics.wal_appends + 1 + suffix,
+        before.wal_appends,
+        "the log holds exactly the records since the last compaction"
+    );
+    assert_eq!(image.metrics.snapshots_taken + 1, before.snapshots_taken);
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, vec![WAL_FILE.to_string()], "one durable file");
+
+    e.crash_and_recover_coordinator().unwrap();
+    let after = e.metrics();
+    assert_eq!(after.recovery_replayed, suffix);
+    assert_eq!(
+        (after.wal_appends, after.wal_bytes, after.snapshots_taken),
+        (before.wal_appends, before.wal_bytes, before.snapshots_taken),
+        "lifetime WAL counters survive recovery"
+    );
+    det.extend(keys(e.run_until(HORIZON)));
+    assert_eq!(det, expect, "recovered run must match uninterrupted run");
+    assert!(e.metrics().wal_appends > after.wal_appends);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash between a compaction's write and its rename leaves a partial
+/// `wal.log.tmp` beside the intact log. Recovery never reads it, and the
+/// next compaction overwrites it.
+#[test]
+fn a_partial_compaction_temp_file_is_ignored_and_overwritten() {
+    let expect = uninterrupted();
+    let dir = tmp_dir("tmpfile");
+    let mut e = engine(11, Some(&dir), 4);
+    inject_all(&mut e, &workload());
+    let mut det = keys(e.run_until(Nanos::from_millis(1_700)));
+    let valid = read_wal(&dir).unwrap();
+    assert!(matches!(valid.records[0], WalRecord::Snapshot(_)));
+    let partial = frame_record(&valid.records[0]);
+    std::fs::write(dir.join(WAL_TMP_FILE), &partial[..partial.len() / 2]).unwrap();
+
+    e.crash_and_recover_coordinator().unwrap();
+    let m = e.metrics();
+    assert_eq!(m.recovery_replayed, valid.records.len() as u64 - 1);
+    det.extend(keys(e.run_until(HORIZON)));
+    assert_eq!(det, expect, "recovered run must match uninterrupted run");
+    assert!(e.metrics().snapshots_taken > m.snapshots_taken);
+    assert!(!dir.join(WAL_TMP_FILE).exists(), "renamed over the log");
+    let scan = read_wal(&dir).unwrap();
+    assert_eq!(scan.tail, WalTail::Clean);
+    assert!(matches!(scan.records[0], WalRecord::Snapshot(_)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compaction that cannot open its temp file fail-stops the coordinator
+/// and leaves the log as it was; once the obstacle is gone, a replacement
+/// recovers from that log and the run ends where the uninterrupted one
+/// does.
+#[test]
+fn a_failed_compaction_fail_stops_and_the_old_log_recovers() {
+    let expect = uninterrupted();
+    let dir = tmp_dir("compactfail");
+    let mut e = engine(11, Some(&dir), 4);
+    inject_all(&mut e, &workload());
+    let mut det = keys(e.run_until(Nanos::from_millis(1_000)));
+    assert!(e.metrics().snapshots_taken > 0);
+    assert_eq!(e.coordinator_wal_failed(), None);
+    // A directory where the temp file goes: opening it for writing fails,
+    // whatever the process's privileges.
+    std::fs::create_dir(dir.join(WAL_TMP_FILE)).unwrap();
+    det.extend(keys(e.run_until(Nanos::from_millis(2_000))));
+    assert!(e.coordinator_wal_failed().is_some());
+    let m = e.metrics();
+    assert_eq!(m.wal_errors, 1);
+    let stopped = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    det.extend(keys(e.run_until(Nanos::from_millis(2_500))));
+    assert_eq!(
+        std::fs::read(dir.join(WAL_FILE)).unwrap(),
+        stopped,
+        "a fail-stopped coordinator writes nothing more"
+    );
+    let scan = read_wal(&dir).unwrap();
+    assert_eq!(scan.tail, WalTail::Clean);
+    assert!(matches!(scan.records[0], WalRecord::Snapshot(_)));
+
+    std::fs::remove_dir(dir.join(WAL_TMP_FILE)).unwrap();
+    e.crash_and_recover_coordinator().unwrap();
+    assert_eq!(e.coordinator_wal_failed(), None);
+    assert_eq!(e.metrics().recovery_replayed, scan.records.len() as u64 - 1);
+    det.extend(keys(e.run_until(HORIZON)));
+    assert_eq!(det, expect, "recovered run must match uninterrupted run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A coordinator whose compaction fails after a release round detected
+/// something must not hand those detections out: the drain can no longer
+/// be logged, so the replacement's replay would report them again.
+/// Swept over the run, with a compaction at every watermark rise, the
+/// failure lands on detecting rounds too.
+#[test]
+fn detections_of_a_fail_stopped_round_are_reported_once() {
+    let expect = uninterrupted();
+    for fail_ms in (300..3_400).step_by(100) {
+        let dir = tmp_dir(&format!("failround-{fail_ms}"));
+        let mut e = engine(11, Some(&dir), 1);
+        inject_all(&mut e, &workload());
+        let mut det = keys(e.run_until(Nanos::from_millis(fail_ms)));
+        std::fs::create_dir(dir.join(WAL_TMP_FILE)).unwrap();
+        det.extend(keys(e.run_until(Nanos::from_millis(fail_ms + 600))));
+        assert!(e.coordinator_wal_failed().is_some(), "at {fail_ms} ms");
+        std::fs::remove_dir(dir.join(WAL_TMP_FILE)).unwrap();
+        e.crash_and_recover_coordinator().unwrap();
+        det.extend(keys(e.run_until(HORIZON)));
+        assert_eq!(det, expect, "compaction failed at {fail_ms} ms");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A frame whose CRC holds but whose payload is no record this build
+/// knows (a log from another record format) is not damage to cut away:
+/// recovery refuses the log and leaves every byte of it in place.
+#[test]
+fn an_undecodable_frame_refuses_recovery_and_keeps_the_log() {
+    let dir = tmp_dir("undecodable");
+    let mut e = engine(11, Some(&dir), u64::MAX);
+    inject_all(&mut e, &workload());
+    e.run_until(Nanos::from_millis(2_000));
+    let wal_path = dir.join(WAL_FILE);
+    let mut bytes = std::fs::read(&wal_path).unwrap();
+    let scan = decs::distrib::durability::scan_bytes(&bytes);
+    assert!(scan.tail == WalTail::Clean && scan.records.len() > 10);
+    // Valid frames, then a CRC-valid frame with an unknown record tag,
+    // then more valid frames.
+    let payload = [0xEEu8, 0, 1, 2, 3];
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    for rec in &scan.records[..3] {
+        bytes.extend_from_slice(&frame_record(rec));
+    }
+    std::fs::write(&wal_path, &bytes).unwrap();
+
+    let err = e.crash_and_recover_coordinator().unwrap_err();
+    assert!(err.to_string().contains("cannot decode"), "{err}");
+    assert_eq!(
+        std::fs::read(&wal_path).unwrap(),
+        bytes,
+        "the log must be left untouched"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
