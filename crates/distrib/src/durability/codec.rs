@@ -392,17 +392,13 @@ impl Decode for Value {
 impl Encode for ParamTuple {
     fn encode(&self, out: &mut Vec<u8>) {
         self.source.encode(out);
-        self.values.as_ref().encode(out);
+        self.values[..].encode(out);
     }
 }
 impl Decode for ParamTuple {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let source = EventId::decode(r)?;
-        let values: Vec<Value> = Vec::decode(r)?;
-        Ok(ParamTuple {
-            source,
-            values: Arc::new(values),
-        })
+        Ok(ParamTuple::new(source, Vec::decode(r)?))
     }
 }
 
@@ -803,6 +799,56 @@ mod tests {
         let back: Occurrence<CompositeTimestamp> = from_bytes(&to_bytes(&occ)).unwrap();
         assert_eq!(back, occ);
         assert_eq!(back.uid, occ.uid);
+    }
+
+    /// A tuple's bytes do not depend on whether it holds its values in
+    /// place or shared: each case is pinned to the bytes the log has
+    /// always held, and decodes to a tuple equal to one built in memory.
+    #[test]
+    fn param_tuple_bytes_are_pinned() {
+        // Type 3, stamp {(site 1, global 8, local 80)}, uid 42, then one
+        // tuple from type 3 whose values follow.
+        const HEAD: &str = concat!(
+            "03000000",
+            "0100000000000000",
+            "01000000",
+            "0800000000000000",
+            "5000000000000000",
+            "2a00000000000000",
+            "0100000000000000",
+            "03000000",
+        );
+        let cases = [
+            (vec![], "0000000000000000"),
+            // Length, then per value a tag byte and its payload.
+            (
+                vec![Value::Int(7)],
+                concat!("0100000000000000", "00", "0700000000000000"),
+            ),
+            (
+                vec![Value::Str("ab".into())],
+                concat!("0100000000000000", "02", "0200000000000000", "6162"),
+            ),
+            (
+                vec![Value::Int(-4), Value::Float(0.5), Value::Bool(true)],
+                concat!(
+                    "0300000000000000",
+                    "00fcffffffffffffff",
+                    "01000000000000e03f",
+                    "0301"
+                ),
+            ),
+        ];
+        for (values, tail) in cases {
+            let mut occ = Occurrence::primitive(EventId(3), cts(&[(1, 8, 80)]), values.clone());
+            occ.uid = 42;
+            let bytes = to_bytes(&occ);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, format!("{HEAD}{tail}"), "{values:?}");
+            let back: Occurrence<CompositeTimestamp> = from_bytes(&bytes).unwrap();
+            assert_eq!(back.params[0], ParamTuple::new(EventId(3), values));
+            assert_eq!(back, occ);
+        }
     }
 
     #[test]

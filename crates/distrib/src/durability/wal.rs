@@ -26,7 +26,7 @@
 //! early at a stale hole; the coordinator refuses to recover from an
 //! undecodable log and leaves the file as it is.
 
-use super::codec::{crc32, from_bytes, to_bytes, Decode, Encode, Reader};
+use super::codec::{crc32, from_bytes, Decode, Encode, Reader};
 use super::snapshot::CoordinatorSnapshot;
 use crate::protocol::Msg;
 use std::fs::{File, OpenOptions};
@@ -386,6 +386,9 @@ pub struct WalWriter {
     bytes: u64,
     since_sync: u64,
     syncs: u64,
+    /// The frame being appended, reused so a warm append allocates nothing;
+    /// it keeps the capacity of the largest record appended.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -417,6 +420,7 @@ impl WalWriter {
             bytes: 0,
             since_sync: 0,
             syncs: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -465,6 +469,7 @@ impl WalWriter {
             bytes: valid_len,
             since_sync: 0,
             syncs: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -479,20 +484,16 @@ impl WalWriter {
             bytes: 0,
             since_sync: 0,
             syncs: 0,
+            frame: Vec::new(),
         }
     }
 
     /// Append one record; syncs every `SYNC_EVERY` appends.
     pub fn append<R: Encode>(&mut self, rec: &R) -> io::Result<()> {
-        let payload = to_bytes(rec);
-        debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.sink.write_all(&frame)?;
+        encode_frame(rec, &mut self.frame);
+        self.sink.write_all(&self.frame)?;
         self.appends += 1;
-        self.bytes += frame.len() as u64;
+        self.bytes += self.frame.len() as u64;
         self.since_sync += 1;
         if self.since_sync >= SYNC_EVERY {
             self.sync()?;
@@ -535,12 +536,23 @@ impl WalWriter {
 /// Frame a record exactly as [`WalWriter::append`] would — for tests that
 /// build log images in memory.
 pub fn frame_record<R: Encode>(rec: &R) -> Vec<u8> {
-    let payload = to_bytes(rec);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    encode_frame(rec, &mut frame);
     frame
+}
+
+/// Replace `frame`'s contents with `rec`'s frame: the record is encoded
+/// after 8 placeholder bytes, which then receive its length and CRC.
+fn encode_frame<R: Encode>(rec: &R, frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 8]);
+    rec.encode(frame);
+    let payload = &frame[8..];
+    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    frame[..4].copy_from_slice(&len);
+    frame[4..8].copy_from_slice(&crc);
 }
 
 #[cfg(test)]

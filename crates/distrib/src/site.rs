@@ -436,7 +436,7 @@ impl SiteNode {
         let epoch = self.epoch;
         let up = &mut self.uplinks[u];
         let seq = up.link.seq;
-        let events = std::sync::Arc::new(std::mem::take(&mut up.staged));
+        let events = std::sync::Arc::new(up.staged.drain(..).collect::<Vec<_>>());
         self.send_seq(
             Some(u),
             Msg::Routed {
@@ -667,8 +667,10 @@ impl SiteNode {
         let seq = self.link.seq;
         let epoch = self.epoch;
         // One Arc wrap at flush: retransmit retention (and any WAL copy at
-        // the coordinator) shares this allocation.
-        let events = std::sync::Arc::new(std::mem::take(&mut self.pending));
+        // the coordinator) shares this allocation. The batch moves into an
+        // exact-size vector and `pending` keeps its capacity, so a warm
+        // site allocates no growth steps, whatever its batch size.
+        let events = std::sync::Arc::new(self.pending.drain(..).collect::<Vec<_>>());
         self.send_seq(
             None,
             Msg::Batch {

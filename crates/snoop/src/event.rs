@@ -121,15 +121,70 @@ impl From<bool> for Value {
     }
 }
 
+/// The values of one [`ParamTuple`], read as a `[Value]` slice.
+///
+/// No values, or one value that is not a [`Value::Str`], live in place:
+/// building such a tuple allocates nothing, and cloning it is a plain copy
+/// with no reference count to touch. Several values, or any string, are
+/// shared behind one `Arc`, so fan-out through the graph does not copy
+/// payloads. The representation is invisible: equality, `Debug` and the
+/// durability codec all see the slice.
+#[derive(Clone)]
+pub struct Values(ValuesRepr);
+
+#[derive(Clone)]
+enum ValuesRepr {
+    Empty,
+    /// Never a `Value::Str`, whose clone would allocate.
+    One(Value),
+    Shared(Arc<[Value]>),
+}
+
+impl From<Vec<Value>> for Values {
+    fn from(mut values: Vec<Value>) -> Self {
+        Values(match values.len() {
+            0 => ValuesRepr::Empty,
+            1 if !matches!(values[0], Value::Str(_)) => {
+                ValuesRepr::One(values.pop().expect("one value"))
+            }
+            _ => ValuesRepr::Shared(values.into()),
+        })
+    }
+}
+
+impl std::ops::Deref for Values {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            ValuesRepr::Empty => &[],
+            ValuesRepr::One(v) => std::slice::from_ref(v),
+            ValuesRepr::Shared(vs) => vs,
+        }
+    }
+}
+
+impl PartialEq for Values {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Values {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The parameters contributed by one constituent occurrence: the source
-/// event type and its values. Shared via `Arc` so that fan-out through the
-/// graph does not copy payloads.
+/// event type and its values. A tuple with at most one scalar value holds
+/// it in place; otherwise its values are shared (see [`Values`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamTuple {
     /// The event type that contributed these values.
     pub source: EventId,
     /// The values.
-    pub values: Arc<Vec<Value>>,
+    pub values: Values,
 }
 
 impl ParamTuple {
@@ -137,7 +192,7 @@ impl ParamTuple {
     pub fn new(source: EventId, values: Vec<Value>) -> Self {
         ParamTuple {
             source,
-            values: Arc::new(values),
+            values: Values::from(values),
         }
     }
 }
@@ -147,8 +202,10 @@ impl ParamTuple {
 /// fan-out (one clone per subscriber/parent edge) costs one reference-count
 /// increment instead of a heap copy of the tuple list. Operators that build
 /// a *new* list (combination, accumulation) count the tuples first and fill
-/// the slice in one allocation — a composite emission's only one, since each
-/// tuple's values are themselves shared.
+/// the slice in one allocation — a composite emission's only one, since a
+/// tuple's lone scalar is copied in place and longer values are shared.
+/// A primitive occurrence with no values, or one scalar, costs exactly one
+/// allocation: this list.
 pub type ParamList = Arc<[ParamTuple]>;
 
 /// An event occurrence: type, timestamp, parameters, and a process-unique

@@ -42,7 +42,7 @@ pub use batch::{EventBatch, ParamArena, ParamHandle};
 pub use context::Context;
 pub use detector::CentralDetector;
 pub use error::{Result, SnoopError};
-pub use event::{Catalog, EventId, Occurrence, ParamList, ParamTuple, Value};
+pub use event::{Catalog, EventId, Occurrence, ParamList, ParamTuple, Value, Values};
 pub use expr::EventExpr;
 pub use nodes::mask::Mask;
 pub use plan::{FeedOutput, PlanDetector, PlanStats, ShardId, TimerId, TimerRequest};

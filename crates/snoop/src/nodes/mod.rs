@@ -268,6 +268,12 @@ pub(crate) struct BandedBuffer<T: EventTime> {
     /// without shifting the rest.
     entries: VecDeque<BandEntry<T>>,
     next_seq: u64,
+    /// Whether every buffered entry arrived after the one before it in
+    /// band order, so position order is arrival order and Chronicle's
+    /// oldest match is the first match. An insert before the back clears
+    /// it; an insert into an empty buffer sets it again. Removals keep it:
+    /// survivors stay a subsequence.
+    in_order: bool,
     /// Reusable index staging for [`BandedBuffer::terminate_before`]: the
     /// matched entry positions of one termination, re-sorted into arrival
     /// order. Keeping it on the buffer makes the steady-state join path
@@ -280,6 +286,7 @@ impl<T: EventTime> Default for BandedBuffer<T> {
         BandedBuffer {
             entries: VecDeque::new(),
             next_seq: 0,
+            in_order: true,
             scratch: Vec::new(),
         }
     }
@@ -309,6 +316,11 @@ impl<T: EventTime> BandedBuffer<T> {
         // In-order arrivals (the common case) have the largest `(band, seq)`
         // key so far, so this is an O(log n) search + push at the end.
         let pos = self.entries.partition_point(|e| e.band <= band);
+        if self.entries.is_empty() {
+            self.in_order = true;
+        } else if pos < self.entries.len() {
+            self.in_order = false;
+        }
         self.entries.insert(
             pos,
             BandEntry {
@@ -382,16 +394,27 @@ impl<T: EventTime> BandedBuffer<T> {
                 }
             }
             Context::Chronicle => {
-                let mut oldest: Option<usize> = None;
-                for (i, e) in self.entries.iter().enumerate() {
-                    // The arrival check is one compare; only an entry
-                    // older than the best so far pays for the relation.
-                    if oldest.is_none_or(|o| e.seq < self.entries[o].seq)
-                        && (i < prefix || in_band(e))
-                    {
-                        oldest = Some(i);
+                let oldest = if self.in_order {
+                    // Position order is arrival order: entry 0 when the
+                    // prefix is non-empty, else the first in-band match.
+                    if prefix > 0 {
+                        Some(0)
+                    } else {
+                        self.entries.iter().position(in_band)
                     }
-                }
+                } else {
+                    let mut oldest: Option<usize> = None;
+                    for (i, e) in self.entries.iter().enumerate() {
+                        // The arrival check is one compare; only an entry
+                        // older than the best so far pays for the relation.
+                        if oldest.is_none_or(|o| e.seq < self.entries[o].seq)
+                            && (i < prefix || in_band(e))
+                        {
+                            oldest = Some(i);
+                        }
+                    }
+                    oldest
+                };
                 if let Some(e) = oldest.and_then(|i| self.entries.remove(i)) {
                     sink.emit_pair(&e.occ, term);
                 }
@@ -534,6 +557,37 @@ mod tests {
                 assert_eq!(linear.len(), banded.len(), "{ctx} term@{term_t}");
             }
         }
+    }
+
+    /// An arrival that lands before the back of the buffer clears the
+    /// in-order flag, so Chronicle scans for the oldest arrival instead of
+    /// taking the front; an insert into the emptied buffer sets it again.
+    #[test]
+    fn chronicle_out_of_order_arrival_scans_for_oldest() {
+        let valued =
+            |t: u64| Occurrence::primitive(EventId(0), CentralTime(t), vec![(t as i64).into()]);
+        let mut banded = BandedBuffer::default();
+        banded.insert(Context::Chronicle, &valued(9));
+        assert!(banded.in_order);
+        banded.insert(Context::Chronicle, &valued(2));
+        assert!(
+            !banded.in_order,
+            "an insert before the back clears the flag"
+        );
+        let (mut em, mut tr) = (Vec::new(), Vec::new());
+        for term_t in [10, 11] {
+            let mut sink = Sink::new(EventId(9), &mut em, &mut tr);
+            banded.terminate_before(Context::Chronicle, &bare(term_t), &mut sink);
+        }
+        let paired: Vec<_> = em.iter().map(|o| o.params[0].values[0].as_int()).collect();
+        assert_eq!(
+            paired,
+            [Some(9), Some(2)],
+            "Chronicle pairs in arrival order"
+        );
+        assert_eq!(banded.len(), 0);
+        banded.insert(Context::Chronicle, &valued(5));
+        assert!(banded.in_order, "an empty buffer resets the flag");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! The fixtures use *bare* occurrences (one empty parameter tuple) under
 //! `CentralTime`, so the one allocation inherent to an emission is its
 //! concatenated parameter slice (`Arc<[ParamTuple]>`) — every other count
-//! is join-site or routing overhead. What it pins:
+//! is join-site or routing overhead. A tuple holds no values, or one
+//! non-string value, in place and shares longer ones, so copying tuples
+//! into that slice allocates nothing either way. What it pins:
 //!
 //! * `SeqNode` termination (the banded buffer) allocates exactly one
 //!   count per emitted pairing — the matched-index staging reuses the
@@ -25,13 +27,15 @@
 //!   emission plus the result vec: triggers and cascaded detections route
 //!   by reference, and a replayed shared emission is free;
 //! * `CompositeTimestamp::singleton` — the stamp of every event a site
-//!   emits and every coordinator timer fire — allocates nothing.
+//!   emits and every coordinator timer fire — allocates nothing;
+//! * a primitive with one `Int` parameter, or none, allocates exactly its
+//!   list, and combining two of them allocates exactly the new list.
 
 use decs_core::{pts, CompositeTimestamp};
 use decs_snoop::nodes::any::AnyNode;
 use decs_snoop::nodes::seq::SeqNode;
 use decs_snoop::nodes::{OperatorNode, Sink};
-use decs_snoop::{CentralTime, Context, EventExpr as E, EventId, Occurrence, PlanDetector};
+use decs_snoop::{CentralTime, Context, EventExpr as E, EventId, Occurrence, PlanDetector, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -173,6 +177,20 @@ fn join_sites_allocate_only_per_emission() {
     let (n, stamp) = allocs_during(|| CompositeTimestamp::singleton(t));
     assert_eq!(stamp.members(), &[t]);
     assert_eq!(n, 0, "a singleton stamp must not allocate");
+
+    // --- A lone scalar lives in place in its tuple.
+    let values = vec![Value::Int(7)];
+    let (n, a) = allocs_during(|| Occurrence::primitive(EventId(0), CentralTime(1), values));
+    assert_eq!(n, 1, "a one-Int primitive must allocate exactly its list");
+    let (n, _) = allocs_during(|| bare(0, 1));
+    assert_eq!(n, 1, "a bare primitive must allocate exactly its list");
+    let b = Occurrence::primitive(EventId(1), CentralTime(2), vec![Value::Int(8)]);
+    let (n, ab) = allocs_during(|| Occurrence::combine(EventId(9), &a, &b));
+    assert_eq!(ab.params[1].values[0], Value::Int(8));
+    assert_eq!(
+        n, 1,
+        "combining scalar tuples must allocate exactly the list"
+    );
 }
 
 /// A `wide_plan`-shaped plan: `AND` and `SEQ` definitions under Recent and

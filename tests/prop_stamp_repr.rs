@@ -10,8 +10,8 @@
 //! one normalized from a one-element list are the same value to `==`,
 //! `Hash` and `canonical_cmp`.
 //!
-//! `hot_sizes_stay_small` is the size gate: stamps, occurrences and
-//! protocol messages are copied at every hop of the pipeline (simnet's
+//! `hot_sizes_stay_small` is the size gate: stamps, occurrences,
+//! parameter tuples and protocol messages are copied at every hop of the pipeline (simnet's
 //! queue, the site's send window, the stability buffer, the plan's
 //! waves), so a change that inflates them fails here, not only in a
 //! benchmark.
@@ -19,7 +19,7 @@
 use decs::chronos::SiteId;
 use decs::core::{pts, CompositeTimestamp, PrimitiveTimestamp};
 use decs::distrib::Msg;
-use decs::snoop::{EventTime, Occurrence};
+use decs::snoop::{EventTime, Occurrence, ParamTuple};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -117,6 +117,9 @@ fn hot_sizes_stay_small() {
     use std::mem::size_of;
     assert!(size_of::<CompositeTimestamp>() <= 32);
     assert!(size_of::<Occurrence<CompositeTimestamp>>() <= 64);
+    // A tuple holds no values, or one scalar, in place; composite
+    // parameter lists are arrays of these.
+    assert!(size_of::<ParamTuple>() <= 32);
     // The largest variant is `Relay` (sequence number, promise vector,
     // shared payload); occurrences travel behind an `Arc`.
     assert!(size_of::<Msg>() <= 40);
