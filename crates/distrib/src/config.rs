@@ -80,11 +80,15 @@ pub struct EngineConfig {
     /// where the crashed incarnation stopped instead of restarting its
     /// sequence space. Requires [`EngineConfig::wal_dir`]. Off by default:
     /// every allocation, ack and staged event is logged before it takes
-    /// effect, and the frames whose loss could lose or duplicate an
-    /// occurrence (staged events, occurrence-carrying sends, epochs and
-    /// Hellos) are synced first. Acks and empty batches ride along with
-    /// the next sync. A site without it loses, when it crashes, the
-    /// occurrences it staged since its last flush.
+    /// effect, and the frames whose loss could re-sequence an occurrence
+    /// (occurrence-carrying sends, epochs and Hellos) are synced first.
+    /// Staged events, acks and empty batches ride along with the next
+    /// sync, so the batch that ships a tick's occurrences also commits
+    /// them: one sync per occurrence-carrying send. A durable site loses
+    /// no staged occurrence to a process crash; a power loss loses those
+    /// staged since its last occurrence-carrying send. A site without it
+    /// loses, when it crashes, the occurrences it staged since its last
+    /// flush.
     pub site_durability: bool,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every

@@ -16,18 +16,26 @@
 //! and site logs never interleave.
 //!
 //! A frame is synced before the site acts on it only if losing it could
-//! lose or duplicate an occurrence ([`SiteWalRecord::must_sync`]): staged
-//! occurrences, sends that carry occurrences, epochs and Hellos. Acks and
-//! empty batches (the site's heartbeats) are appended unsynced and
-//! reach the disk with the next synced frame or the writer's periodic
-//! sync. Each sync makes its whole prefix durable and the scanner stops
-//! at the first bad frame, so a power loss drops only a suffix of those
-//! unsynced frames. Losing an ack makes the recovered retransmit window a
-//! superset, and the coordinator drops the re-sent copies as duplicates.
-//! Losing an empty batch lets the restarted site reuse its sequence
-//! slot: the coordinator's epoch transition lowers its frontier to the
-//! Hello's sequence number, and consuming a watermark promise twice is
-//! harmless because the tracker keeps the maximum.
+//! re-sequence an occurrence ([`SiteWalRecord::must_sync`]): sends that
+//! carry occurrences, epochs and Hellos. Everything else is appended
+//! unsynced and reaches the disk with the next synced frame or the
+//! writer's periodic sync. Each sync makes its whole prefix durable and
+//! the scanner stops at the first bad frame, so a power loss drops only a
+//! suffix of those unsynced frames.
+//!
+//! * Staged occurrences are group-committed: the occurrence-carrying
+//!   batch that ships them syncs them with itself, before it leaves. A
+//!   process crash loses none of them (each frame is written to the file
+//!   as it is staged, and the restarted site re-reads it), but a power
+//!   loss loses the occurrences staged since the last carrying send: at
+//!   most one batch interval, the window a non-durable site loses on any
+//!   crash.
+//! * Losing an ack makes the recovered retransmit window a superset, and
+//!   the coordinator drops the re-sent copies as duplicates.
+//! * Losing an empty batch lets the restarted site reuse its sequence
+//!   slot: the coordinator's epoch transition lowers its frontier to the
+//!   Hello's sequence number, and consuming a watermark promise twice is
+//!   harmless because the tracker keeps the maximum.
 
 use super::codec::{CodecError, Decode, Encode, Reader};
 use super::wal::{read_wal_as, WalScan, WalWriter};
@@ -70,19 +78,20 @@ pub enum SiteWalRecord {
 
 impl SiteWalRecord {
     /// Whether the frame must be durable before the site acts on it: true
-    /// when losing it could lose or duplicate an occurrence. A staged
-    /// occurrence exists nowhere else, and a lost occurrence-carrying send
-    /// would be re-staged and re-sent under a reused sequence number.
-    /// Epochs and Hellos are rare and stay synced. Acks and empty batches
-    /// are safe to lose (see the module docs).
+    /// when losing it could re-sequence an occurrence. A lost
+    /// occurrence-carrying send would be re-staged and re-sent under a
+    /// reused sequence number, and its sync also makes every staged
+    /// occurrence before it durable. Epochs and Hellos are rare and stay
+    /// synced. Staged occurrences wait for that next carrying send; acks
+    /// and empty batches are safe to lose (see the module docs).
     pub fn must_sync(&self) -> bool {
         match self {
-            SiteWalRecord::Acked { .. } => false,
+            SiteWalRecord::Acked { .. } | SiteWalRecord::Staged { .. } => false,
             SiteWalRecord::Sent { msg } => match msg {
                 Msg::Batch { events, .. } => !events.is_empty(),
                 _ => true,
             },
-            SiteWalRecord::Epoch { .. } | SiteWalRecord::Staged { .. } => true,
+            SiteWalRecord::Epoch { .. } => true,
         }
     }
 

@@ -52,7 +52,9 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// their sites have already dropped from their retransmit windows. A
 /// process crash alone loses nothing, because the page cache still holds
 /// the frames. Site logs sync the frames they cannot lose themselves
-/// (`SiteWalRecord::must_sync`); this rule bounds the rest.
+/// (`SiteWalRecord::must_sync`): an occurrence-carrying send commits the
+/// staged occurrences before it, and this rule bounds the unsynced rest
+/// (acks, empty batches and staged frames not yet shipped).
 const SYNC_EVERY: u64 = 64;
 
 /// Temporary name of a log image being written by [`WalWriter::replace`]

@@ -291,9 +291,12 @@ impl SiteNode {
 
     /// Enable site durability: outbound allocations, acks and staged
     /// events are logged to a WAL in `dir` before they take effect, so a
-    /// restart recovers the unacked send window. Only the frames whose
-    /// loss could lose or duplicate an occurrence are synced before the
-    /// site acts on them ([`SiteWalRecord::must_sync`]).
+    /// restart recovers the unacked send window and the pending batch.
+    /// Only the frames whose loss could re-sequence an occurrence are
+    /// synced before the site acts on them ([`SiteWalRecord::must_sync`]):
+    /// staged events become durable with the occurrence-carrying batch
+    /// that ships them, so a power loss (unlike a process crash) loses
+    /// what the site staged since its last carrying send.
     pub fn set_durability(&mut self, dir: &Path) -> io::Result<()> {
         let mut w = WalWriter::create(dir)?;
         SiteWalRecord::Epoch { epoch: self.epoch }.log_to(&mut w)?;
@@ -338,7 +341,7 @@ impl SiteNode {
     }
 
     /// Log one record before its effect is observable, syncing it first
-    /// when its loss could lose or duplicate an occurrence
+    /// when its loss could re-sequence an occurrence
     /// ([`SiteWalRecord::log_to`]). The record is built only when a log
     /// exists: with durability off, the hot send path copies nothing.
     fn wal_log(&mut self, rec: impl FnOnce() -> SiteWalRecord) {
@@ -1385,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_site_syncs_only_occurrence_frames() {
+    fn durable_site_syncs_once_per_carrying_flush() {
         let dir = std::env::temp_dir().join(format!(
             "decs-site-wal-test-{}-sync-count",
             std::process::id()
@@ -1401,7 +1404,7 @@ mod tests {
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
-        // Three injections: two share one tick, one has its own.
+        // Three injections: two share tick 10, one has tick 13 to itself.
         let injects = [1_010_000_000u64, 1_030_000_000, 1_350_000_000];
         for at in injects {
             sim.inject(
@@ -1421,6 +1424,17 @@ mod tests {
         ] {
             sim.inject(Nanos(at), NodeIdx(0), Msg::Ack { cum_seq, epoch: 0 });
         }
+        let syncs = |sim: &Simulation<Node>| match sim.node(NodeIdx(0)) {
+            Node::Site(s) => s.wal_syncs(),
+            Node::Collector(_) => unreachable!(),
+        };
+        // Both tick-10 occurrences are staged but not yet synced: only the
+        // Epoch is. The tick edge's batch at 1.1 s commits the pair with
+        // one sync.
+        sim.run_until(Nanos::from_millis(1_050));
+        assert_eq!(syncs(&sim), 1);
+        sim.run_until(Nanos::from_millis(1_150));
+        assert_eq!(syncs(&sim), 2);
         sim.run_until(Nanos::from_millis(1_950));
         let Node::Collector(c) = sim.node(coord) else {
             panic!()
@@ -1432,17 +1446,18 @@ mod tests {
             .iter()
             .map(|(seq, _, e)| (*seq, e.len()))
             .collect();
-        let carrying = flushes.values().filter(|&&n| n > 0).count();
-        assert_eq!(carrying, 2);
+        let sizes: Vec<usize> = flushes.values().copied().filter(|&n| n > 0).collect();
+        assert_eq!(sizes, [2, 1], "tick 10's pair shares one batch");
+        let carrying = sizes.len();
         assert!(flushes.len() - carrying > 10, "{flushes:?}");
         let Node::Site(s) = sim.node(NodeIdx(0)) else {
             panic!()
         };
         assert_eq!(s.wal_errors, 0, "{:?}", s.wal_failed());
         assert_eq!(s.unacked(), flushes.len() - 17, "all three acks trimmed");
-        // One for the Epoch, one per staged occurrence, one per
-        // occurrence-carrying flush; none for empty flushes or acks.
-        assert_eq!(s.wal_syncs(), 1 + injects.len() as u64 + carrying as u64);
+        // One for the Epoch and one per occurrence-carrying flush; none
+        // for staged occurrences, empty flushes or acks.
+        assert_eq!(s.wal_syncs(), 1 + carrying as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

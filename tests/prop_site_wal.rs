@@ -1,21 +1,27 @@
 //! Power-loss property of the site write-ahead log.
 //!
 //! A site syncs a log frame before acting on it only when losing the
-//! frame could lose or duplicate an occurrence
-//! (`SiteWalRecord::must_sync`). This suite drives the real `WalWriter`
-//! through `SiteWalRecord::log_to`, exactly as a site does, into a sink
-//! that remembers how many bytes the last sync made durable. A random run
-//! of stage / flush / ack steps is cut at a random
-//! point, and the log is recovered from what a power loss could leave:
-//! the synced prefix, or any longer prefix of the written bytes. Each
-//! recovery must satisfy the release rule's needs:
+//! frame could re-sequence an occurrence (`SiteWalRecord::must_sync`):
+//! staged occurrences are group-committed by the sync of the
+//! occurrence-carrying batch that ships them. This suite drives the real
+//! `WalWriter` through `SiteWalRecord::log_to`, exactly as a site does,
+//! into a sink that remembers how many bytes the last sync made durable.
+//! A random run of stage / flush / ack steps is cut at a random point,
+//! and the log is recovered from what a power loss could leave: the
+//! synced prefix, or any longer prefix of the written bytes. Each
+//! recovery must satisfy the release rule's needs and the documented
+//! power-loss contract of a durable site (it loses at most what it staged
+//! since its last sync):
 //!
 //! * every occurrence-carrying message sent before the cut is either
 //!   below the recovered ack baseline or in the recovered retransmit
 //!   window, byte for byte;
 //! * the recovered sequence counter is above every occurrence-carrying
 //!   sequence number sent, so no such slot is ever reused;
-//! * every staged-but-unflushed occurrence is recovered, in order.
+//! * the recovered staged occurrences are a prefix of the live pending
+//!   batch, exactly those whose frames the image holds, and every
+//!   occurrence staged before the last sync survives, either staged or
+//!   inside a recovered (or acked) carrying message.
 //!
 //! The uncut log must fold to exactly the live site's outbound state.
 
@@ -85,9 +91,13 @@ struct Site {
     acked: u64,
     retx: BTreeMap<u64, Msg>,
     pending: Vec<Occurrence<decs::core::CompositeTimestamp>>,
+    /// Every occurrence staged, in order, with the log length just past
+    /// its `Staged` frame.
+    staged: Vec<(Occurrence<decs::core::CompositeTimestamp>, usize)>,
     /// Every occurrence-carrying message sent, in send order.
     carrying: Vec<Msg>,
     tick: u64,
+    disk: Arc<Mutex<Disk>>,
 }
 
 impl Site {
@@ -101,8 +111,10 @@ impl Site {
             acked: 0,
             retx: BTreeMap::new(),
             pending: Vec::new(),
+            staged: Vec::new(),
             carrying: Vec::new(),
             tick: 0,
+            disk: Arc::clone(disk),
         }
     }
 
@@ -131,6 +143,8 @@ impl Site {
                 SiteWalRecord::Staged { occ: occ.clone() }
                     .log_to(&mut self.wal)
                     .unwrap();
+                let end = self.disk.lock().unwrap().written.len();
+                self.staged.push((occ.clone(), end));
                 self.pending.push(occ);
             }
             Step::Flush => {
@@ -167,9 +181,17 @@ fn seq_of(msg: &Msg) -> u64 {
     }
 }
 
-/// Check one recovered image against what the site did before the cut.
-/// Panics on a violation; the harness reports the panic with the case.
-fn check_recovery(image: &[u8], site: &Site) {
+fn events_of(msg: &Msg) -> &[Occurrence<decs::core::CompositeTimestamp>] {
+    match msg {
+        Msg::Batch { events, .. } => events,
+        other => unreachable!("not logged by this model: {other:?}"),
+    }
+}
+
+/// Check one recovered image against what the site did before the cut,
+/// when the last sync had made the first `synced` bytes durable. Panics
+/// on a violation; the harness reports the panic with the case.
+fn check_recovery(image: &[u8], synced: usize, site: &Site) {
     let scan = scan_bytes_as::<SiteWalRecord>(image);
     let st = fold_records(&scan.records);
     let baseline = scan
@@ -193,7 +215,32 @@ fn check_recovery(image: &[u8], site: &Site) {
             assert_eq!(kept, Some(to_bytes(msg)), "slot {seq} lost");
         }
     }
-    assert_eq!(st.staged, site.pending, "staged occurrences lost");
+    // A power loss may drop the staged frames written since the last
+    // sync, so the recovered batch is the pending batch cut after the
+    // last `Staged` frame the image holds.
+    let pending = &site.staged[site.staged.len() - site.pending.len()..];
+    let in_image = pending
+        .iter()
+        .take_while(|(_, end)| *end <= image.len())
+        .count();
+    assert_eq!(
+        st.staged,
+        site.pending[..in_image],
+        "recovered staged occurrences are not the pending prefix the image holds"
+    );
+    // The contract: every occurrence staged before the last sync survives,
+    // still staged or shipped in a carrying message that was acked or is
+    // recovered for retransmission.
+    for (occ, _) in site.staged.iter().filter(|(_, end)| *end <= synced) {
+        let shipped = site.carrying.iter().any(|m| {
+            let seq = seq_of(m);
+            (seq < baseline || st.retx.contains_key(&seq)) && events_of(m).contains(occ)
+        });
+        assert!(
+            shipped || st.staged.contains(occ),
+            "occurrence staged before the last sync lost: {occ:?}"
+        );
+    }
 }
 
 proptest! {
@@ -213,9 +260,9 @@ proptest! {
         let disk = disk.lock().unwrap();
         // Power loss: the synced prefix survives, and the page cache may
         // have written back any amount of the unsynced rest.
-        check_recovery(&disk.written[..disk.synced], &site);
+        check_recovery(&disk.written[..disk.synced], disk.synced, &site);
         let partial = disk.synced + extra % (disk.written.len() - disk.synced + 1);
-        check_recovery(&disk.written[..partial], &site);
+        check_recovery(&disk.written[..partial], disk.synced, &site);
         // Uncut, the log folds to exactly the live outbound state.
         let scan = scan_bytes_as::<SiteWalRecord>(&disk.written);
         prop_assert_eq!(scan.tail, WalTail::Clean);

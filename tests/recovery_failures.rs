@@ -617,13 +617,17 @@ fn site_wal_syncs_are_counted_across_restarts() {
     e.restart_site(Nanos(2_200_500_000), 0);
     inject_all(&mut e, &workload());
     e.run_until(Nanos::from_millis(1_600));
-    // The Epoch and site 0's two events (at 0.2 s and 1.5 s), at least.
+    // One for the Epoch and one for each edge batch that ships one of
+    // site 0's events (staged at 0.2 s and 1.5 s, shipped at the 0.3 s and
+    // 1.6 s edges). Staging syncs nothing, and empty batches and acks
+    // ride along with the next sync.
     let before = e.site_wal_syncs(0);
-    assert!(before >= 3, "{before} syncs");
+    assert_eq!(before, 3);
     e.run_until(Nanos::from_millis(2_300));
-    // The new incarnation's compaction image and its Hello add to the
-    // crashed incarnation's count rather than restarting it.
-    assert!(e.site_wal_syncs(0) >= before + 2);
+    // The new incarnation's compaction image and its Hello add one each
+    // to the crashed incarnation's count rather than restarting it. The
+    // `A` staged at 2.3 s waits for the 2.4 s edge batch.
+    assert_eq!(e.site_wal_syncs(0), before + 2);
     assert_eq!(e.site_wal_syncs(SITES), 0, "the coordinator index");
     assert_eq!(e.metrics().wal_errors, 0);
 
