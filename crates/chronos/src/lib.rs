@@ -46,4 +46,4 @@ pub use global::{GlobalTimeBase, TruncMode};
 pub use gran::Granularity;
 pub use precedence::{concurrent_2gg, precedes_2gg, SiteId, StampParts};
 pub use sync::{ClockEnsemble, Precision};
-pub use tick::{GlobalTicks, LocalTicks, Nanos};
+pub use tick::{GlobalTicks, LocalTicks, Nanos, Timeout};

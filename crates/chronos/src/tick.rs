@@ -7,11 +7,15 @@
 //! * [`GlobalTicks`] — a local reading truncated to the global granularity
 //!   `g_g`; this is the `global` component of the paper's time stamps.
 //!
+//! [`Timeout`] is a positive span of true time, for the timeouts that
+//! zero cannot stand for.
+//!
 //! Keeping these as distinct types prevents the classic bug family of mixing
 //! scales (e.g. comparing a local tick count of one site with another site's
 //! without going through the `2g_g` machinery).
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Sub};
 
 macro_rules! tick_newtype {
@@ -145,6 +149,42 @@ impl Nanos {
     }
 }
 
+/// A positive span of true time, the type of a timeout: zero is not one
+/// of its values. [`Timeout::from_millis`] checks its argument when the
+/// program compiles, [`Timeout::new`] a span known only at run time.
+///
+/// ```compile_fail
+/// let never = decs_chronos::Timeout::from_millis::<0>();
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Timeout(NonZeroU64);
+
+impl Timeout {
+    /// One nanosecond, the shortest timeout.
+    pub const MIN: Self = Timeout(NonZeroU64::MIN);
+
+    /// `span` as a timeout, or `None` when it is zero.
+    pub fn new(span: Nanos) -> Option<Self> {
+        NonZeroU64::new(span.0).map(Timeout)
+    }
+
+    /// `MS` milliseconds. Zero, like an `MS` too large for [`Nanos`],
+    /// does not compile.
+    pub const fn from_millis<const MS: u64>() -> Self {
+        const {
+            match NonZeroU64::new(MS * 1_000_000) {
+                Some(ns) => Timeout(ns),
+                None => panic!("a timeout must be positive"),
+            }
+        }
+    }
+
+    /// The span (never zero).
+    pub const fn get(self) -> Nanos {
+        Nanos(self.0.get())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +233,15 @@ mod tests {
         assert_eq!(Nanos::from_millis(1500).get(), 1_500_000_000);
         assert_eq!(Nanos::from_micros(2).get(), 2_000);
         assert!((Nanos::from_secs(2).as_secs_f64() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn timeouts_are_positive() {
+        assert_eq!(Timeout::from_millis::<5_000>().get(), Nanos::from_secs(5));
+        assert_eq!(Timeout::new(Nanos::ZERO), None);
+        assert_eq!(Timeout::new(Nanos(1)), Some(Timeout::MIN));
+        assert_eq!(Timeout::MIN.get(), Nanos(1));
+        assert!(Timeout::MIN < Timeout::from_millis::<1>());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use decs_chronos::Nanos;
+use decs_chronos::{Nanos, Timeout};
 
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,25 +17,19 @@ pub struct EngineConfig {
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,
-    /// Whether the coordinator garbage-collects operator buffers as the
-    /// watermark advances. GC is behavior-preserving (the detection stream
-    /// is identical either way — `tests/prop_fastpath.rs` proves it), so
-    /// this only trades a little release-round work for bounded memory on
-    /// long runs. On by default; the off switch exists for ablation.
-    pub buffer_gc: bool,
-    /// Base retransmission timeout for unacked site→coordinator messages.
-    /// The timer restarts on progress, as in TCP: unacked messages are
-    /// resent only once this long has passed since the last ack that
-    /// trimmed the buffer (or since the first send into an empty buffer),
-    /// so messages whose acks are still in flight are never resent.
-    /// The coordinator acks every in-order delivery and re-acks every
-    /// duplicate, so on a healthy link a message is acked one round trip
-    /// after it was sent.
-    /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
-    /// for lossless links or ablation).
-    pub retransmit_timeout: Nanos,
+    /// Base retransmission timeout for unacked site→coordinator messages
+    /// (and a replica's relays). The timer restarts on progress, as in
+    /// TCP: unacked messages are resent only once this long has passed
+    /// since the last ack that trimmed the window (or since the first send
+    /// into an empty window), so messages whose acks are still in flight
+    /// are never resent. The coordinator acks every in-order delivery and
+    /// re-acks every duplicate, so on a healthy link a message is acked
+    /// one round trip after it was sent.
+    pub retransmit_timeout: Timeout,
     /// Cap on the exponential retransmission backoff. Retries continue at
     /// the cap forever, so any partition that heals is eventually crossed.
+    /// A cap at or below [`EngineConfig::retransmit_timeout`] means a
+    /// constant backoff: every round waits the base timeout.
     pub retransmit_cap: Nanos,
     /// Stall detector threshold: a site is marked *suspect* when another
     /// site's watermark rises at least this long after its own last rose,
@@ -43,9 +37,8 @@ pub struct EngineConfig {
     /// gap between rises counts up to one global tick). The check runs
     /// only as watermarks rise, so a site is called late relative to its
     /// peers' progress, never by a clock: neither a globally idle system
-    /// nor an outage of every site suspects anybody. Must be positive;
-    /// [`crate::Engine::new`] refuses zero.
-    pub stall_timeout: Nanos,
+    /// nor an outage of every site suspects anybody.
+    pub stall_timeout: Timeout,
     /// Escalate suspect sites to eviction automatically. Off by default:
     /// eviction sacrifices completeness (composites needing the evicted
     /// site's events are suppressed), so it is an explicit opt-in.
@@ -92,7 +85,7 @@ pub struct EngineConfig {
     pub site_durability: bool,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every
-    /// round fires exactly at the nominal backoff, as before.
+    /// round fires exactly at the nominal backoff.
     pub retransmit_jitter_seed: Option<u64>,
     /// Coordinator replicas in the detection plane. `1` (the default) is
     /// the classic single-coordinator deployment. With `n ≥ 2` the global
@@ -111,16 +104,15 @@ impl Default for EngineConfig {
         EngineConfig {
             batch_interval: Nanos::ZERO,
             trace_capacity: 0,
-            buffer_gc: true,
             // Reliability on by default: a 200 ms base timeout, restarted
             // by every ack that makes progress, sits far above LAN/WAN
             // round trips, so a healthy link sees no retransmits (and a
             // spurious copy is just deduped anyway).
-            retransmit_timeout: Nanos::from_millis(200),
+            retransmit_timeout: Timeout::from_millis::<200>(),
             retransmit_cap: Nanos::from_millis(3_200),
             // 5 s of one-sided watermark silence before a site is
             // suspected.
-            stall_timeout: Nanos::from_secs(5),
+            stall_timeout: Timeout::from_millis::<5_000>(),
             auto_evict: false,
             plan_sharing: true,
             durability: false,

@@ -285,9 +285,7 @@ impl CoordinatorNode {
             // Engine control: a replica arms its relay retransmission
             // round; the classic coordinator has no round to arm.
             if let Some(part) = &self.part {
-                if part.relay_retx.get() > 0 {
-                    ctx.set_timer(part.relay_retx, RELAY_RETX_TAG);
-                }
+                ctx.set_timer(part.relay_retx.get(), RELAY_RETX_TAG);
             }
             return;
         }

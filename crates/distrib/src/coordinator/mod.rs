@@ -40,7 +40,7 @@ use crate::durability::WalWriter;
 use crate::metrics::Metrics;
 use crate::protocol::Msg;
 use crate::watermark::WatermarkTracker;
-use decs_chronos::Nanos;
+use decs_chronos::{Nanos, Timeout};
 use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, NodeIdx};
 use decs_snoop::{EventId, Occurrence, PlanDetector, ShardId, TimerId};
@@ -168,8 +168,6 @@ pub struct CoordinatorNode {
     pub(crate) timer_map: HashMap<u64, (ShardId, TimerId)>,
     pub(crate) next_tag: u64,
     pub(crate) gg_nanos: u64,
-    /// Whether release rounds garbage-collect operator buffers.
-    pub(crate) buffer_gc: bool,
     /// Last watermark the operator buffers were collected at (GC only runs
     /// when the low bound strictly advances).
     pub(crate) last_gc_low: u64,
@@ -254,7 +252,6 @@ impl CoordinatorNode {
             timer_map: HashMap::new(),
             next_tag: 0,
             gg_nanos,
-            buffer_gc: true,
             last_gc_low: 0,
             reportable: HashSet::new(),
             stall_timeout: Nanos(u64::MAX),
@@ -292,16 +289,9 @@ impl CoordinatorNode {
     /// Configure the fault-tolerance machinery: the stall threshold and
     /// automatic eviction of suspect sites. Both off in a bare
     /// coordinator.
-    pub fn set_fault_tolerance(&mut self, stall_timeout: Nanos, auto_evict: bool) {
-        self.stall_timeout = stall_timeout;
+    pub fn set_fault_tolerance(&mut self, stall_timeout: Timeout, auto_evict: bool) {
+        self.stall_timeout = stall_timeout.get();
         self.auto_evict = auto_evict;
-    }
-
-    /// Enable or disable operator-buffer GC (on by default). GC is
-    /// behavior-preserving, so this only trades memory for release-round
-    /// work; the off switch exists for ablation and the occupancy bench.
-    pub fn set_buffer_gc(&mut self, enabled: bool) {
-        self.buffer_gc = enabled;
     }
 
     /// Mark event types whose arrivals are reported as detections in their
@@ -579,7 +569,7 @@ mod tests {
                 0,
                 0b10,
                 1,
-                Nanos::ZERO,
+                Timeout::from_millis::<200>(),
             ));
             r
         };
@@ -622,7 +612,7 @@ mod tests {
     /// at 100 ms, and a probe that delivers at set true times.
     fn stall_rig(auto_evict: bool) -> (CoordinatorNode, Probe) {
         let mut c = coordinator(2);
-        c.set_fault_tolerance(Nanos::from_secs(1), auto_evict);
+        c.set_fault_tolerance(Timeout::from_millis::<1_000>(), auto_evict);
         let mut p = Probe::default();
         at(&mut c, &mut p, 100, 0, hb(0, 1));
         at(&mut c, &mut p, 100, 1, hb(0, 1));

@@ -94,7 +94,7 @@
 use super::{CoordCtx, CoordinatorNode, RawDetection};
 use crate::protocol::{Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
 use crate::window::SendWindow;
-use decs_chronos::Nanos;
+use decs_chronos::{Nanos, Timeout};
 use decs_core::CompositeTimestamp;
 use decs_simnet::NodeIdx;
 use decs_snoop::{EventId, FeedOutput, Occurrence};
@@ -207,8 +207,8 @@ pub(crate) struct PartitionState {
     pub(crate) fed_since_sample: bool,
     /// The watermark `advance_promise` last ran against.
     pub(crate) last_w: u64,
-    /// Period of the relay retransmission round (`ZERO` disables it).
-    pub(crate) relay_retx: Nanos,
+    /// Period of the relay retransmission round.
+    pub(crate) relay_retx: Timeout,
 }
 
 impl PartitionState {
@@ -224,7 +224,7 @@ impl PartitionState {
         reach_peers: u64,
         gaters: u64,
         max_depth: u32,
-        relay_retx: Nanos,
+        relay_retx: Timeout,
     ) -> Self {
         let strata = max_depth.max(1) as usize;
         let mut peer_bound = vec![vec![PlanePos::MIN; strata]; n_replicas];
@@ -709,7 +709,7 @@ impl CoordinatorNode {
                     resend.push((node, msg.clone()));
                 }
             }
-            part.relay_retx
+            part.relay_retx.get()
         };
         self.metrics.relay_retransmits += resend.len() as u64;
         for (node, msg) in resend {
@@ -725,25 +725,23 @@ impl CoordinatorNode {
     /// view. Each term bounds a future feed's `max_global` from below, and
     /// its members sit at most one tick lower (Theorem 5.1).
     fn gc_partitioned(&mut self) {
-        if self.buffer_gc {
-            let mut low = self.tracker.min_watermark();
-            {
-                let part = self.part.as_ref().expect("partitioned");
-                for q in 0..part.n_replicas {
-                    if q != part.replica && part.gaters & (1 << q) != 0 {
-                        low = low.min(part.peer_floor(q).g);
-                    }
-                }
-                if let Some((k, _)) = part.pbuffer.first_key_value() {
-                    low = low.min(k.0 .0);
+        let mut low = self.tracker.min_watermark();
+        {
+            let part = self.part.as_ref().expect("partitioned");
+            for q in 0..part.n_replicas {
+                if q != part.replica && part.gaters & (1 << q) != 0 {
+                    low = low.min(part.peer_floor(q).g);
                 }
             }
-            let low = low.saturating_sub(1);
-            if low > self.last_gc_low {
-                self.last_gc_low = low;
-                self.release_horizon = self.release_horizon.max(low + 1);
-                self.metrics.gc_evicted += self.detector.advance_watermark(low);
+            if let Some((k, _)) = part.pbuffer.first_key_value() {
+                low = low.min(k.0 .0);
             }
+        }
+        let low = low.saturating_sub(1);
+        if low > self.last_gc_low {
+            self.last_gc_low = low;
+            self.release_horizon = self.release_horizon.max(low + 1);
+            self.metrics.gc_evicted += self.detector.advance_watermark(low);
         }
     }
 

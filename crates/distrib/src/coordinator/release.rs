@@ -206,16 +206,14 @@ impl CoordinatorNode {
     /// site's clock under the `2g_g` clock-sync assumption (Prop 4.1), so
     /// at or above `min − 1` as well.
     pub(super) fn gc_operator_buffers(&mut self) {
-        if self.buffer_gc {
-            let low = self.tracker.min_watermark().saturating_sub(1);
-            if low > self.last_gc_low {
-                self.last_gc_low = low;
-                // Operator buffers below `low` are gone: a late notification
-                // at or below it could no longer combine correctly, so the
-                // stale horizon advances with the GC bound too.
-                self.release_horizon = self.release_horizon.max(low + 1);
-                self.metrics.gc_evicted += self.detector.advance_watermark(low);
-            }
+        let low = self.tracker.min_watermark().saturating_sub(1);
+        if low > self.last_gc_low {
+            self.last_gc_low = low;
+            // Operator buffers below `low` are gone: a late notification
+            // at or below it could no longer combine correctly, so the
+            // stale horizon advances with the GC bound too.
+            self.release_horizon = self.release_horizon.max(low + 1);
+            self.metrics.gc_evicted += self.detector.advance_watermark(low);
         }
         self.metrics.node_buffered = self.detector.buffered_occupancy();
         self.metrics.node_buffer_peak = self

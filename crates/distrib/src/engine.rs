@@ -305,13 +305,6 @@ impl Engine {
         let (detector, name_ids, names) =
             compile::build_detector(&config, &primitives_owned, &local_defs, &global_defs)?;
 
-        if config.stall_timeout == Nanos::ZERO {
-            // Zero would suspect every site not rising at the very instant
-            // of a peer's rise — not "off", as zero is for other timers.
-            return Err(SnoopError::InvalidConfig(
-                "stall_timeout must be positive".to_string(),
-            ));
-        }
         let replicas = config.coordinator_replicas.max(1);
         if replicas > 1 {
             // The partitioned plane's scope cuts, enforced up front (each
@@ -345,9 +338,13 @@ impl Engine {
         let gg_nanos_sites = scenario.base.gg().nanos_per_tick();
         let mut nodes = Vec::with_capacity(n as usize + replicas);
         for i in 0..n {
-            let site_node = if local_definitions.is_empty() {
-                SiteNode::new(coordinator)
-            } else {
+            let mut site_node = SiteNode::new(
+                coordinator,
+                config.retransmit_timeout,
+                config.retransmit_cap,
+            )
+            .with_batching(config.batch_interval);
+            if !local_definitions.is_empty() {
                 // Each site compiles its own plan, in the coordinator's
                 // sharing mode; translate its named event ids into the
                 // coordinator's id space.
@@ -367,14 +364,9 @@ impl Engine {
                     let site_id = site_det.catalog().lookup(name)?;
                     translate.insert(site_id, name_ids[name]);
                 }
-                SiteNode::with_local(
-                    coordinator,
-                    LocalDetection::new(site_det, translate, gg_nanos_sites),
-                )
-            };
-            let mut site_node = site_node
-                .with_batching(config.batch_interval)
-                .with_reliability(config.retransmit_timeout, config.retransmit_cap);
+                site_node =
+                    site_node.with_local(LocalDetection::new(site_det, translate, gg_nanos_sites));
+            }
             if let Some(layout) = &layout {
                 // Partitioned plane: independent sequence-numbered uplinks
                 // to every replica, each carrying only the types that
@@ -391,9 +383,9 @@ impl Engine {
             if config.site_durability {
                 if let Some(dir) = &config.wal_dir {
                     let site_dir = std::path::Path::new(dir).join(format!("site-{i}"));
-                    site_node.set_durability(&site_dir).map_err(|e| {
-                        SnoopError::SnapshotMismatch(format!("site durability init failed: {e}"))
-                    })?;
+                    site_node
+                        .set_durability(&site_dir)
+                        .map_err(|e| SnoopError::Io(format!("site durability init failed: {e}")))?;
                 }
             }
             nodes.push((Node::Site(Box::new(site_node)), scenario.time_source(i)));
@@ -409,7 +401,6 @@ impl Engine {
                     scenario.base,
                 );
                 let mut coordinator_node = CoordinatorNode::new(n as usize, detector, gg_nanos);
-                coordinator_node.set_buffer_gc(config.buffer_gc);
                 coordinator_node
                     .set_reportable(local_definitions.iter().map(|(name, _, _)| name_ids[*name]));
                 coordinator_node.set_fault_tolerance(config.stall_timeout, config.auto_evict);
@@ -417,9 +408,7 @@ impl Engine {
                     if let Some(dir) = &config.wal_dir {
                         coordinator_node
                             .set_durability(std::path::Path::new(dir), config.snapshot_interval)
-                            .map_err(|e| {
-                                SnoopError::SnapshotMismatch(format!("durability init failed: {e}"))
-                            })?;
+                            .map_err(|e| SnoopError::Io(format!("durability init failed: {e}")))?;
                     }
                 }
                 nodes.push((Node::Coordinator(Box::new(coordinator_node)), coord_source));
@@ -447,9 +436,7 @@ impl Engine {
                             replica_node
                                 .set_durability(&rdir, config.snapshot_interval)
                                 .map_err(|e| {
-                                    SnoopError::SnapshotMismatch(format!(
-                                        "replica durability init failed: {e}"
-                                    ))
+                                    SnoopError::Io(format!("replica durability init failed: {e}"))
                                 })?;
                         }
                     }
@@ -505,7 +492,6 @@ impl Engine {
             .collect();
         let plan = compile::build_replica_detector(config, names, &layout.inputs[r], &owned)?;
         let mut node = CoordinatorNode::new(n_sites, plan.detector, gg_nanos);
-        node.set_buffer_gc(config.buffer_gc);
         node.set_fault_tolerance(config.stall_timeout, config.auto_evict);
         let gaters = (0..replicas)
             .filter(|&q| q != r && layout.can_reach[q] & (1 << r) != 0)
@@ -539,14 +525,14 @@ impl Engine {
     /// not have seen, and they dedup by sequence number.
     pub fn crash_and_recover_replica(&mut self, r: usize) -> Result<()> {
         if self.coordinators.len() < 2 {
-            return Err(SnoopError::SnapshotMismatch(
+            return Err(SnoopError::Unsupported(
                 "not a partitioned deployment".to_string(),
             ));
         }
         let dir = match (self.config.durability, &self.config.wal_dir) {
             (true, Some(dir)) => std::path::Path::new(dir).join(format!("replica-{r}")),
             _ => {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::Unsupported(
                     "durability is not enabled on this engine".to_string(),
                 ))
             }
@@ -572,7 +558,7 @@ impl Engine {
         )?;
         let timers = node
             .recover(&dir, self.config.snapshot_interval)
-            .map_err(|e| SnoopError::SnapshotMismatch(format!("replica recovery failed: {e}")))?;
+            .map_err(|e| SnoopError::Io(format!("replica recovery failed: {e}")))?;
         let node_idx = self.coordinators[r];
         *self.sim.node_mut(node_idx) = Node::Coordinator(Box::new(node));
         let now = self.sim.now().get();
@@ -604,7 +590,7 @@ impl Engine {
         let dir = match (self.config.durability, &self.config.wal_dir) {
             (true, Some(dir)) => dir.clone(),
             _ => {
-                return Err(SnoopError::SnapshotMismatch(
+                return Err(SnoopError::Unsupported(
                     "durability is not enabled on this engine".to_string(),
                 ))
             }
@@ -617,7 +603,6 @@ impl Engine {
         )?;
         let sites = self.coordinator.0 as usize;
         let mut coord = CoordinatorNode::new(sites, detector, self.gg_nanos);
-        coord.set_buffer_gc(self.config.buffer_gc);
         coord.set_reportable(self.local_defs.iter().map(|(name, _, _)| {
             *self
                 .name_ids
@@ -627,7 +612,7 @@ impl Engine {
         coord.set_fault_tolerance(self.config.stall_timeout, self.config.auto_evict);
         let timers = coord
             .recover(std::path::Path::new(&dir), self.config.snapshot_interval)
-            .map_err(|e| SnoopError::SnapshotMismatch(format!("recovery failed: {e}")))?;
+            .map_err(|e| SnoopError::Io(format!("recovery failed: {e}")))?;
         *self.sim.node_mut(self.coordinator) = Node::Coordinator(Box::new(coord));
         // Re-arm the timers the crashed node had outstanding. A stale fire
         // from the old node's arming may still sit in the queue; the
@@ -961,6 +946,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decs_chronos::Timeout;
     use decs_simnet::ScenarioBuilder;
 
     fn scenario(sites: u32, seed: u64) -> Scenario {
@@ -1017,14 +1003,114 @@ mod tests {
             .starts_with("invalid engine configuration: "));
     }
 
+    /// A fresh, empty scratch directory for one test's logs.
+    fn scratch_dir(label: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("decs-engine-test-{}-{label}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// With one coordinator, `Engine::new` refuses no value of any field:
+    /// the smallest and the largest timeouts (a cap below the base, too),
+    /// the extreme compaction intervals, no trace, and each switch both
+    /// ways. Every engine then runs a two-site workload and receives all
+    /// of it.
     #[test]
-    fn refuses_a_zero_stall_timeout() {
-        let config = EngineConfig {
-            stall_timeout: Nanos::ZERO,
+    fn one_coordinator_accepts_boundary_values_of_every_field() {
+        let dir = scratch_dir("boundaries");
+        let wal_dir = Some(dir.to_string_lossy().into_owned());
+        let base = EngineConfig {
+            coordinator_replicas: 1,
+            trace_capacity: 0,
             ..EngineConfig::default()
         };
-        let why = refusal(config, &[]);
-        assert!(why.contains("stall_timeout"), "{why}");
+        let mut configs = vec![
+            EngineConfig {
+                retransmit_timeout: Timeout::MIN,
+                stall_timeout: Timeout::MIN,
+                ..base.clone()
+            },
+            EngineConfig {
+                retransmit_timeout: Timeout::new(Nanos(u64::MAX)).expect("positive"),
+                retransmit_cap: Nanos(u64::MAX),
+                stall_timeout: Timeout::new(Nanos(u64::MAX)).expect("positive"),
+                ..base.clone()
+            },
+            EngineConfig {
+                retransmit_cap: Nanos::ZERO,
+                retransmit_jitter_seed: Some(u64::MAX),
+                ..base.clone()
+            },
+        ];
+        for snapshot_interval in [0, u64::MAX] {
+            configs.push(EngineConfig {
+                durability: true,
+                site_durability: true,
+                snapshot_interval,
+                wal_dir: wal_dir.clone(),
+                ..base.clone()
+            });
+        }
+        for flag in [false, true] {
+            configs.push(EngineConfig {
+                auto_evict: flag,
+                plan_sharing: flag,
+                ..base.clone()
+            });
+        }
+        for (i, config) in configs.into_iter().enumerate() {
+            let _ = std::fs::remove_dir_all(&dir);
+            let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
+            let defs = [("X", ab, Context::Chronicle)];
+            let mut e = match Engine::new(&scenario(2, 1), config.clone(), &["A", "B"], &defs) {
+                Ok(e) => e,
+                Err(err) => panic!("config {i} refused ({err}): {config:?}"),
+            };
+            e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
+            e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
+            e.run_for(Nanos::from_secs(3));
+            assert_eq!(e.metrics().events_received, 2, "config {i}: {config:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_wal_dir_that_is_a_file_is_an_io_error() {
+        let file = scratch_dir("wal-dir-is-a-file");
+        std::fs::write(&file, b"not a directory").unwrap();
+        let wal_dir = Some(file.to_string_lossy().into_owned());
+        for (durability, site_durability) in [(true, false), (false, true)] {
+            let config = EngineConfig {
+                durability,
+                site_durability,
+                wal_dir: wal_dir.clone(),
+                ..EngineConfig::default()
+            };
+            let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
+            let defs = [("X", ab, Context::Chronicle)];
+            match Engine::new(&scenario(2, 1), config, &["A", "B"], &defs) {
+                Err(SnoopError::Io(what)) => assert!(what.contains("init failed"), "{what}"),
+                Err(e) => panic!("expected an I/O error, got: {e}"),
+                Ok(_) => panic!("expected an I/O error, got an engine"),
+            }
+        }
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn recovery_calls_the_engine_cannot_serve_are_unsupported() {
+        let mut e = seq_engine(2, 1);
+        let ab = EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B"));
+        let defs = [("X", ab, Context::Chronicle)];
+        let mut plane = Engine::new(&scenario(2, 1), partitioned(2), &["A", "B"], &defs).unwrap();
+        for err in [
+            e.crash_and_recover_coordinator().unwrap_err(),
+            e.crash_and_recover_replica(0).unwrap_err(),
+            plane.crash_and_recover_replica(0).unwrap_err(),
+        ] {
+            assert!(matches!(err, SnoopError::Unsupported(_)), "{err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::durability::site_wal::{
 use crate::durability::WalWriter;
 use crate::protocol::{Msg, RoutedEvent};
 use crate::window::SendWindow;
-use decs_chronos::Nanos;
+use decs_chronos::{Nanos, Timeout};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
 use decs_snoop::{EventId, FeedOutput, Occurrence, PlanDetector, PlanState, ShardId, TimerId};
@@ -160,9 +160,8 @@ pub struct SiteNode {
     pub local: Option<LocalDetection>,
     /// Local composite detections produced at this site.
     pub local_detections: u64,
-    /// Base retransmission timeout; `Nanos::ZERO` disables the
-    /// ack/retransmit protocol (fire-and-forget, as before).
-    retx_base: Nanos,
+    /// Base retransmission timeout.
+    retx_base: Timeout,
     /// Backoff cap: the retransmission interval doubles per silent round
     /// up to this bound, then stays there — retries never stop, so any
     /// partition that eventually heals is eventually crossed.
@@ -217,10 +216,14 @@ pub struct SiteNode {
 }
 
 impl SiteNode {
-    /// A site that reports to `coordinator`.
-    pub fn new(coordinator: NodeIdx) -> Self {
+    /// A site that reports to `coordinator` over the ack/retransmit
+    /// protocol: every sequenced message stays in the site's send window
+    /// until the coordinator acks it, and the unacked ones are resent
+    /// after `retx_base`, the interval doubling per silent round up to
+    /// `retx_cap`. A cap at or below the base means a constant backoff.
+    pub fn new(coordinator: NodeIdx, retx_base: Timeout, retx_cap: Nanos) -> Self {
         SiteNode {
-            link: Link::new(coordinator, Nanos::ZERO),
+            link: Link::new(coordinator, retx_base.get()),
             batch_interval: Nanos::ZERO,
             pending: Vec::new(),
             next_flush: Nanos::ZERO,
@@ -229,8 +232,8 @@ impl SiteNode {
             crashed: false,
             local: None,
             local_detections: 0,
-            retx_base: Nanos::ZERO,
-            retx_cap: Nanos::ZERO,
+            retx_base,
+            retx_cap: retx_cap.max(retx_base.get()),
             retransmits: 0,
             epoch: 0,
             gen: 0,
@@ -265,7 +268,7 @@ impl SiteNode {
         self.uplinks = replicas
             .into_iter()
             .map(|node| Uplink {
-                link: Link::new(node, self.retx_base),
+                link: Link::new(node, self.retx_base.get()),
                 staged: Vec::new(),
             })
             .collect();
@@ -357,19 +360,6 @@ impl SiteNode {
         (self.gen << GEN_SHIFT) | tag
     }
 
-    /// Enable the ack/retransmit protocol: unacked messages are resent
-    /// after `base`, doubling per silent round up to `cap` (`Nanos::ZERO`
-    /// for `base` keeps fire-and-forget).
-    pub fn with_reliability(mut self, base: Nanos, cap: Nanos) -> Self {
-        self.retx_base = base;
-        self.retx_cap = Nanos(cap.get().max(base.get()));
-        self.link.backoff = base;
-        for up in &mut self.uplinks {
-            up.link.backoff = base;
-        }
-        self
-    }
-
     /// Number of sent-but-unacked messages held for retransmission in the
     /// site's fullest send window: its stream to the coordinator or, on
     /// the partitioned plane, its fullest replica uplink.
@@ -388,14 +378,13 @@ impl SiteNode {
         self
     }
 
-    /// A site with a local detection plan.
-    pub fn with_local(coordinator: NodeIdx, local: LocalDetection) -> Self {
-        let mut s = Self::new(coordinator);
+    /// Give the site a local detection plan.
+    pub fn with_local(mut self, local: LocalDetection) -> Self {
         // Capture the plan's pristine state now, before any event feeds
         // it: a restarted incarnation starts detection from scratch.
-        s.local_pristine = Some(local.detector.save_state());
-        s.local = Some(local);
-        s
+        self.local_pristine = Some(local.detector.save_state());
+        self.local = Some(local);
+        self
     }
 
     /// Stage an occurrence for the next flush, translating its event id
@@ -460,7 +449,7 @@ impl SiteNode {
 
     /// Send `msg`, which carries the next sequence number of link `u`
     /// (see [`Self::retx_tag`]), retaining a copy for retransmission until
-    /// it is cumulatively acked (when reliability is enabled).
+    /// it is cumulatively acked.
     fn send_seq(&mut self, u: Option<usize>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         if u.is_none() {
             // Log-before-send: the allocation is durable before the
@@ -468,7 +457,6 @@ impl SiteNode {
             // superset of anything the coordinator could have received.
             self.wal_log(|| SiteWalRecord::Sent { msg: msg.clone() });
         }
-        let retx_on = self.retx_base.get() > 0;
         let tag = self.retx_tag(u);
         let link = match u {
             Some(u) => &mut self.uplinks[u].link,
@@ -476,15 +464,13 @@ impl SiteNode {
         };
         let seq = link.seq;
         link.seq += 1;
-        if retx_on {
-            if link.window.is_empty() {
-                link.deadline = ctx.true_now().saturating_add(link.backoff.get());
-            }
-            link.window.push(seq, msg.clone());
-            if !link.armed {
-                link.armed = true;
-                ctx.set_timer(link.backoff, tag);
-            }
+        if link.window.is_empty() {
+            link.deadline = ctx.true_now().saturating_add(link.backoff.get());
+        }
+        link.window.push(seq, msg.clone());
+        if !link.armed {
+            link.armed = true;
+            ctx.set_timer(link.backoff, tag);
         }
         ctx.send(link.node, msg);
     }
@@ -497,14 +483,14 @@ impl SiteNode {
     /// space restarted from 0, and an old ack would wrongly release new
     /// allocations that happen to share numbers.
     fn on_ack(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64, now: Nanos) {
-        if epoch != self.epoch || self.retx_base.get() == 0 {
+        if epoch != self.epoch {
             return;
         }
         let u = self.uplinks.iter().position(|up| up.link.node == from);
         if self.partitioned() && u.is_none() {
             return;
         }
-        let base = self.retx_base;
+        let base = self.retx_base.get();
         let link = match u {
             Some(u) => &mut self.uplinks[u].link,
             None => &mut self.link,
@@ -524,7 +510,7 @@ impl SiteNode {
     /// eventually crossed). A round that fires before the link's deadline
     /// only re-arms for the remainder.
     fn retransmit_round(&mut self, u: Option<usize>, ctx: &mut Ctx<'_, Msg>) {
-        let (base, cap) = (self.retx_base, self.retx_cap);
+        let (base, cap) = (self.retx_base.get(), self.retx_cap);
         let tag = self.retx_tag(u);
         let link = match u {
             Some(u) => &mut self.uplinks[u].link,
@@ -706,7 +692,7 @@ impl SiteNode {
         self.gen += 1;
         self.restarts += 1;
         self.pending.clear();
-        self.link = Link::new(self.link.node, self.retx_base);
+        self.link = Link::new(self.link.node, self.retx_base.get());
         let pristine = self.local_pristine.clone();
         if let Some(local) = &mut self.local {
             local.timer_map.clear();
@@ -776,7 +762,7 @@ impl SiteNode {
             // like the epoch, so new root keys sort after the dead
             // incarnation's.
             for up in &mut self.uplinks {
-                up.link = Link::new(up.link.node, self.retx_base);
+                up.link = Link::new(up.link.node, self.retx_base.get());
                 up.staged.clear();
             }
             let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
@@ -955,6 +941,8 @@ mod tests {
         std::sync::Arc<Vec<Occurrence<CompositeTimestamp>>>,
     );
 
+    /// A coordinator stand-in that records what it receives and acks
+    /// each message, unless `mute`.
     #[derive(Debug, Default)]
     struct Collector {
         batches: Vec<BatchRecord>,
@@ -962,28 +950,54 @@ mod tests {
         hellos: Vec<(u64, u64, u64)>,
         /// True arrival time of every Batch received.
         batch_times: Vec<Nanos>,
+        /// Ack nothing, so the site's send window only grows.
+        mute: bool,
+    }
+
+    impl Collector {
+        fn mute() -> Self {
+            Collector {
+                mute: true,
+                ..Collector::default()
+            }
+        }
     }
 
     impl Actor for Collector {
         type Msg = Msg;
 
-        fn on_message(&mut self, _from: NodeIdx, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-            match msg {
+        fn on_message(&mut self, from: NodeIdx, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+            let (seq, epoch) = match msg {
                 Msg::Batch {
                     seq,
+                    epoch,
                     watermark,
                     events,
-                    ..
                 } => {
                     self.batches.push((seq, watermark, events));
                     self.batch_times.push(ctx.true_now());
+                    (seq, epoch)
                 }
                 Msg::Hello {
                     seq,
                     epoch,
                     watermark,
-                } => self.hellos.push((seq, epoch, watermark)),
-                _ => {}
+                } => {
+                    self.hellos.push((seq, epoch, watermark));
+                    (seq, epoch)
+                }
+                _ => return,
+            };
+            if !self.mute {
+                // The links are instant and in order: `seq` is the
+                // cumulative ack.
+                ctx.send(
+                    from,
+                    Msg::Ack {
+                        cum_seq: seq + 1,
+                        epoch,
+                    },
+                );
             }
         }
     }
@@ -1034,6 +1048,12 @@ mod tests {
         )
     }
 
+    /// A site reporting to `coord`, resending after 50 ms, backing off
+    /// to 400 ms.
+    fn site(coord: NodeIdx) -> SiteNode {
+        SiteNode::new(coord, Timeout::from_millis::<50>(), Nanos::from_millis(400))
+    }
+
     /// The watermark and event count of every batch received.
     fn shape(c: &Collector) -> Vec<(u64, usize)> {
         c.batches.iter().map(|(_, w, e)| (*w, e.len())).collect()
@@ -1043,7 +1063,7 @@ mod tests {
     fn site_ships_each_tick_in_its_edge_batch() {
         let coord = NodeIdx(1);
         let nodes = vec![
-            (Node::Site(SiteNode::new(coord)), source(0)),
+            (Node::Site(site(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1065,6 +1085,11 @@ mod tests {
         for (i, (seq, _, _)) in c.batches.iter().enumerate() {
             assert_eq!(*seq, i as u64);
         }
+        // Each batch was acked on arrival: nothing is held or resent.
+        let Node::Site(s) = sim.node(NodeIdx(0)) else {
+            panic!("site expected")
+        };
+        assert_eq!((s.unacked(), s.retransmits), (0, 0));
         // Stamped (site0, global 10, local 101).
         let occ = &c.batches[11].2[0];
         assert_eq!(occ.ty, EventId(7));
@@ -1108,7 +1133,7 @@ mod tests {
             base,
         );
         let nodes = vec![
-            (Node::Site(SiteNode::new(coord)), ahead.clone()),
+            (Node::Site(site(coord)), ahead.clone()),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1144,7 +1169,7 @@ mod tests {
         let coord = NodeIdx(1);
         let nodes = vec![
             (
-                Node::Site(SiteNode::new(coord).with_batching(Nanos::from_millis(40))),
+                Node::Site(site(coord).with_batching(Nanos::from_millis(40))),
                 source(0),
             ),
             (Node::Collector(Collector::default()), source(1)),
@@ -1175,7 +1200,7 @@ mod tests {
         // into the void.
         let coord = NodeIdx(1);
         let nodes = vec![
-            (Node::Site(SiteNode::new(coord)), source(0)),
+            (Node::Site(site(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1215,7 +1240,7 @@ mod tests {
             base,
         );
         let nodes = vec![
-            (Node::Site(SiteNode::new(coord)), behind),
+            (Node::Site(site(coord)), behind),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1238,14 +1263,8 @@ mod tests {
     fn crashed_site_ignores_acks() {
         let coord = NodeIdx(1);
         let nodes = vec![
-            (
-                Node::Site(
-                    SiteNode::new(coord)
-                        .with_reliability(Nanos::from_millis(50), Nanos::from_millis(400)),
-                ),
-                source(0),
-            ),
-            (Node::Collector(Collector::default()), source(1)),
+            (Node::Site(site(coord)), source(0)),
+            (Node::Collector(Collector::mute()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
@@ -1271,7 +1290,7 @@ mod tests {
     fn restart_announces_hello_and_resumes_with_new_epoch() {
         let coord = NodeIdx(1);
         let nodes = vec![
-            (Node::Site(SiteNode::new(coord)), source(0)),
+            (Node::Site(site(coord)), source(0)),
             (Node::Collector(Collector::default()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
@@ -1333,12 +1352,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let coord = NodeIdx(1);
-        let mut site =
-            SiteNode::new(coord).with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
-        site.set_durability(&dir).unwrap();
+        let mut durable = site(coord);
+        durable.set_durability(&dir).unwrap();
         let nodes = vec![
-            (Node::Site(site), source(0)),
-            (Node::Collector(Collector::default()), source(1)),
+            (Node::Site(durable), source(0)),
+            (Node::Collector(Collector::mute()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
@@ -1395,12 +1413,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let coord = NodeIdx(1);
-        let mut site =
-            SiteNode::new(coord).with_reliability(Nanos::from_millis(50), Nanos::from_millis(400));
-        site.set_durability(&dir).unwrap();
+        let mut durable = site(coord);
+        durable.set_durability(&dir).unwrap();
         let nodes = vec![
-            (Node::Site(site), source(0)),
-            (Node::Collector(Collector::default()), source(1)),
+            (Node::Site(durable), source(0)),
+            (Node::Collector(Collector::mute()), source(1)),
         ];
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
         sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);

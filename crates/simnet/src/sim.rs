@@ -416,8 +416,9 @@ impl<A: Actor> Simulation<A> {
             }
         }
         for (tag, delay) in timers.drain(..) {
+            // Saturating: a timer armed past the end of time never fires.
             self.push(
-                Nanos(at.get() + delay.get()),
+                at.saturating_add(delay.get()),
                 Pending::Timer { node: me, tag },
             );
         }

@@ -27,8 +27,6 @@ pub struct CentralDetector {
     timers: BinaryHeap<Reverse<(u64, ShardId, u64)>>,
     /// Highest tick seen (for monotonicity checking).
     now: u64,
-    /// Whether the clock drives buffer GC (on by default).
-    gc: bool,
     /// Total entries evicted by watermark GC.
     gc_evicted: u64,
     /// Highest buffered occupancy observed at a GC point.
@@ -62,7 +60,6 @@ impl CentralDetector {
             plan,
             timers: BinaryHeap::new(),
             now: 0,
-            gc: true,
             gc_evicted: 0,
             buffer_peak: 0,
         }
@@ -83,12 +80,6 @@ impl CentralDetector {
     /// a sharing ratio of 0).
     pub fn plan_stats(&self) -> PlanStats {
         self.plan.plan_stats()
-    }
-
-    /// Enable or disable clock-driven buffer GC (on by default). GC is
-    /// behavior-preserving, so this only trades memory for time.
-    pub fn set_buffer_gc(&mut self, enabled: bool) {
-        self.gc = enabled;
     }
 
     /// Total buffered entries evicted by watermark GC so far.
@@ -139,11 +130,10 @@ impl CentralDetector {
             self.absorb(r, due, &mut detected);
         }
         self.now = self.now.max(tick);
-        if self.gc {
-            // Feeds are non-decreasing and due timers have been drained, so
-            // every future stamp is ≥ `now`: `now` is a valid low watermark.
-            self.run_gc();
-        }
+        // Feeds are non-decreasing and due timers have been drained, so
+        // every future stamp is ≥ `now`: `now` is a valid low watermark.
+        self.gc_evicted += self.plan.advance_watermark(self.now);
+        self.buffer_peak = self.buffer_peak.max(self.buffered_occupancy());
         Ok(detected)
     }
 
@@ -187,11 +177,6 @@ impl CentralDetector {
                 .push(Reverse((base_tick + t.delay_ticks, def, t.id.0)));
         }
         detected.extend(r.detected);
-    }
-
-    fn run_gc(&mut self) {
-        self.gc_evicted += self.plan.advance_watermark(self.now);
-        self.buffer_peak = self.buffer_peak.max(self.buffered_occupancy());
     }
 }
 
@@ -298,29 +283,38 @@ mod tests {
 
     #[test]
     fn clock_driven_gc_evicts_dead_not_state() {
-        // X = ¬(B)[A, C]: cancelled openers and dead guards accumulate
-        // without GC; the clock watermark reclaims them.
+        // X = ¬(B)[A, C]: cancelled openers and dead guards accumulate in
+        // a plan nobody collects; the detector's clock watermark reclaims
+        // them. The reference is the bare plan fed the same occurrences in
+        // tick order and never collected.
         let expr = E::not(E::prim("B"), E::prim("A"), E::prim("C"));
-        let mut gc_on = detector_with(expr.clone(), Context::Chronicle);
-        let mut gc_off = detector_with(expr, Context::Chronicle);
-        gc_off.set_buffer_gc(false);
-        let mut on_det = Vec::new();
-        let mut off_det = Vec::new();
+        let mut d = detector_with(expr.clone(), Context::Chronicle);
+        let mut reference: PlanDetector<CentralTime> = PlanDetector::new();
+        for n in ["A", "B", "C"] {
+            reference.register(n).unwrap();
+        }
+        reference.define("X", &expr, Context::Chronicle).unwrap();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         for round in 0..50u64 {
             let t = round * 10;
             for (name, dt) in [("A", 0), ("B", 1), ("A", 2), ("C", 3)] {
-                on_det.extend(gc_on.feed_bare(name, t + dt).unwrap());
-                off_det.extend(gc_off.feed_bare(name, t + dt).unwrap());
+                got.extend(d.feed_bare(name, t + dt).unwrap());
+                let ty = reference.catalog().lookup(name).unwrap();
+                let occ = Occurrence::primitive(ty, CentralTime(t + dt), Vec::new());
+                want.extend(reference.feed(occ).detected);
             }
         }
-        // Same detection stream with and without GC…
-        assert_eq!(on_det.len(), off_det.len());
-        for (a, b) in on_det.iter().zip(&off_det) {
-            assert_eq!(a.time, b.time);
-        }
-        // …but the GC run reclaimed the dead openers/guards.
-        assert!(gc_on.gc_evicted() > 0);
-        assert!(gc_on.buffered_occupancy() < gc_off.buffered_occupancy());
+        // The same detections, in order…
+        assert_eq!(got.len(), 50);
+        assert_eq!(got, want);
+        // …from a plan that never held what the reference keeps.
+        assert!(d.gc_evicted() > 0);
+        assert!(
+            d.buffer_peak() < reference.buffered_occupancy(),
+            "peak {} against {} never collected",
+            d.buffer_peak(),
+            reference.buffered_occupancy()
+        );
     }
 
     #[test]

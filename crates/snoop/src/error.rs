@@ -29,6 +29,12 @@ pub enum SnoopError {
     SnapshotMismatch(String),
     /// An engine configuration combines options that cannot work together.
     InvalidConfig(String),
+    /// A durable store could not be opened, written or read: what failed,
+    /// and the operating system's reason.
+    Io(String),
+    /// The engine was asked for something its configuration does not
+    /// provide (recovering a coordinator that keeps no log, say).
+    Unsupported(String),
 }
 
 impl fmt::Display for SnoopError {
@@ -48,6 +54,8 @@ impl fmt::Display for SnoopError {
                 write!(f, "snapshot does not match this detector: {what}")
             }
             SnoopError::InvalidConfig(what) => write!(f, "invalid engine configuration: {what}"),
+            SnoopError::Io(what) => write!(f, "I/O error: {what}"),
+            SnoopError::Unsupported(what) => write!(f, "unsupported by this engine: {what}"),
         }
     }
 }

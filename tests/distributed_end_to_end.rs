@@ -336,7 +336,7 @@ fn a_global_outage_longer_than_the_stall_timeout_evicts_nobody() {
         )
         .unwrap();
         if outage {
-            assert!(Nanos::from_millis(9_650) > EngineConfig::default().stall_timeout);
+            assert!(Nanos::from_millis(9_650) > EngineConfig::default().stall_timeout.get());
             for site in 0..3 {
                 e.partition_site(site, Nanos::from_millis(350), Nanos::from_secs(10));
             }

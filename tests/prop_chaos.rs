@@ -18,7 +18,7 @@
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E};
-use decs_chronos::{Granularity, Nanos};
+use decs_chronos::{Granularity, Nanos, Timeout};
 
 const SITES: u32 = 3;
 /// Workload injections stop here; partitions heal by `PARTITION_END_MS`.
@@ -40,7 +40,11 @@ fn engine(seed: u64, auto_evict: bool) -> Engine {
             auto_evict,
             // Suspect after 1 s of one-sided silence so the auto-evict
             // property converges well inside the horizon.
-            stall_timeout: Nanos::from_secs(if auto_evict { 1 } else { 5 }),
+            stall_timeout: if auto_evict {
+                Timeout::from_millis::<1_000>()
+            } else {
+                Timeout::from_millis::<5_000>()
+            },
             ..EngineConfig::default()
         },
         &["A", "B"],

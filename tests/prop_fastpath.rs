@@ -12,15 +12,18 @@
 //!    only inside the uncertainty band) emits exactly what the linear
 //!    arrival-order scan emits, in the same order, with the same
 //!    consumption, under every parameter context.
-//! 3. **Watermark-driven buffer GC** — the engine with `buffer_gc` on
-//!    produces exactly the same named detections, with the same composite
-//!    timestamps, in the same order, as with GC off. This is the contract
-//!    that makes GC a pure memory optimization.
+//! 3. **Watermark-driven buffer GC** — the engine, which always collects
+//!    its operator buffers as the watermark advances, produces exactly the
+//!    named detections, with the same composite timestamps and in the same
+//!    order, as a bare `PlanDetector` that is fed the same occurrences in
+//!    release-key order and never collected. Meanwhile it evicts state and
+//!    holds less than the reference keeps. This is the contract that makes
+//!    GC a pure memory optimization.
 
-use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
+use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp, PrimitiveTimestamp};
 use decs::distrib::{Engine, EngineConfig, Metrics};
-use decs::simnet::ScenarioBuilder;
-use decs::snoop::{Context, EventExpr as E};
+use decs::simnet::{Scenario, ScenarioBuilder};
+use decs::snoop::{Context, EventExpr as E, Occurrence, PlanDetector};
 use decs_chronos::{Granularity, Nanos};
 use proptest::prelude::*;
 
@@ -247,51 +250,55 @@ mod banded_seq {
 
 const NAMES: [&str; 3] = ["A", "B", "C"];
 
-/// Random workload: (ms offset, site, event index).
-fn workload(sites: u32) -> impl Strategy<Value = Vec<(u64, u32, usize)>> {
-    proptest::collection::vec((10u64..3000, 0..sites, 0usize..3), 0..50)
+/// A NOT definition (the operator whose buffers GC actually reclaims), an
+/// ANY under Unrestricted (the structural-truncation rule), and a
+/// cross-definition sequence for the shard cascade.
+fn definitions() -> Vec<(&'static str, E, Context)> {
+    vec![
+        (
+            "N",
+            E::not(E::prim("B"), E::prim("A"), E::prim("C")),
+            Context::Chronicle,
+        ),
+        (
+            "W",
+            E::any(2, vec![E::prim("A"), E::prim("B"), E::prim("C")]),
+            Context::Unrestricted,
+        ),
+        ("Z", E::seq(E::prim("N"), E::prim("B")), Context::Chronicle),
+    ]
 }
 
-fn build(sites: u32, seed: u64, buffer_gc: bool) -> Engine {
-    let scenario = ScenarioBuilder::new(sites, seed)
+/// Named detections: (definition, composite timestamp), in order.
+type Named = Vec<(String, CompositeTimestamp)>;
+
+/// One trace entry: (ms, site, event index).
+type Trace = [(u64, u32, usize)];
+
+/// Rounds in which NOT's openers are cancelled and its guards go dead:
+/// A opens, B cancels it, A opens again, C closes (N fires for the
+/// second A), spread over `sites`.
+fn guard_heavy(rounds: u64, sites: u32) -> Vec<(u64, u32, usize)> {
+    (0..rounds)
+        .flat_map(|round| {
+            let t = 60 + round * 70;
+            [(t, 0, 0), (t + 20, 1, 1), (t + 40, 2, 0), (t + 60, 0, 2)]
+                .map(|(ms, site, ev)| (ms, site % sites, ev))
+        })
+        .collect()
+}
+
+fn scenario(sites: u32, seed: u64) -> Scenario {
+    ScenarioBuilder::new(sites, seed)
         .global_granularity(Granularity::per_second(10).unwrap())
         .max_offset_ns(1_000_000)
         .build()
-        .unwrap();
-    Engine::new(
-        &scenario,
-        EngineConfig {
-            buffer_gc,
-            ..EngineConfig::default()
-        },
-        &NAMES,
-        // A NOT definition (the operator whose buffers GC actually
-        // reclaims), an ANY under Unrestricted (the structural-truncation
-        // rule), and a cross-definition sequence for the shard cascade.
-        &[
-            (
-                "N",
-                E::not(E::prim("B"), E::prim("A"), E::prim("C")),
-                Context::Chronicle,
-            ),
-            (
-                "W",
-                E::any(2, vec![E::prim("A"), E::prim("B"), E::prim("C")]),
-                Context::Unrestricted,
-            ),
-            ("Z", E::seq(E::prim("N"), E::prim("B")), Context::Chronicle),
-        ],
-    )
-    .unwrap()
+        .unwrap()
 }
 
-fn run(
-    sites: u32,
-    seed: u64,
-    buffer_gc: bool,
-    trace: &[(u64, u32, usize)],
-) -> (Vec<(String, CompositeTimestamp)>, Metrics) {
-    let mut e = build(sites, seed, buffer_gc);
+/// The engine's detections and metrics for `trace`.
+fn run(sc: &Scenario, trace: &Trace) -> (Named, Metrics) {
+    let mut e = Engine::new(sc, EngineConfig::default(), &NAMES, &definitions()).unwrap();
     for &(ms, site, ev) in trace {
         e.inject(Nanos::from_millis(ms), site, NAMES[ev], vec![])
             .unwrap();
@@ -304,55 +311,83 @@ fn run(
     (det, e.metrics())
 }
 
+/// The reference: a bare plan fed every injection, stamped from the
+/// scenario's clock for its site, in release-key order `(max global,
+/// site, per-site arrival)`, and never collected. A site receives its
+/// injections in true-time order, same-instant ones in trace order.
+/// Returns the detections and the occupancy the plan ends with.
+fn reference(sc: &Scenario, trace: &Trace) -> (Named, usize) {
+    let mut d: PlanDetector<CompositeTimestamp> = PlanDetector::new();
+    for n in NAMES {
+        d.register(n).unwrap();
+    }
+    for (name, expr, ctx) in definitions() {
+        d.define(name, &expr, ctx).unwrap();
+    }
+    let mut keyed: Vec<(u64, u32, u64, usize, CompositeTimestamp)> = trace
+        .iter()
+        .enumerate()
+        .map(|(k, &(ms, site, _))| {
+            let p = sc.time_source(site).stamp(Nanos::from_millis(ms)).unwrap();
+            let ts =
+                CompositeTimestamp::singleton(PrimitiveTimestamp::new(p.site, p.global, p.local));
+            (p.global.get(), site, ms, k, ts)
+        })
+        .collect();
+    keyed.sort_unstable_by_key(|&(g, site, ms, k, _)| (g, site, ms, k));
+    let mut det = Vec::new();
+    for (_, _, _, k, ts) in keyed {
+        let ty = d.catalog().lookup(NAMES[trace[k].2]).unwrap();
+        for o in d.feed(Occurrence::primitive(ty, ts, Vec::new())).detected {
+            det.push((d.catalog().name(o.ty).to_string(), o.time));
+        }
+    }
+    (det, d.buffered_occupancy())
+}
+
+/// The engine against the never-collected reference: the same detections
+/// in order, some state evicted, and a peak below what the reference
+/// keeps.
+fn check_gc(sites: u32, seed: u64, trace: &Trace) -> Result<(), proptest::TestCaseError> {
+    let sc = scenario(sites, seed);
+    let (got, m) = run(&sc, trace);
+    let (want, kept) = reference(&sc, trace);
+    prop_assert!(!want.is_empty(), "the trace must detect");
+    prop_assert_eq!(&got, &want);
+    prop_assert!(m.gc_evicted > 0, "GC must reclaim the dead NOT state");
+    prop_assert!(
+        m.node_buffer_peak < kept,
+        "GC peak {} must be below the {} entries the reference keeps",
+        m.node_buffer_peak,
+        kept
+    );
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The GC equivalence: collecting operator buffers as the watermark
     /// advances must not change what is detected, when, or in what order.
+    /// Every trace opens with four guard-heavy rounds, so each case has
+    /// dead state to reclaim.
     #[test]
     fn buffer_gc_is_equivalent_to_no_gc(
-        raw_trace in workload(6),
+        raw_trace in proptest::collection::vec((10u64..3000, 0u32..6, 0usize..3), 0..50),
         sites in 1u32..7,
         seed in 0u64..1000,
     ) {
-        let trace: Vec<(u64, u32, usize)> = raw_trace
-            .into_iter()
-            .map(|(ms, site, ev)| (ms, site % sites, ev))
-            .collect();
-        let (plain, m_off) = run(sites, seed, false, &trace);
-        let (gc, m_on) = run(sites, seed, true, &trace);
-        prop_assert_eq!(&plain, &gc);
-        // Same workload on both sides; the off run really had GC off.
-        prop_assert_eq!(m_off.events_received, m_on.events_received);
-        prop_assert_eq!(m_off.gc_evicted, 0);
-        // GC never leaves *more* state buffered.
-        prop_assert!(m_on.node_buffered <= m_off.node_buffered);
+        let mut trace = guard_heavy(4, sites);
+        trace.extend(raw_trace.into_iter().map(|(ms, site, ev)| (ms, site % sites, ev)));
+        check_gc(sites, seed, &trace)?;
     }
 }
 
 /// Deterministic dense workload where the NOT definition's guards and
-/// cancelled openers pile up: GC must actually evict, bound occupancy below
-/// the no-GC run, and still detect identically (checked by the property
-/// above; re-checked here on this specific trace).
+/// cancelled openers pile up: GC must actually evict, keep its peak below
+/// what the never-collected reference holds, and still detect
+/// identically.
 #[test]
 fn gc_evicts_on_a_guard_heavy_workload() {
-    let mut trace = Vec::new();
-    for round in 0..40u64 {
-        let t = 60 + round * 70;
-        trace.push((t, 0u32, 0usize)); // A opens
-        trace.push((t + 20, 1, 1)); // B cancels it
-        trace.push((t + 40, 2, 0)); // A opens again
-        trace.push((t + 60, 0, 2)); // C closes → N fires for the 2nd A
-    }
-    let (plain, m_off) = run(3, 7, false, &trace);
-    let (gc, m_on) = run(3, 7, true, &trace);
-    assert_eq!(plain, gc);
-    assert!(!gc.is_empty(), "workload must actually detect");
-    assert!(m_on.gc_evicted > 0, "GC must reclaim the dead NOT state");
-    assert!(
-        m_on.node_buffer_peak < m_off.node_buffer_peak,
-        "GC peak {} must be below no-GC peak {}",
-        m_on.node_buffer_peak,
-        m_off.node_buffer_peak
-    );
+    check_gc(3, 7, &guard_heavy(40, 3)).unwrap();
 }

@@ -6,7 +6,7 @@
 //! same order — as compiling every definition **independently**
 //! (`plan_sharing: false`, the same engine in its unshared mode — the
 //! differential oracle), for arbitrary overlapping definition sets across
-//! all five parameter contexts, with buffer GC on or off.
+//! all five parameter contexts.
 
 use decs::distrib::{Engine, EngineConfig, Metrics};
 use decs::simnet::ScenarioBuilder;
@@ -57,7 +57,6 @@ fn workload(sites: u32) -> impl Strategy<Value = Vec<(u64, u32, usize)>> {
 fn run(
     seed: u64,
     plan_sharing: bool,
-    buffer_gc: bool,
     picks: &[(usize, usize)],
     trace: &[(u64, u32, usize)],
 ) -> (
@@ -80,7 +79,6 @@ fn run(
         &scenario,
         EngineConfig {
             plan_sharing,
-            buffer_gc,
             ..EngineConfig::default()
         },
         &NAMES,
@@ -100,7 +98,7 @@ fn run(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(320))]
 
     /// The tentpole contract: the shared plan detects exactly what
     /// independent compilation detects, in every sampled configuration.
@@ -109,10 +107,9 @@ proptest! {
         raw_trace in workload(4),
         picks in proptest::collection::vec((0usize..6, 0usize..5), 1..6),
         seed in 0u64..1000,
-        buffer_gc in prop_oneof![Just(true), Just(false)],
     ) {
-        let (shared, m_shared) = run(seed, true, buffer_gc, &picks, &raw_trace);
-        let (unshared, m_unshared) = run(seed, false, buffer_gc, &picks, &raw_trace);
+        let (shared, m_shared) = run(seed, true, &picks, &raw_trace);
+        let (unshared, m_unshared) = run(seed, false, &picks, &raw_trace);
         prop_assert_eq!(&shared, &unshared, "picks={:?}", picks);
         // Both runs saw the same workload.
         prop_assert_eq!(m_shared.events_received, m_unshared.events_received);
@@ -150,8 +147,8 @@ fn five_contexts_over_one_body_share_and_match() {
         .map(|i| (100 + i * 90, (i % 4) as u32, (i % 3) as usize))
         .collect();
     let stateless: Vec<(usize, usize)> = (0..5).map(|c| (5, c)).collect();
-    let (shared, m_shared) = run(7, true, true, &stateless, &trace);
-    let (unshared, m_unshared) = run(7, false, true, &stateless, &trace);
+    let (shared, m_shared) = run(7, true, &stateless, &trace);
+    let (unshared, m_unshared) = run(7, false, &stateless, &trace);
     assert_eq!(shared, unshared);
     assert!(!shared.is_empty(), "workload must actually detect");
     assert_eq!(m_unshared.shared_nodes, 0);
@@ -161,8 +158,8 @@ fn five_contexts_over_one_body_share_and_match() {
     assert!(m_shared.sharing_ratio > 0.0);
 
     let stateful: Vec<(usize, usize)> = (0..5).map(|c| (1, c)).collect();
-    let (s2, m2) = run(7, true, true, &stateful, &trace);
-    let (u2, m2u) = run(7, false, true, &stateful, &trace);
+    let (s2, m2) = run(7, true, &stateful, &trace);
+    let (u2, m2u) = run(7, false, &stateful, &trace);
     assert_eq!(s2, u2);
     assert_eq!(m2.shared_nodes, 0, "contexts must keep stateful ops apart");
     assert_eq!(m2.plan_nodes, m2u.plan_nodes);
@@ -177,8 +174,8 @@ fn duplicate_definitions_add_no_plan_nodes() {
     let trace: Vec<(u64, u32, usize)> = (0..20)
         .map(|i| (100 + i * 120, (i % 4) as u32, (i % 2) as usize))
         .collect();
-    let (one, m_one) = run(3, true, true, &picks_one, &trace);
-    let (two, m_two) = run(3, true, true, &picks_two, &trace);
+    let (one, m_one) = run(3, true, &picks_one, &trace);
+    let (two, m_two) = run(3, true, &picks_two, &trace);
     assert_eq!(m_one.plan_nodes, m_two.plan_nodes);
     assert_eq!(m_two.shared_nodes, 1); // the one Seq node, bound twice
     assert!(!one.is_empty());

@@ -12,9 +12,8 @@
 //! loss is the spec, not a bug). Detections must be bit-for-bit identical:
 //! same composites, same composite timestamps, same canonical order.
 //!
-//! 32 schedules per victim count — 8 seeds × {buffer GC on/off} ×
-//! {plan sharing on/off} — so the equality holds across every coordinator
-//! execution mode.
+//! 32 schedules per victim count — 16 seeds × {plan sharing on/off} —
+//! so the equality holds in both coordinator execution modes.
 //!
 //! A directed case pins the epoch filter itself: the victim's old
 //! incarnation still has traffic in flight when its Hello lands, and that
@@ -34,7 +33,7 @@
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E};
-use decs_chronos::{Granularity, Nanos};
+use decs_chronos::{Granularity, Nanos, Timeout};
 
 const SITES: u32 = 3;
 const WORKLOAD_END_MS: u64 = 3_000;
@@ -42,9 +41,9 @@ const WORKLOAD_END_MS: u64 = 3_000;
 /// worst case) plus stabilization.
 const HORIZON_SECS: u64 = 20;
 
-/// {buffer GC} × {plan sharing}: every coordinator execution mode the
-/// equality must hold under.
-const CONFIGS: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
+/// Plan sharing on and off: the coordinator execution modes the equality
+/// must hold under.
+const SHARING: [bool; 2] = [true, false];
 
 fn scenario(seed: u64) -> Scenario {
     ScenarioBuilder::new(SITES, seed)
@@ -54,19 +53,17 @@ fn scenario(seed: u64) -> Scenario {
         .unwrap()
 }
 
-fn engine(
-    seed: u64,
-    (gc, sharing): (bool, bool),
-    auto_evict: bool,
-    wal_dir: Option<&std::path::Path>,
-) -> Engine {
+fn engine(seed: u64, sharing: bool, auto_evict: bool, wal_dir: Option<&std::path::Path>) -> Engine {
     Engine::new(
         &scenario(seed),
         EngineConfig {
-            buffer_gc: gc,
             plan_sharing: sharing,
             auto_evict,
-            stall_timeout: Nanos::from_secs(if auto_evict { 1 } else { 5 }),
+            stall_timeout: if auto_evict {
+                Timeout::from_millis::<1_000>()
+            } else {
+                Timeout::from_millis::<5_000>()
+            },
             site_durability: wal_dir.is_some(),
             wal_dir: wal_dir.map(|d| d.to_string_lossy().into_owned()),
             retransmit_jitter_seed: Some(seed),
@@ -123,7 +120,7 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
 /// victim after the first crashes while the one before it is still down,
 /// so their downtimes overlap. Returns the retransmit count for the
 /// aggregate machinery assertion.
-fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> u64 {
+fn rejoin_case(seed: u64, sharing: bool, victims: &[u32]) -> u64 {
     let mut rng = SplitMix64::new(seed ^ 0x7E70_1B5E);
     let w = workload(&mut rng);
     // (site, crash, restart). Half-millisecond offsets so a crash or
@@ -151,19 +148,13 @@ fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> u64 {
                 .any(|&(v, crash, restart)| site == v && at >= crash && at < restart)
         })
         .collect();
-    let mut clean = engine(seed, cfg, false, None);
+    let mut clean = engine(seed, sharing, false, None);
     inject_all(&mut clean, &clean_w);
     let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
-    let (gc, sharing) = cfg;
-    let dir = wal_dir(&format!(
-        "{seed}-{}{}-{}",
-        gc as u8,
-        sharing as u8,
-        victims.len()
-    ));
+    let dir = wal_dir(&format!("{seed}-{}-{}", sharing as u8, victims.len()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut faulty = engine(seed, cfg, false, Some(&dir));
+    let mut faulty = engine(seed, sharing, false, Some(&dir));
     for site in 0..SITES {
         let drop_ppm = rng.next_below(100_001) as u32; // ≤ 10%
         let dup_ppm = rng.next_below(50_001) as u32; // ≤ 5%
@@ -178,7 +169,7 @@ fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> u64 {
 
     assert_eq!(
         clean_det, faulty_det,
-        "seed {seed} cfg {cfg:?}: crash/restart schedule {down:?} (site, crash, \
+        "seed {seed} sharing {sharing}: crash/restart schedule {down:?} (site, crash, \
          restart) must be invisible to detection"
     );
     let m = faulty.metrics();
@@ -207,9 +198,9 @@ fn rejoin_case(seed: u64, cfg: (bool, bool), victims: &[u32]) -> u64 {
 /// Every seed × config with `victims(seed)` crashing.
 fn run_schedules(victims: impl Fn(u64) -> Vec<u32>) {
     let mut retransmits = 0;
-    for cfg in CONFIGS {
-        for seed in 0..8u64 {
-            retransmits += rejoin_case(seed, cfg, &victims(seed));
+    for sharing in SHARING {
+        for seed in 0..16u64 {
+            retransmits += rejoin_case(seed, sharing, &victims(seed));
         }
     }
     // The schedules must actually exercise the machinery: recovered
@@ -249,8 +240,8 @@ fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
     let crash = Nanos(2_000_500_000);
     let restart = Nanos(2_100_500_000);
     for durable in [true, false] {
-        for cfg in CONFIGS {
-            for seed in 0..2u64 {
+        for sharing in SHARING {
+            for seed in 0..4u64 {
                 let mut rng = SplitMix64::new(seed ^ 0x5_1077);
                 let w = workload(&mut rng);
                 let clock = scenario(seed).time_source(victim);
@@ -272,13 +263,13 @@ fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
                         !(site == victim && (down || unflushed))
                     })
                     .collect();
-                let mut clean = engine(seed, cfg, false, None);
+                let mut clean = engine(seed, sharing, false, None);
                 inject_all(&mut clean, &clean_w);
                 let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
-                let dir = wal_dir(&format!("in-flight-{seed}-{}{}", cfg.0 as u8, cfg.1 as u8));
+                let dir = wal_dir(&format!("in-flight-{seed}-{}", sharing as u8));
                 let _ = std::fs::remove_dir_all(&dir);
-                let mut faulty = engine(seed, cfg, false, durable.then_some(dir.as_path()));
+                let mut faulty = engine(seed, sharing, false, durable.then_some(dir.as_path()));
                 faulty.set_link_pair(victim, slow);
                 faulty.crash_site(crash, victim);
                 faulty.restart_site(restart, victim);
@@ -287,7 +278,7 @@ fn old_epoch_traffic_in_flight_past_the_hello_is_filtered() {
                 faulty.set_link_pair(victim, LinkConfig::instant());
                 faulty_det.extend(keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS))));
 
-                let case = format!("durable {durable} seed {seed} cfg {cfg:?}");
+                let case = format!("durable {durable} seed {seed} sharing {sharing}");
                 assert_eq!(
                     clean_det, faulty_det,
                     "{case}: the rejoin must lose only the documented window"
@@ -328,14 +319,13 @@ fn auto_evicted_site_rejoins_unpins_watermark_and_detection_resumes() {
             .filter(|&(ms, _, _)| ms != 3_000)
             .collect();
 
-        let cfg = (true, true);
-        let mut clean = engine(seed, cfg, true, None);
+        let mut clean = engine(seed, true, true, None);
         inject_all(&mut clean, &clean_w);
         let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
         let dir = wal_dir(&format!("evict-{seed}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut faulty = engine(seed, cfg, true, Some(&dir));
+        let mut faulty = engine(seed, true, true, Some(&dir));
         faulty.crash_site(Nanos(1_200_500_000), victim);
         faulty.restart_site(Nanos(5_000_500_000), victim);
         inject_all(&mut faulty, &w);
@@ -370,10 +360,9 @@ fn evicted_backlog_arriving_after_its_release_slot_is_refused_as_stale() {
     // coordinator must refuse the resurrected event — releasing it would
     // violate the canonical order every other consumer already observed.
     let victim = 0u32;
-    let cfg = (true, true);
     let dir = wal_dir("stale-backlog");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut e = engine(11, cfg, true, Some(&dir));
+    let mut e = engine(11, true, true, Some(&dir));
     // Strand A: the victim's link is dead when A is injected at 1 s, so A
     // sits unacked in the WAL when the site crashes at 1.2 s.
     e.partition_site(victim, Nanos(800_000_000), Nanos(2_000_000_000));

@@ -16,7 +16,7 @@ use decs::distrib::durability::{
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder};
 use decs::snoop::{Context, EventExpr as E};
-use decs_chronos::{Granularity, Nanos};
+use decs_chronos::{Granularity, Nanos, Timeout};
 use std::path::{Path, PathBuf};
 
 const SITES: u32 = 3;
@@ -170,7 +170,7 @@ fn recovered_stall_state_matches_uninterrupted() {
     let stall_engine = |auto_evict: bool, wal_dir: Option<&Path>| {
         let config = EngineConfig {
             auto_evict,
-            stall_timeout: Nanos::from_secs(1),
+            stall_timeout: Timeout::from_millis::<1_000>(),
             durability: wal_dir.is_some(),
             // Larger than the run's whole watermark advance: no snapshot.
             snapshot_interval: 1_000,
