@@ -51,19 +51,14 @@ pub struct EngineConfig {
     /// reference runs and the equivalence suites compare against.
     /// Detections are bit-for-bit identical either way.
     pub plan_sharing: bool,
-    /// Persist a write-ahead log of delivered notifications, periodically
-    /// compacted to an operator-state snapshot, so a crashed coordinator
-    /// can be rebuilt and resumed
+    /// Persist a write-ahead log of delivered notifications, so a crashed
+    /// coordinator can be rebuilt and resumed
     /// (`Engine::crash_and_recover_coordinator`). Requires
     /// [`EngineConfig::wal_dir`]. Off by default — durability costs a
-    /// serialization + fsync-batched write per in-order message.
+    /// serialization + fsync-batched write per in-order message. The log
+    /// is compacted to an operator-state snapshot by the size rule every
+    /// durable node follows (`WalWriter::compaction_due`).
     pub durability: bool,
-    /// Compact the coordinator's log to an operator-state snapshot
-    /// whenever the minimum watermark has advanced by at least this many
-    /// global ticks since the last snapshot. `0` means snapshot at every
-    /// watermark advance and `u64::MAX` never; recovery works with any
-    /// interval (larger intervals just replay, and keep, a longer log).
-    pub snapshot_interval: u64,
     /// Directory for the write-ahead logs. `None` (the default)
     /// disables durability even if [`EngineConfig::durability`] is set.
     pub wal_dir: Option<String>,
@@ -81,7 +76,9 @@ pub struct EngineConfig {
     /// no staged occurrence to a process crash; a power loss loses those
     /// staged since its last occurrence-carrying send. A site without it
     /// loses, when it crashes, the occurrences it staged since its last
-    /// flush.
+    /// flush. Each site log is bounded by the coordinator's compaction
+    /// rule. A site log this build cannot read is left in place, and the
+    /// site restarts un-logged.
     pub site_durability: bool,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every
@@ -116,7 +113,6 @@ impl Default for EngineConfig {
             auto_evict: false,
             plan_sharing: true,
             durability: false,
-            snapshot_interval: 8,
             wal_dir: None,
             site_durability: false,
             retransmit_jitter_seed: None,

@@ -2,7 +2,7 @@
 //! incarnation-epoch filtering and the `Hello` rejoin transition,
 //! cumulative acks, stall detection and eviction.
 
-use super::{CoordCtx, CoordinatorNode, PARKED_CAP, RELAY_RETX_TAG};
+use super::{CoordCtx, CoordinatorNode, PARKED_CAP};
 use crate::durability::WalRecord;
 use crate::protocol::Msg;
 use decs_simnet::NodeIdx;
@@ -281,14 +281,6 @@ impl CoordinatorNode {
             self.evict(site as usize, ctx);
             return;
         }
-        if matches!(msg, Msg::Start) {
-            // Engine control: a replica arms its relay retransmission
-            // round; the classic coordinator has no round to arm.
-            if let Some(part) = &self.part {
-                ctx.set_timer(part.relay_retx.get(), RELAY_RETX_TAG);
-            }
-            return;
-        }
         let site = from.0 as usize;
         if let Msg::Ack { cum_seq, .. } = msg {
             // A peer replica acking our relay stream (sites never ack the
@@ -300,7 +292,7 @@ impl CoordinatorNode {
             }
         }
         let Some(seq) = Self::seq_of(&msg) else {
-            return; // Inject/Ack echoes are not coordinator traffic
+            return; // Start/Inject/Ack echoes are not coordinator traffic
         };
         debug_assert!(site < self.streams.len(), "unknown site {site}");
         if self.wal_failed.is_some() {

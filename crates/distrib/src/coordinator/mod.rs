@@ -107,8 +107,8 @@ impl CoordCtx for ReplayCtx {
 /// (see [`release::StabilityBuffer`]).
 pub(crate) type ReleaseKey = (u64, u32, u64);
 
-/// Timer tag reserved for the periodic replica → replica relay
-/// retransmission round (partitioned deployments only). Detector timer
+/// Timer tag reserved for the replica → replica relay retransmission
+/// round (partitioned deployments only). Detector timer
 /// tags count up from 0, so the two can never collide.
 pub(crate) const RELAY_RETX_TAG: u64 = u64::MAX - 1;
 
@@ -190,10 +190,6 @@ pub struct CoordinatorNode {
     /// Write-ahead log of consumed inputs, headed by the last snapshot
     /// (`None` = durability off, or off until `recover` has replayed).
     pub(crate) wal: Option<WalWriter>,
-    /// Minimum watermark advance (global ticks) between snapshots.
-    pub(crate) snapshot_interval: u64,
-    /// Watermark at which the last snapshot was taken.
-    pub(crate) last_snapshot_wm: u64,
     /// Absolute due time (true-time ns) of every armed detector timer, so
     /// a snapshot can record what to re-arm after recovery.
     pub(crate) timer_due: HashMap<u64, u64>,
@@ -260,8 +256,6 @@ impl CoordinatorNode {
             last_rise_at: 0,
             parked_total: 0,
             wal: None,
-            snapshot_interval: 0,
-            last_snapshot_wm: 0,
             timer_due: HashMap::new(),
             drained: 0,
             release_horizon: 0,
@@ -916,14 +910,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut sim = coordinator_sim(1);
         let n = decs_simnet::NodeIdx(0);
-        sim.node_mut(n).set_durability(&dir, u64::MAX).unwrap();
+        sim.node_mut(n).set_durability(&dir).unwrap();
         sim.inject(Nanos(10), n, ev(0, 0, 0, 5, 50));
         sim.run_to_completion();
         {
             let c = sim.node_mut(n);
             assert_eq!(c.metrics.events_received, 1);
             assert!(c.wal_failed().is_none());
-            c.wal = Some(WalWriter::with_sink(Box::new(DeadDisk), dir.join("<dead>")));
+            c.wal = Some(WalWriter::with_sink(Box::new(DeadDisk), dir.clone()));
         }
         // The next delivery hits the dead disk: the append fails *before*
         // the message is applied, so disk state still matches applied

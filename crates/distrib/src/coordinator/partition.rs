@@ -119,7 +119,7 @@ pub(crate) fn coarse(key: &PartKey) -> PlanePos {
 
 /// One peer's outbound relay stream: sequence counter, the relays staged
 /// for the next flush, and the sent-but-unacked window (resent by the
-/// periodic relay retransmission round; trimmed by the peer's cumulative
+/// relay retransmission round; trimmed by the peer's cumulative
 /// acks).
 #[derive(Debug, Default)]
 pub(crate) struct OutRelay {
@@ -209,6 +209,9 @@ pub(crate) struct PartitionState {
     pub(crate) last_w: u64,
     /// Period of the relay retransmission round.
     pub(crate) relay_retx: Timeout,
+    /// True time the armed relay retransmission round is due; `None`
+    /// while every relay window is empty and no round is armed.
+    pub(crate) relay_due: Option<Nanos>,
 }
 
 impl PartitionState {
@@ -251,7 +254,19 @@ impl PartitionState {
             fed_since_sample: false,
             last_w: 0,
             relay_retx,
+            relay_due: None,
         }
+    }
+
+    /// Arm the relay retransmission round for the next multiple of its
+    /// period: the instants a round that never stopped would fire at, so
+    /// stopping it removes only fires with nothing to resend.
+    fn arm_relay_round(&mut self, ctx: &mut impl CoordCtx) {
+        let period = self.relay_retx.get().get();
+        let now = ctx.true_now().get();
+        let delay = period - now % period;
+        self.relay_due = Some(Nanos(now.saturating_add(delay)));
+        ctx.set_timer(Nanos(delay), super::RELAY_RETX_TAG);
     }
 
     /// Strict lower bound on *everything* peer `q` will ever relay: the
@@ -670,10 +685,13 @@ impl CoordinatorNode {
 
     /// Flush peer `q`'s staged relays (possibly none — a pure promise
     /// advance) as one sequence-numbered `Msg::Relay`, retained in the
-    /// unacked window for retransmission.
+    /// unacked window for retransmission, arming the retransmission round.
     fn send_relay(&mut self, q: usize, ctx: &mut impl CoordCtx) {
         let (node, msg) = {
             let part = self.part.as_mut().expect("partitioned");
+            if part.relay_due.is_none() {
+                part.arm_relay_round(ctx);
+            }
             let promise = part.last_sent[q].clone();
             let node = NodeIdx((part.n_sites + q) as u32);
             let out = &mut part.out[q];
@@ -691,15 +709,19 @@ impl CoordinatorNode {
         ctx.send(node, msg);
     }
 
-    /// The periodic relay retransmission round: resend every unacked
-    /// relay on every peer stream (the peer dedups by sequence number
-    /// and re-acks), then re-arm. The round runs unconditionally so the
-    /// timer chain survives replica crash/recovery the same way the ack
-    /// round's does.
+    /// The relay retransmission round: resend every unacked relay on
+    /// every peer stream (the peer dedups by sequence number and re-acks)
+    /// and re-arm, or stop once every window is empty. A fire before the
+    /// due time was armed by a crashed incarnation and is ignored.
     pub(super) fn relay_retx_round(&mut self, ctx: &mut impl CoordCtx) {
+        let now = ctx.true_now();
         let mut resend: Vec<(NodeIdx, Msg)> = Vec::new();
-        let period = {
-            let part = self.part.as_ref().expect("partitioned");
+        {
+            let part = self.part.as_mut().expect("partitioned");
+            if part.relay_due.is_none_or(|due| now < due) {
+                return;
+            }
+            part.relay_due = None;
             for q in 0..part.n_replicas {
                 if q == part.replica {
                     continue;
@@ -709,13 +731,14 @@ impl CoordinatorNode {
                     resend.push((node, msg.clone()));
                 }
             }
-            part.relay_retx.get()
-        };
+            if !resend.is_empty() {
+                part.arm_relay_round(ctx);
+            }
+        }
         self.metrics.relay_retransmits += resend.len() as u64;
         for (node, msg) in resend {
             ctx.send(node, msg);
         }
-        ctx.set_timer(period, super::RELAY_RETX_TAG);
     }
 
     /// Operator-buffer GC under partitioning: the classic

@@ -2,10 +2,9 @@
 //! recovery. See [`crate::durability`] for the formats and the recovery
 //! invariants.
 
-use super::{CoordinatorNode, RawDetection, ReplayCtx};
+use super::{CoordinatorNode, RawDetection, ReplayCtx, RELAY_RETX_TAG};
 use crate::durability::{
-    read_wal, ArmedTimer, BufferedNotification, CoordinatorSnapshot, PendingDetection, WalRecord,
-    WalTail, WalWriter, WAL_FILE,
+    ArmedTimer, BufferedNotification, CoordinatorSnapshot, PendingDetection, WalRecord, WalWriter,
 };
 use decs_chronos::{GlobalTicks, LocalTicks, Nanos, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
@@ -68,44 +67,28 @@ impl CoordinatorNode {
     }
 
     /// Enable durability with a **fresh** log: any previous log in `dir`
-    /// is discarded. `snapshot_interval` is in global ticks of
-    /// minimum-watermark advance between compactions.
-    pub fn set_durability(&mut self, dir: &Path, snapshot_interval: u64) -> io::Result<()> {
+    /// is discarded.
+    pub fn set_durability(&mut self, dir: &Path) -> io::Result<()> {
         self.wal = Some(WalWriter::create(dir)?);
-        self.metrics.wal_appends = 0;
-        self.metrics.wal_bytes = 0;
-        self.snapshot_interval = snapshot_interval;
-        self.last_snapshot_wm = 0;
         Ok(())
     }
 
-    /// Compact the log if the minimum watermark advanced enough since the
-    /// last compaction. Called at the end of every release round (a
-    /// quiescent point for the detector).
+    /// Compact the log if the rule all durable nodes share says so
+    /// ([`WalWriter::compaction_due`]). Called at the end of every release
+    /// round (a quiescent point for the detector).
     pub(super) fn maybe_snapshot(&mut self) {
-        if self.wal.is_none() || self.part.is_some() {
-            // Replica durability is WAL-only: the snapshot format does not
-            // cover the partition state (pbuffer, promises, relay windows),
-            // so recovery always replays the full log. The relay windows
-            // are rebuilt by that replay; the post-recovery retransmission
-            // round resends them and peers dedup.
-            return;
+        // Replica durability is WAL-only: the snapshot format does not
+        // cover the partition state (pbuffer, promises, relay windows), so
+        // recovery always replays the full log. The relay windows are
+        // rebuilt by that replay; the post-recovery retransmission round
+        // resends them and peers dedup.
+        if self.part.is_none() && self.wal.as_ref().is_some_and(WalWriter::compaction_due) {
+            self.take_snapshot();
         }
-        let wm = self.tracker.min_watermark();
-        // `u64::MAX` means every site is evicted — the watermark is the
-        // empty-min sentinel, not progress.
-        if wm == u64::MAX || wm <= self.last_snapshot_wm {
-            return;
-        }
-        if wm - self.last_snapshot_wm < self.snapshot_interval {
-            return;
-        }
-        self.last_snapshot_wm = wm;
-        self.take_snapshot();
     }
 
     /// Rewrite the log to one [`WalRecord::Snapshot`] of the current state
-    /// (atomically: see [`WalWriter::replace`]); later inputs append after
+    /// (atomically: see [`WalWriter::compact`]); later inputs append after
     /// it. A failure fail-stops the node and leaves the old log in place.
     fn take_snapshot(&mut self) {
         let mut timers: Vec<ArmedTimer> = self
@@ -164,17 +147,13 @@ impl CoordinatorNode {
             stall_clock: (self.progress_ns, self.last_rise_at),
             release_horizon: self.release_horizon,
         };
-        let log = self.wal.as_ref().expect("durability on").path();
-        let dir = log
-            .parent()
-            .expect("the log lives in a directory")
-            .to_path_buf();
-        match WalWriter::replace(&dir, &[WalRecord::Snapshot(Box::new(snap))]) {
-            Ok(w) => {
-                self.metrics.wal_appends += w.appends();
-                self.metrics.wal_bytes += w.bytes();
+        let w = self.wal.as_mut().expect("durability on");
+        let (appends, bytes) = (w.appends(), w.bytes());
+        match w.compact(&[WalRecord::Snapshot(Box::new(snap))]) {
+            Ok(()) => {
+                self.metrics.wal_appends += w.appends() - appends;
+                self.metrics.wal_bytes += w.bytes() - bytes;
                 self.metrics.snapshots_taken += 1;
-                self.wal = Some(w);
             }
             Err(e) => self.wal_fail(e),
         }
@@ -339,33 +318,18 @@ impl CoordinatorNode {
     }
 
     /// Rebuild this (freshly constructed, durability-off) coordinator from
-    /// the log in `dir`: restore the snapshot record at its head, if any,
-    /// replay the records after it through the normal feed path, truncate
-    /// a torn or corrupt tail, and resume logging. A log with a frame
-    /// whose CRC holds but which does not decode (another build's record
-    /// format) is refused with `InvalidData` and left untouched: cutting
-    /// it there would silently drop acked input, or the whole state if
-    /// the frame is the snapshot. Returns the detector timers that were
-    /// armed at crash time as `(tag, due_true_time_ns)` pairs, sorted by
-    /// due time — the harness must re-schedule them for the replacement
-    /// node.
-    pub fn recover(&mut self, dir: &Path, snapshot_interval: u64) -> io::Result<Vec<(u64, u64)>> {
+    /// the log in `dir` ([`WalWriter::open`], which truncates a torn or
+    /// corrupt tail and refuses a frame this build cannot decode): restore
+    /// the snapshot record at its head, if any, replay the records after
+    /// it through the normal feed path, and resume logging. Returns the
+    /// detector timers that were armed at crash time as
+    /// `(tag, due_true_time_ns)` pairs, sorted by due time — the harness
+    /// must re-schedule them for the replacement node.
+    pub fn recover(&mut self, dir: &Path) -> io::Result<Vec<(u64, u64)>> {
         let t0 = std::time::Instant::now();
-        let scan = read_wal(dir)?;
-        if let WalTail::Undecodable { discarded } = scan.tail {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{} has a frame at byte {} that this build cannot decode \
-                     ({discarded} bytes from there on); refusing to truncate it",
-                    dir.join(WAL_FILE).display(),
-                    scan.valid_len
-                ),
-            ));
-        }
-        let total = scan.records.len() as u64;
+        let (wal, records) = WalWriter::open::<WalRecord>(dir)?;
         let mut replayed = 0;
-        for (i, rec) in scan.records.into_iter().enumerate() {
+        for (i, rec) in records.into_iter().enumerate() {
             match rec {
                 WalRecord::Snapshot(snap) if i == 0 => {
                     self.restore_snapshot(*snap)?;
@@ -377,20 +341,18 @@ impl CoordinatorNode {
                 }
             }
         }
-        // Resume the log where validity ended — a torn or corrupt tail is
-        // truncated away so it can never shadow future appends.
-        let wal = WalWriter::resume(dir, scan.valid_len, total)?;
-        self.metrics.wal_appends += total;
+        self.metrics.wal_appends += wal.appends();
         self.metrics.wal_bytes += wal.bytes();
         self.metrics.recovery_replayed = replayed;
         self.metrics.recovery_ns = t0.elapsed().as_nanos() as u64;
         self.wal = Some(wal);
-        self.snapshot_interval = snapshot_interval;
-        let wm = self.tracker.min_watermark();
-        if wm != u64::MAX {
-            self.last_snapshot_wm = wm;
-        }
         let mut due: Vec<(u64, u64)> = self.timer_due.iter().map(|(&tag, &at)| (tag, at)).collect();
+        // A replica's replay rebuilt its relay windows (peer acks are not
+        // logged) and armed the retransmission round with its first relay,
+        // but replay fires no timer: the harness arms that round too.
+        if let Some(at) = self.part.as_ref().and_then(|p| p.relay_due) {
+            due.push((RELAY_RETX_TAG, at.get()));
+        }
         due.sort_by_key(|&(tag, at)| (at, tag));
         Ok(due)
     }

@@ -10,10 +10,13 @@
 //! the restarted site resumes retransmission with no holes in the
 //! sequence space that ever carried an occurrence.
 //!
-//! The log shares the coordinator WAL's frame format and torn-tail
-//! discipline ([`super::wal`]); only the record type differs. Each site
-//! logs into its own subdirectory (`<wal_dir>/site-<i>`), so coordinator
-//! and site logs never interleave.
+//! The log shares the coordinator WAL's frame format, its recovery scan
+//! ([`WalWriter::open`]) and its compaction rule
+//! ([`WalWriter::compaction_due`]); only the record type differs. Each
+//! site logs into its own subdirectory (`<wal_dir>/site-<i>`), so
+//! coordinator and site logs never interleave. A site compacts its log to
+//! [`compaction_records`] of its live state after an ack or at a tick
+//! edge, so the log stays bounded however long the site runs.
 //!
 //! A frame is synced before the site acts on it only if losing it could
 //! re-sequence an occurrence ([`SiteWalRecord::must_sync`]): sends that
@@ -38,13 +41,12 @@
 //!   harmless because the tracker keeps the maximum.
 
 use super::codec::{CodecError, Decode, Encode, Reader};
-use super::wal::{read_wal_as, WalScan, WalWriter};
+use super::wal::WalWriter;
 use crate::protocol::Msg;
 use decs_core::CompositeTimestamp;
 use decs_snoop::Occurrence;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 /// One durable site-side input.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +100,7 @@ impl SiteWalRecord {
     /// Append the frame to a site log, syncing it when
     /// [`SiteWalRecord::must_sync`] says so. A site writes every record
     /// of its live log through here; compaction images go through
-    /// [`WalWriter::replace`], which syncs the whole image.
+    /// [`WalWriter::compact`], which syncs the whole image.
     pub fn log_to(&self, w: &mut WalWriter) -> io::Result<()> {
         w.append(self)?;
         if self.must_sync() {
@@ -166,9 +168,9 @@ pub struct SiteWalState {
     pub staged: Vec<Occurrence<CompositeTimestamp>>,
 }
 
-/// Fold a record sequence into recovered outbound state. Pure — exposed
-/// separately from [`recover_site_state`] so tests can drive it with
-/// hand-built logs.
+/// Fold a record sequence (what [`WalWriter::open`] read back) into
+/// recovered outbound state. Pure, so tests can drive it with hand-built
+/// logs.
 pub fn fold_records(records: &[SiteWalRecord]) -> SiteWalState {
     let mut st = SiteWalState::default();
     for rec in records {
@@ -199,20 +201,9 @@ pub fn fold_records(records: &[SiteWalRecord]) -> SiteWalState {
     st
 }
 
-/// Read, scan and fold the site log in `dir`. A missing log folds to the
-/// default (fresh-start) state. Whatever tail ends the scan — torn,
-/// corrupt or undecodable — is discarded; the caller compacts the log to
-/// the folded state.
-pub fn recover_site_state(dir: &Path) -> io::Result<(SiteWalState, WalScan<SiteWalRecord>)> {
-    let scan = read_wal_as::<SiteWalRecord>(dir)?;
-    let state = fold_records(&scan.records);
-    Ok((state, scan))
-}
-
-/// The compaction image of recovered state: one `Epoch`, one `Acked`
+/// The compaction image of outbound state: one `Epoch`, one `Acked`
 /// baseline, one `Sent` per retransmit entry, one `Staged` per pending
-/// occurrence. A restarted site rewrites its log to this instead of
-/// replaying history forever.
+/// occurrence. It folds back to the state it was built from.
 pub fn compaction_records(st: &SiteWalState) -> Vec<SiteWalRecord> {
     let mut out = Vec::with_capacity(2 + st.retx.len() + st.staged.len());
     out.push(SiteWalRecord::Epoch { epoch: st.epoch });
@@ -337,6 +328,11 @@ mod tests {
         dir
     }
 
+    /// Recover the site log in `dir` the way a restarting site does.
+    fn recover(dir: &std::path::Path) -> SiteWalState {
+        fold_records(&WalWriter::open::<SiteWalRecord>(dir).unwrap().1)
+    }
+
     #[test]
     fn stale_partial_temp_file_is_ignored_by_recovery() {
         let dir = temp_dir("stale-tmp");
@@ -345,7 +341,10 @@ mod tests {
             SiteWalRecord::Sent { msg: ev(0, 1, 1) },
             SiteWalRecord::Sent { msg: ev(1, 1, 2) },
         ];
-        drop(WalWriter::replace(&dir, &live).unwrap());
+        let mut w = WalWriter::create(&dir).unwrap();
+        for r in &live {
+            r.log_to(&mut w).unwrap();
+        }
         // A compaction that crashed mid-write: half an image in the
         // temporary file, the live log untouched.
         let mut partial = Vec::new();
@@ -357,20 +356,19 @@ mod tests {
         }
         partial.truncate(partial.len() - 3);
         std::fs::write(dir.join(WAL_TMP_FILE), &partial).unwrap();
-        let (st, scan) = recover_site_state(&dir).unwrap();
-        assert_eq!(scan.records, live);
-        assert_eq!(st, fold_records(&live));
+        let (mut w, records) = WalWriter::open::<SiteWalRecord>(&dir).unwrap();
+        assert_eq!(records, live);
+        let st = fold_records(&live);
         // The next compaction overwrites the stale temporary file.
-        let img = compaction_records(&st);
-        drop(WalWriter::replace(&dir, &img).unwrap());
-        assert_eq!(recover_site_state(&dir).unwrap().0, st);
+        w.compact(&compaction_records(&st)).unwrap();
+        assert_eq!(recover(&dir), st);
         assert!(!dir.join(WAL_TMP_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn replaced_log_folds_to_the_compaction_image() {
-        let dir = temp_dir("replace");
+    fn compacted_log_folds_to_the_image_and_what_follows() {
+        let dir = temp_dir("compact");
         let mut w = WalWriter::create(&dir).unwrap();
         let history = [
             SiteWalRecord::Epoch { epoch: 0 },
@@ -385,18 +383,16 @@ mod tests {
         for r in &history {
             r.log_to(&mut w).unwrap();
         }
-        drop(w);
-        let (mut st, _) = recover_site_state(&dir).unwrap();
+        let mut st = fold_records(&history);
         st.epoch += 1;
-        let mut w = WalWriter::replace(&dir, &compaction_records(&st)).unwrap();
-        assert_eq!(recover_site_state(&dir).unwrap().0, st);
-        // The returned writer appends to the replaced log, not the
-        // temporary file it was written as.
+        w.compact(&compaction_records(&st)).unwrap();
+        assert_eq!(recover(&dir), st);
+        // The writer appends to the compacted log, not the temporary file
+        // it was written as.
         SiteWalRecord::Sent { msg: ev(3, 1, 4) }
             .log_to(&mut w)
             .unwrap();
-        let (after, scan) = recover_site_state(&dir).unwrap();
-        assert_eq!(scan.tail, WalTail::Clean);
+        let after = recover(&dir);
         assert_eq!(after.next_seq, 4);
         assert_eq!(
             after.retx.keys().copied().collect::<Vec<_>>(),
@@ -407,8 +403,8 @@ mod tests {
 
     #[test]
     fn missing_dir_recovers_fresh_state() {
-        let (st, scan) = recover_site_state(Path::new("/nonexistent/decs-site-nowhere")).unwrap();
-        assert_eq!(st, SiteWalState::default());
-        assert!(scan.records.is_empty());
+        let dir = temp_dir("missing");
+        assert_eq!(recover(&dir), SiteWalState::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,11 @@
-//! Watermark-aligned snapshots of the coordinator's full recoverable
-//! state.
+//! Snapshots of the coordinator's full recoverable state.
 //!
 //! A snapshot is taken at the end of a release round — a quiescent point:
 //! the detector has no half-processed batch, the stability buffer holds
 //! exactly the not-yet-stable notifications, and the garbage collector has
 //! just run. It is not a file of its own: the coordinator compacts its
 //! write-ahead log to one `WalRecord::Snapshot` holding the image (see
-//! `WalWriter::replace`), and later inputs append after it, so recovery =
+//! `WalWriter::compact`), and later inputs append after it, so recovery =
 //! `restore(image)` + `replay(the records after it)`. The log is the one
 //! durable artifact.
 //!

@@ -1,13 +1,15 @@
-//! The coordinator's write-ahead log.
+//! The write-ahead log of every durable node.
 //!
 //! Every nondeterministic input the coordinator consumes — an in-order
 //! message delivery, a detector timer fire, an operator eviction, a drain
 //! of the detection outbox — is appended as one framed record *before* its
-//! effects are applied. Now and then the coordinator compacts the log to a
-//! single [`WalRecord::Snapshot`] of the state those inputs produced
-//! ([`WalWriter::replace`]). Recovery then is deterministic replay: restore
-//! the image at the head of the log, if any, and re-feed the records after
-//! it through the exact code paths that consumed the inputs live.
+//! effects are applied (a durable site logs its outbound state the same
+//! way, `super::site_wal`). Now and then a node compacts its log to an
+//! image of the state those records produced ([`WalWriter::compact`]), the
+//! coordinator's being one [`WalRecord::Snapshot`]. Recovery
+//! ([`WalWriter::open`]) reads the image and the records after it back;
+//! the coordinator re-feeds them through the exact code paths that
+//! consumed the inputs live.
 //!
 //! ## Frame format
 //!
@@ -21,10 +23,10 @@
 //! whose CRC fails — bit rot) or *undecodable* (a frame whose CRC holds
 //! but whose payload is no record this build knows — a log written by
 //! another record format). Everything before the bad frame is trusted.
-//! After a torn or corrupt tail the writer truncates the file back to the
-//! valid prefix before appending again, so a future replay never stops
-//! early at a stale hole; the coordinator refuses to recover from an
-//! undecodable log and leaves the file as it is.
+//! Recovery truncates a torn or corrupt tail back to the valid prefix
+//! before appending again, so a future replay never stops early at a
+//! stale hole; it refuses an undecodable log and leaves the file as it
+//! is.
 
 use super::codec::{crc32, from_bytes, Decode, Encode, Reader};
 use super::snapshot::CoordinatorSnapshot;
@@ -57,7 +59,7 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// (acks, empty batches and staged frames not yet shipped).
 const SYNC_EVERY: u64 = 64;
 
-/// Temporary name of a log image being written by [`WalWriter::replace`]
+/// Temporary name of a log image being written by [`WalWriter::compact`]
 /// before it is renamed over [`WAL_FILE`]. Recovery never reads it.
 pub const WAL_TMP_FILE: &str = "wal.log.tmp";
 
@@ -252,7 +254,7 @@ pub enum WalTail {
 /// logs [`WalRecord`]s, sites log `SiteWalRecord`s — with the same frame
 /// format and tail discipline.
 #[derive(Debug)]
-pub struct WalScan<R = WalRecord> {
+pub struct WalScan<R> {
     /// Every record up to the first invalid frame, in append order.
     pub records: Vec<R>,
     /// Byte length of the valid prefix — the offset the writer truncates
@@ -260,12 +262,6 @@ pub struct WalScan<R = WalRecord> {
     pub valid_len: u64,
     /// How the log ended.
     pub tail: WalTail,
-}
-
-/// Scan a WAL image of coordinator records already in memory. See
-/// [`scan_bytes_as`].
-pub fn scan_bytes(bytes: &[u8]) -> WalScan {
-    scan_bytes_as::<WalRecord>(bytes)
 }
 
 /// Scan a WAL image already in memory. Total: any byte sequence yields a
@@ -348,11 +344,6 @@ pub fn scan_bytes_as<R: Decode>(bytes: &[u8]) -> WalScan<R> {
     }
 }
 
-/// Read and scan the coordinator log in `dir`. See [`read_wal_as`].
-pub fn read_wal(dir: &Path) -> io::Result<WalScan> {
-    read_wal_as::<WalRecord>(dir)
-}
-
 /// Read and scan the log in `dir`. A missing file (or missing directory)
 /// is an empty, clean log — the fresh-start case.
 pub fn read_wal_as<R: Decode>(dir: &Path) -> io::Result<WalScan<R>> {
@@ -380,14 +371,28 @@ impl WalSink for File {
     }
 }
 
-/// Appender half of the log.
+/// The floor of the compaction rule ([`WalWriter::compaction_due`]): below
+/// it, a compaction's two syncs (the image and the directory) would cost
+/// more than the replay they save.
+pub const COMPACT_MIN_BYTES: u64 = 64 * 1024;
+
+/// Appender half of the log, and the owner of the two decisions every
+/// durable node makes about it: when to rewrite it to an image
+/// ([`WalWriter::compaction_due`], [`WalWriter::compact`]) and how to read
+/// it back ([`WalWriter::open`]).
 pub struct WalWriter {
     sink: Box<dyn WalSink>,
-    path: PathBuf,
+    /// The directory holding [`WAL_FILE`].
+    dir: PathBuf,
     appends: u64,
     bytes: u64,
     since_sync: u64,
     syncs: u64,
+    /// Byte length of the image the log was last compacted to (0 for a
+    /// log that was created or opened rather than compacted).
+    image: u64,
+    /// Byte length of the log file: the image plus every frame after it.
+    len: u64,
     /// The frame being appended, reused so a warm append allocates nothing;
     /// it keeps the capacity of the largest record appended.
     frame: Vec<u8>,
@@ -396,12 +401,8 @@ pub struct WalWriter {
 impl std::fmt::Debug for WalWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalWriter")
-            .field("path", &self.path)
-            .field("appends", &self.appends)
-            .field("bytes", &self.bytes)
-            .field("since_sync", &self.since_sync)
-            .field("syncs", &self.syncs)
-            .finish()
+            .field("dir", &self.dir)
+            .finish_non_exhaustive()
     }
 }
 
@@ -409,83 +410,74 @@ impl WalWriter {
     /// Create (truncating any previous log) a fresh WAL in `dir`.
     pub fn create(dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(WAL_FILE);
         let file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
-        Ok(WalWriter {
-            sink: Box::new(file),
-            path,
-            appends: 0,
-            bytes: 0,
-            since_sync: 0,
-            syncs: 0,
-            frame: Vec::new(),
-        })
+            .open(dir.join(WAL_FILE))?;
+        Ok(WalWriter::with_sink(Box::new(file), dir.to_path_buf()))
     }
 
-    /// Atomically replace the log in `dir` with `records`: write them to a
-    /// temporary file, sync it, rename it over the log and sync the
-    /// directory. A crash at any point leaves either the old log or the
-    /// complete new one, never a truncated mix. The returned writer
-    /// appends after `records`.
-    pub fn replace<R: Encode>(dir: &Path, records: &[R]) -> io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(WAL_TMP_FILE);
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        let mut w = WalWriter::with_sink(Box::new(file), dir.join(WAL_FILE));
-        for rec in records {
-            w.append(rec)?;
+    /// Read back the log in `dir` and reopen it for appending: the one
+    /// recovery scan of every durable node. A missing log is an empty one;
+    /// a torn or corrupt tail is truncated away. A frame whose CRC holds
+    /// but which does not decode (another build's record format) is
+    /// refused with `InvalidData`, every byte of the log left in place:
+    /// cutting it there would silently drop what it recorded. Returns the
+    /// writer, counting the valid prefix, and that prefix's records.
+    pub fn open<R: Decode>(dir: &Path) -> io::Result<(Self, Vec<R>)> {
+        let scan = read_wal_as::<R>(dir)?;
+        if let WalTail::Undecodable { discarded } = scan.tail {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} has a frame at byte {} that this build cannot decode \
+                     ({discarded} bytes from there on); refusing to truncate it",
+                    dir.join(WAL_FILE).display(),
+                    scan.valid_len
+                ),
+            ));
         }
-        w.sync()?;
-        std::fs::rename(&tmp, &w.path)?;
-        File::open(dir)?.sync_all()?;
-        Ok(w)
-    }
-
-    /// Reopen the WAL in `dir` after a scan: truncate to the scanned
-    /// `valid_len` (discarding any torn or corrupt tail so it can never be
-    /// resurrected by a later scan) and seed the counters with the
-    /// `records` already in the valid prefix.
-    pub fn resume(dir: &Path, valid_len: u64, records: u64) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(WAL_FILE);
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
-        file.set_len(valid_len)?;
+            .open(dir.join(WAL_FILE))?;
+        file.set_len(scan.valid_len)?;
         file.seek(SeekFrom::End(0))?;
-        file.sync_data()?;
-        Ok(WalWriter {
-            sink: Box::new(file),
-            path,
-            appends: records,
-            bytes: valid_len,
-            since_sync: 0,
-            syncs: 0,
-            frame: Vec::new(),
-        })
+        let mut w = WalWriter::with_sink(Box::new(file), dir.to_path_buf());
+        w.appends = scan.records.len() as u64;
+        w.bytes = scan.valid_len;
+        w.len = scan.valid_len;
+        Ok((w, scan.records))
+    }
+
+    /// [`WalWriter::open`] this writer's own log again, as a restarted
+    /// node does after a crash: the file is re-read from the directory,
+    /// and the append, byte and sync counts carry on from this writer's.
+    pub fn reopen<R: Decode>(&mut self) -> io::Result<Vec<R>> {
+        let (w, records) = WalWriter::open(&self.dir)?;
+        self.sink = w.sink;
+        self.since_sync = 0;
+        self.image = w.image;
+        self.len = w.len;
+        Ok(records)
     }
 
     /// Build a writer over an arbitrary sink — the fault-injection entry
-    /// point. `path` is only reported by [`WalWriter::path`]; nothing is
-    /// opened.
-    pub fn with_sink(sink: Box<dyn WalSink>, path: PathBuf) -> Self {
+    /// point. `dir` is only used by [`WalWriter::compact`] and
+    /// [`WalWriter::reopen`]; nothing is opened.
+    pub fn with_sink(sink: Box<dyn WalSink>, dir: PathBuf) -> Self {
         WalWriter {
             sink,
-            path,
+            dir,
             appends: 0,
             bytes: 0,
             since_sync: 0,
             syncs: 0,
+            image: 0,
+            len: 0,
             frame: Vec::new(),
         }
     }
@@ -496,6 +488,7 @@ impl WalWriter {
         self.sink.write_all(&self.frame)?;
         self.appends += 1;
         self.bytes += self.frame.len() as u64;
+        self.len += self.frame.len() as u64;
         self.since_sync += 1;
         if self.since_sync >= SYNC_EVERY {
             self.sync()?;
@@ -513,25 +506,63 @@ impl WalWriter {
         Ok(())
     }
 
+    /// The compaction rule of every node kind, asked at its quiescent
+    /// points: the log is due for a rewrite once the bytes appended after
+    /// its last image reach the larger of [`COMPACT_MIN_BYTES`] and twice
+    /// that image's size. The factor bounds write amplification when the
+    /// image itself is large.
+    pub fn compaction_due(&self) -> bool {
+        self.len - self.image >= COMPACT_MIN_BYTES.max(2 * self.image)
+    }
+
+    /// Atomically rewrite the log to `image`: write it to
+    /// [`WAL_TMP_FILE`], sync it, rename it over the log and sync the
+    /// directory. A crash at any point leaves either the old log or the
+    /// complete new one. The counts carry on (the image's frames count as
+    /// appends). After an error the writer must not be used again.
+    pub fn compact<R: Encode>(&mut self, image: &[R]) -> io::Result<()> {
+        let tmp = self.dir.join(WAL_TMP_FILE);
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let mut len = 0;
+        for rec in image {
+            encode_frame(rec, &mut self.frame);
+            file.write_all(&self.frame)?;
+            len += self.frame.len() as u64;
+        }
+        file.sync_data()?;
+        std::fs::rename(&tmp, self.dir.join(WAL_FILE))?;
+        File::open(&self.dir)?.sync_all()?;
+        self.sink = Box::new(file);
+        self.appends += image.len() as u64;
+        self.bytes += len;
+        self.syncs += 1;
+        self.since_sync = 0;
+        self.image = len;
+        self.len = len;
+        Ok(())
+    }
+
     /// Syncs this writer has issued: explicit [`WalWriter::sync`] calls
-    /// that had appends to flush, plus the implicit `SYNC_EVERY` ones.
+    /// that had appends to flush, the implicit `SYNC_EVERY` ones and one
+    /// per compaction.
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
 
-    /// Lifetime record count of the log file (scanned prefix + appends).
+    /// Lifetime record count: the prefix the log was opened with, every
+    /// append and every image frame.
     pub fn appends(&self) -> u64 {
         self.appends
     }
 
-    /// Lifetime byte length of the log file, frame headers included.
+    /// Lifetime bytes written, frame headers included, counted the way
+    /// [`WalWriter::appends`] counts records.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Path of the log file (for tests that mutilate it).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -599,7 +630,7 @@ mod tests {
         for r in &recs {
             image.extend_from_slice(&frame_record(r));
         }
-        let scan = scan_bytes(&image);
+        let scan = scan_bytes_as::<WalRecord>(&image);
         assert_eq!(scan.records, recs);
         assert_eq!(scan.valid_len, image.len() as u64);
         assert_eq!(scan.tail, WalTail::Clean);
@@ -616,7 +647,7 @@ mod tests {
         }
         // Truncate mid-way through the last frame.
         let cut = boundaries[3] + 3;
-        let scan = scan_bytes(&image[..cut]);
+        let scan = scan_bytes_as::<WalRecord>(&image[..cut]);
         assert_eq!(scan.records, recs[..3]);
         assert_eq!(scan.valid_len, boundaries[3] as u64);
         assert_eq!(
@@ -637,13 +668,13 @@ mod tests {
         // Flip one payload byte in the second frame.
         let first_len = frame_record(&recs[0]).len();
         image[first_len + 9] ^= 0xFF;
-        let scan = scan_bytes(&image);
+        let scan = scan_bytes_as::<WalRecord>(&image);
         assert_eq!(scan.records, recs[..1]);
         assert!(matches!(scan.tail, WalTail::Corrupt { .. }));
     }
 
     #[test]
-    fn writer_roundtrip_and_resume() {
+    fn writer_roundtrip_and_reopen() {
         let dir = std::env::temp_dir().join(format!("decs-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let recs = sample_records();
@@ -655,7 +686,7 @@ mod tests {
             w.sync().unwrap();
             assert_eq!(w.appends(), recs.len() as u64);
         }
-        // Tear the tail by appending garbage, then resume: the scan must
+        // Tear the tail by appending garbage, then reopen: the scan must
         // drop the garbage and the writer must truncate it away.
         {
             let mut f = OpenOptions::new()
@@ -664,21 +695,133 @@ mod tests {
                 .unwrap();
             f.write_all(&[0xAB, 0xCD, 0xEF]).unwrap();
         }
-        let scan = read_wal(&dir).unwrap();
+        let scan = read_wal_as::<WalRecord>(&dir).unwrap();
         assert_eq!(scan.records, recs);
         assert!(matches!(scan.tail, WalTail::Torn { discarded: 3 }));
-        let mut w = WalWriter::resume(&dir, scan.valid_len, scan.records.len() as u64).unwrap();
+        let (mut w, reopened) = WalWriter::open::<WalRecord>(&dir).unwrap();
+        assert_eq!(reopened, recs);
+        assert_eq!(w.appends(), recs.len() as u64);
+        assert_eq!(w.bytes(), scan.valid_len);
         w.append(&WalRecord::Drained { count: 1 }).unwrap();
         w.sync().unwrap();
-        let scan2 = read_wal(&dir).unwrap();
+        let scan2 = read_wal_as::<WalRecord>(&dir).unwrap();
         assert_eq!(scan2.records.len(), recs.len() + 1);
         assert_eq!(scan2.tail, WalTail::Clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A record of about `n` bytes.
+    fn sized(n: usize) -> WalRecord {
+        WalRecord::Delivered {
+            site: 0,
+            at: 0,
+            msg: Msg::Batch {
+                seq: 0,
+                epoch: 0,
+                watermark: 0,
+                events: std::sync::Arc::new(vec![decs_snoop::Occurrence::primitive(
+                    decs_snoop::EventId(0),
+                    decs_core::cts(&[(0, 1, 10)]),
+                    vec![decs_snoop::Value::Str("x".repeat(n))],
+                )]),
+            },
+        }
+    }
+
+    #[test]
+    fn compaction_is_due_at_the_floor_then_at_twice_the_image() {
+        let dir = std::env::temp_dir().join(format!("decs-wal-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut w = WalWriter::create(&dir).unwrap();
+        let small = sized(1_000);
+        let frame = frame_record(&small).len() as u64;
+        let mut appended = 0;
+        while !w.compaction_due() {
+            w.append(&small).unwrap();
+            appended += frame;
+        }
+        // Due exactly at the first append that reaches the floor.
+        assert!(appended >= COMPACT_MIN_BYTES && appended - frame < COMPACT_MIN_BYTES);
+        let (appends, bytes, syncs) = (w.appends(), w.bytes(), w.syncs());
+        // An image of about 48 KiB: the next rewrite waits for twice that.
+        let image: Vec<WalRecord> = (0..48).map(|_| sized(1_000)).collect();
+        let image_len = image
+            .iter()
+            .map(|r| frame_record(r).len() as u64)
+            .sum::<u64>();
+        w.compact(&image).unwrap();
+        assert!(!w.compaction_due());
+        assert_eq!(w.appends(), appends + 48, "counts carry on");
+        assert_eq!(w.bytes(), bytes + image_len);
+        assert_eq!(w.syncs(), syncs + 1, "the image's sync");
+        assert!(!dir.join(WAL_TMP_FILE).exists());
+        let mut since = 0;
+        while !w.compaction_due() {
+            w.append(&small).unwrap();
+            since += frame;
+        }
+        assert!(since >= 2 * image_len && since - frame < 2 * image_len);
+        w.sync().unwrap();
+        // The log is the image and the frames appended after it.
+        let (reopened, records) = WalWriter::open::<WalRecord>(&dir).unwrap();
+        assert_eq!(records.len() as u64, 48 + since / frame);
+        assert_eq!(reopened.bytes(), image_len + since);
+        // A writer reopened from disk has no image: the floor decides.
+        assert!(reopened.compaction_due());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_keeps_the_counts_and_truncates_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("decs-wal-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recs = sample_records();
+        let mut w = WalWriter::create(&dir).unwrap();
+        for r in &recs {
+            w.append(r).unwrap();
+        }
+        w.sync().unwrap();
+        let (appends, bytes, syncs) = (w.appends(), w.bytes(), w.syncs());
+        let mut image = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        image.extend_from_slice(&[1, 2, 3]);
+        std::fs::write(dir.join(WAL_FILE), &image).unwrap();
+        let back: Vec<WalRecord> = w.reopen().unwrap();
+        assert_eq!(back, recs);
+        assert_eq!((w.appends(), w.bytes(), w.syncs()), (appends, bytes, syncs));
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).unwrap().len(),
+            image.len() - 3
+        );
+        w.append(&WalRecord::Drained { count: 9 }).unwrap();
+        w.sync().unwrap();
+        assert_eq!(
+            read_wal_as::<WalRecord>(&dir).unwrap().records.len(),
+            recs.len() + 1
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_undecodable_frame_is_refused_and_kept() {
+        let dir = std::env::temp_dir().join(format!("decs-wal-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut image = frame_record(&WalRecord::Drained { count: 1 });
+        let payload = [0xEEu8, 1, 2];
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&crc32(&payload).to_le_bytes());
+        image.extend_from_slice(&payload);
+        std::fs::write(dir.join(WAL_FILE), &image).unwrap();
+        let err = WalWriter::open::<WalRecord>(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cannot decode"), "{err}");
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), image);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_dir_is_empty_clean_log() {
-        let scan = read_wal(Path::new("/nonexistent/decs-nowhere")).unwrap();
+        let scan = read_wal_as::<WalRecord>(Path::new("/nonexistent/decs-nowhere")).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.tail, WalTail::Clean);
     }
@@ -743,7 +886,7 @@ mod tests {
         // the scanner recovers the two durable records and classifies the
         // tail as torn — never misreads the fragment as a record.
         let image = buf.lock().unwrap().clone();
-        let scan = scan_bytes(&image);
+        let scan = scan_bytes_as::<WalRecord>(&image);
         assert_eq!(scan.records, recs[..2]);
         assert_eq!(scan.valid_len, first_two as u64);
         assert_eq!(scan.tail, WalTail::Torn { discarded: 5 });
@@ -763,7 +906,7 @@ mod tests {
         assert_eq!(err.to_string(), "sync failed");
         // The frame itself was written intact; only durability failed.
         let image = buf.lock().unwrap().clone();
-        let scan = scan_bytes(&image);
+        let scan = scan_bytes_as::<WalRecord>(&image);
         assert_eq!(scan.records, vec![WalRecord::Drained { count: 1 }]);
         assert_eq!(scan.tail, WalTail::Clean);
     }

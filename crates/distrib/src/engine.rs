@@ -407,7 +407,7 @@ impl Engine {
                 if config.durability {
                     if let Some(dir) = &config.wal_dir {
                         coordinator_node
-                            .set_durability(std::path::Path::new(dir), config.snapshot_interval)
+                            .set_durability(std::path::Path::new(dir))
                             .map_err(|e| SnoopError::Io(format!("durability init failed: {e}")))?;
                     }
                 }
@@ -433,11 +433,9 @@ impl Engine {
                     if config.durability {
                         if let Some(dir) = &config.wal_dir {
                             let rdir = std::path::Path::new(dir).join(format!("replica-{r}"));
-                            replica_node
-                                .set_durability(&rdir, config.snapshot_interval)
-                                .map_err(|e| {
-                                    SnoopError::Io(format!("replica durability init failed: {e}"))
-                                })?;
+                            replica_node.set_durability(&rdir).map_err(|e| {
+                                SnoopError::Io(format!("replica durability init failed: {e}"))
+                            })?;
                         }
                     }
                     nodes.push((Node::Coordinator(Box::new(replica_node)), source));
@@ -449,8 +447,9 @@ impl Engine {
         if config.trace_capacity > 0 {
             sim.enable_trace(config.trace_capacity);
         }
-        // Start every site's beacons; a replica's Start arms its relay
-        // retransmission round (the classic coordinator ignores it).
+        // Start every node: a site starts its beacons; a coordinator has
+        // nothing to start (a replica arms its relay retransmission round
+        // when it relays).
         for i in 0..n + replicas as u32 {
             sim.inject(Nanos::ZERO, NodeIdx(i), Msg::Start);
         }
@@ -520,9 +519,10 @@ impl Engine {
     /// bring up a WAL-recovered replacement in place, mirroring
     /// [`Self::crash_and_recover_coordinator`]'s crash model. Replica
     /// durability is WAL-only (no snapshots): recovery replays the full
-    /// log, which also rebuilds the outbound relay windows; the periodic
-    /// relay-retransmission round then resends anything the peers might
-    /// not have seen, and they dedup by sequence number.
+    /// log, which also rebuilds the outbound relay windows; the relay
+    /// retransmission round, re-armed when those windows are non-empty,
+    /// then resends anything the peers might not have seen, and they
+    /// dedup by sequence number.
     pub fn crash_and_recover_replica(&mut self, r: usize) -> Result<()> {
         if self.coordinators.len() < 2 {
             return Err(SnoopError::Unsupported(
@@ -557,7 +557,7 @@ impl Engine {
             self.gg_nanos,
         )?;
         let timers = node
-            .recover(&dir, self.config.snapshot_interval)
+            .recover(&dir)
             .map_err(|e| SnoopError::Io(format!("replica recovery failed: {e}")))?;
         let node_idx = self.coordinators[r];
         *self.sim.node_mut(node_idx) = Node::Coordinator(Box::new(node));
@@ -611,7 +611,7 @@ impl Engine {
         }));
         coord.set_fault_tolerance(self.config.stall_timeout, self.config.auto_evict);
         let timers = coord
-            .recover(std::path::Path::new(&dir), self.config.snapshot_interval)
+            .recover(std::path::Path::new(&dir))
             .map_err(|e| SnoopError::Io(format!("recovery failed: {e}")))?;
         *self.sim.node_mut(self.coordinator) = Node::Coordinator(Box::new(coord));
         // Re-arm the timers the crashed node had outstanding. A stale fire
@@ -1013,9 +1013,9 @@ mod tests {
 
     /// With one coordinator, `Engine::new` refuses no value of any field:
     /// the smallest and the largest timeouts (a cap below the base, too),
-    /// the extreme compaction intervals, no trace, and each switch both
-    /// ways. Every engine then runs a two-site workload and receives all
-    /// of it.
+    /// every mix of coordinator and site durability, no trace, and each
+    /// switch both ways. Every engine then runs a two-site workload and
+    /// receives all of it.
     #[test]
     fn one_coordinator_accepts_boundary_values_of_every_field() {
         let dir = scratch_dir("boundaries");
@@ -1043,11 +1043,10 @@ mod tests {
                 ..base.clone()
             },
         ];
-        for snapshot_interval in [0, u64::MAX] {
+        for (durability, site_durability) in [(true, true), (true, false), (false, true)] {
             configs.push(EngineConfig {
-                durability: true,
-                site_durability: true,
-                snapshot_interval,
+                durability,
+                site_durability,
                 wal_dir: wal_dir.clone(),
                 ..base.clone()
             });
@@ -1118,6 +1117,49 @@ mod tests {
         let local = [("L", EventExpr::prim("A"), Context::Unrestricted)];
         let why = refusal(partitioned(2), &local);
         assert!(why.contains("site-local definitions"), "{why}");
+    }
+
+    /// A replica's relay retransmission round runs only while a relay is
+    /// unacked: over the first 10 ms of a 2-site, 2-replica plane with a
+    /// 10 µs retransmission timeout nothing is relayed, where a round that
+    /// always re-armed would fire 1,000 times per replica. The first relay
+    /// arms it again, and it resends until the peer acks.
+    #[test]
+    fn an_idle_replica_stops_its_relay_round() {
+        // `T` cascades over `S`, which a 2-replica plane places on the
+        // other replica.
+        let defs = [
+            (
+                "S",
+                EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B")),
+                Context::Chronicle,
+            ),
+            (
+                "T",
+                EventExpr::seq(EventExpr::prim("S"), EventExpr::prim("A")),
+                Context::Chronicle,
+            ),
+        ];
+        let config = EngineConfig {
+            retransmit_timeout: Timeout::new(Nanos::from_micros(10)).expect("positive"),
+            ..partitioned(2)
+        };
+        let mut e = Engine::new(&scenario(2, 3), config, &["A", "B"], &defs).unwrap();
+        e.run_for(Nanos::from_millis(10));
+        let steps = e.steps();
+        assert!(steps < 400, "{steps} steps over 10 ms");
+        assert_eq!(e.metrics().relays_sent, 0);
+        e.inject(Nanos::from_millis(150), 0, "A", vec![]).unwrap();
+        e.inject(Nanos::from_millis(550), 1, "B", vec![]).unwrap();
+        e.inject(Nanos::from_millis(950), 0, "A", vec![]).unwrap();
+        let det = e.run_for(Nanos::from_secs(2));
+        assert_eq!(det.len(), 2, "{det:?}");
+        let m = e.metrics();
+        assert!(m.relays_sent > 0, "the cascade crosses replicas");
+        assert!(
+            m.relay_retransmits > 0,
+            "the first relay re-armed the round"
+        );
     }
 
     #[test]

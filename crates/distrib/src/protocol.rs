@@ -120,9 +120,8 @@ pub struct RelayedEvent {
 /// corrupting reassembly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Engine control, delivered at simulation start: a site starts
-    /// heartbeating, a coordinator replica arms its relay retransmission
-    /// round.
+    /// Engine control, delivered to every node at simulation start: a
+    /// site starts heartbeating; a coordinator ignores it.
     Start,
     /// External workload: a primitive event of type `ty` happened *here*,
     /// with these parameters. The receiving site stamps it with its clock.

@@ -7,9 +7,7 @@
 //! the true instant its own clock enters each global tick; an empty batch
 //! is its heartbeat.
 
-use crate::durability::site_wal::{
-    compaction_records, recover_site_state, SiteWalRecord, SiteWalState,
-};
+use crate::durability::site_wal::{compaction_records, fold_records, SiteWalRecord, SiteWalState};
 use crate::durability::WalWriter;
 use crate::protocol::{Msg, RoutedEvent};
 use crate::window::SendWindow;
@@ -19,7 +17,7 @@ use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
 use decs_snoop::{EventId, FeedOutput, Occurrence, PlanDetector, PlanState, ShardId, TimerId};
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The tick-edge timer: the site's one watermark beacon per global tick.
 const EDGE_TAG: u64 = 0;
@@ -181,18 +179,13 @@ pub struct SiteNode {
     /// Deterministic jitter source for retransmission backoff; `None`
     /// keeps the un-jittered schedule.
     jitter_rng: Option<SplitMix64>,
-    /// The site write-ahead log, when site durability is on.
+    /// The site write-ahead log, when site durability is on. Kept after a
+    /// failure for its counts, but never written again.
     wal: Option<WalWriter>,
-    /// Directory the site log lives in (retained across restarts so
-    /// recovery knows where to look even after `wal` is dropped).
-    wal_dir: Option<PathBuf>,
     /// Site WAL I/O errors. Site logging is fail-soft: on error the site
     /// stops logging (it is no longer crash-recoverable) but keeps
     /// serving — a monitoring concern, not an outage.
     pub wal_errors: u64,
-    /// Syncs issued by the writers of earlier incarnations (see
-    /// [`SiteNode::wal_syncs`]).
-    retired_wal_syncs: u64,
     /// First WAL error message, if logging has failed.
     wal_failed: Option<String>,
     /// Pristine local-detector state captured at configuration time and
@@ -240,9 +233,7 @@ impl SiteNode {
             restarts: 0,
             jitter_rng: None,
             wal: None,
-            wal_dir: None,
             wal_errors: 0,
-            retired_wal_syncs: 0,
             wal_failed: None,
             local_pristine: None,
             uplinks: Vec::new(),
@@ -303,22 +294,14 @@ impl SiteNode {
     pub fn set_durability(&mut self, dir: &Path) -> io::Result<()> {
         let mut w = WalWriter::create(dir)?;
         SiteWalRecord::Epoch { epoch: self.epoch }.log_to(&mut w)?;
-        self.wal_dir = Some(dir.to_path_buf());
         self.wal = Some(w);
         Ok(())
     }
 
-    /// Site WAL syncs over the site's lifetime, every incarnation's writer
-    /// included (0 with durability off).
+    /// Site WAL syncs over the site's lifetime, every incarnation and
+    /// compaction included (0 with durability off).
     pub fn wal_syncs(&self) -> u64 {
-        self.retired_wal_syncs + self.wal.as_ref().map_or(0, WalWriter::syncs)
-    }
-
-    /// Drop the site log's writer, keeping its sync count.
-    fn close_wal(&mut self) {
-        if let Some(w) = self.wal.take() {
-            self.retired_wal_syncs += w.syncs();
-        }
+        self.wal.as_ref().map_or(0, WalWriter::syncs)
     }
 
     /// The site's current incarnation epoch.
@@ -331,16 +314,22 @@ impl SiteNode {
         self.wal_failed.as_deref()
     }
 
-    /// Record a site WAL I/O error: count it, keep the first message, and
-    /// drop the writer. The site keeps running un-logged (fail-soft) —
-    /// the opposite of the coordinator, whose log is the source of truth
-    /// and therefore fail-stops.
+    /// Record a site WAL I/O error: count it and keep the first message.
+    /// The site keeps running un-logged (fail-soft) — the opposite of the
+    /// coordinator, whose log is the source of truth and fail-stops.
     fn wal_io_error(&mut self, e: io::Error) {
         self.wal_errors += 1;
         if self.wal_failed.is_none() {
             self.wal_failed = Some(e.to_string());
         }
-        self.close_wal();
+    }
+
+    /// The site log, unless logging is off or has failed.
+    fn live_wal(&mut self) -> Option<&mut WalWriter> {
+        match &mut self.wal {
+            Some(w) if self.wal_failed.is_none() => Some(w),
+            _ => None,
+        }
     }
 
     /// Log one record before its effect is observable, syncing it first
@@ -348,10 +337,29 @@ impl SiteNode {
     /// ([`SiteWalRecord::log_to`]). The record is built only when a log
     /// exists: with durability off, the hot send path copies nothing.
     fn wal_log(&mut self, rec: impl FnOnce() -> SiteWalRecord) {
-        if let Some(w) = self.wal.as_mut() {
+        if let Some(w) = self.live_wal() {
             if let Err(e) = rec().log_to(w) {
                 self.wal_io_error(e);
             }
+        }
+    }
+
+    /// Rewrite the log to the site's outbound state when the rule every
+    /// durable node shares says so ([`WalWriter::compaction_due`]). Called
+    /// where the log folds to exactly the live state: after an ack trims
+    /// the window and after a tick edge's flush.
+    fn maybe_compact(&mut self) {
+        if !self.live_wal().is_some_and(|w| w.compaction_due()) {
+            return;
+        }
+        let image = compaction_records(&SiteWalState {
+            epoch: self.epoch,
+            next_seq: self.link.seq,
+            retx: self.link.window.to_map(),
+            staged: self.pending.clone(),
+        });
+        if let Some(Err(e)) = self.wal.as_mut().map(|w| w.compact(&image)) {
+            self.wal_io_error(e);
         }
     }
 
@@ -498,8 +506,9 @@ impl SiteNode {
         if link.window.ack(cum_seq) > 0 {
             link.backoff = base;
             link.deadline = now.saturating_add(base.get());
-            if u.is_none() {
+            if u.is_none() && self.wal.is_some() {
                 self.wal_log(|| SiteWalRecord::Acked { cum_seq });
+                self.maybe_compact();
             }
         }
     }
@@ -618,6 +627,7 @@ impl SiteNode {
                 self.beacon(parts.global.get(), ctx);
             }
             self.next_flush = now.saturating_add(self.batch_interval.get());
+            self.maybe_compact();
         }
         self.arm_edge(ctx);
     }
@@ -707,18 +717,19 @@ impl SiteNode {
         // for a monotone incarnation source (e.g. a supervisor counter);
         // durable sites additionally recover it from the log, so whichever
         // is higher wins and the new epoch strictly exceeds both.
+        // A log it cannot read is left as it is: the site restarts
+        // un-logged, like a non-durable site, in a fresh sequence space.
         let mut prior_epoch = self.epoch;
-        if let Some(dir) = self.wal_dir.clone() {
-            self.close_wal(); // the old handle's position is meaningless now
-            match recover_site_state(&dir) {
-                Ok((st, _scan)) => {
-                    prior_epoch = prior_epoch.max(st.epoch);
-                    self.link.seq = st.next_seq;
-                    self.link.window = st.retx.into();
-                    self.pending = st.staged;
-                }
-                Err(e) => self.wal_io_error(e),
+        match self.live_wal().map(WalWriter::reopen::<SiteWalRecord>) {
+            Some(Ok(records)) => {
+                let st = fold_records(&records);
+                prior_epoch = prior_epoch.max(st.epoch);
+                self.link.seq = st.next_seq;
+                self.link.window = st.retx.into();
+                self.pending = st.staged;
             }
+            Some(Err(e)) => self.wal_io_error(e),
+            None => {}
         }
         self.epoch = prior_epoch + 1;
         // Retag the recovered backlog to the new epoch (the coordinator
@@ -740,20 +751,9 @@ impl SiteNode {
                 _ => {}
             }
         }
-        if let Some(dir) = self.wal_dir.clone() {
-            let img = SiteWalState {
-                epoch: self.epoch,
-                next_seq: self.link.seq,
-                retx: self.link.window.to_map(),
-                staged: self.pending.clone(),
-            };
-            // Compact the log to the recovered image. The replacement is
-            // atomic: a crash mid-rewrite leaves the old log in place.
-            match WalWriter::replace(&dir, &compaction_records(&img)) {
-                Ok(w) => self.wal = Some(w),
-                Err(e) => self.wal_io_error(e),
-            }
-        }
+        // The new incarnation's suffix of the log starts with its epoch.
+        let epoch = self.epoch;
+        self.wal_log(|| SiteWalRecord::Epoch { epoch });
         if self.partitioned() {
             // Partitioned restarts are always non-durable (site durability
             // and replica uplinks are mutually exclusive): each uplink's
@@ -1403,6 +1403,80 @@ mod tests {
             .count();
         assert_eq!(resent, 2, "backlog not resent");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A restarting durable site that cannot read its log (a frame this
+    /// build cannot decode, or an I/O error) leaves every byte of it in
+    /// place, as a recovering coordinator does, and comes back un-logged:
+    /// a new epoch and a fresh sequence space, as a non-durable site.
+    #[test]
+    fn an_unreadable_log_is_kept_and_the_site_restarts_unlogged() {
+        for damage in ["undecodable", "unreadable"] {
+            let dir = std::env::temp_dir().join(format!(
+                "decs-site-wal-test-{}-{damage}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let coord = NodeIdx(1);
+            let mut durable = site(coord);
+            durable.set_durability(&dir).unwrap();
+            let nodes = vec![
+                (Node::Site(durable), source(0)),
+                (Node::Collector(Collector::mute()), source(1)),
+            ];
+            let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+            sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+            inject_at(&mut sim, 500);
+            sim.inject(Nanos(1_050_000_000), NodeIdx(0), Msg::Crash);
+            sim.run_until(Nanos::from_millis(1_500));
+            let log = dir.join(crate::durability::WAL_FILE);
+            let mut bytes = std::fs::read(&log).unwrap();
+            if damage == "undecodable" {
+                // Valid frames, then a CRC-valid frame with an unknown
+                // record tag, then a valid frame again.
+                let payload = [0xEEu8, 0, 1, 2, 3];
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crate::durability::crc32(&payload).to_le_bytes());
+                bytes.extend_from_slice(&payload);
+                bytes.extend_from_slice(&crate::durability::frame_record(&SiteWalRecord::Acked {
+                    cum_seq: 1,
+                }));
+                std::fs::write(&log, &bytes).unwrap();
+            } else {
+                // A directory where the log should be: reading it fails.
+                std::fs::remove_file(&log).unwrap();
+                std::fs::create_dir(&log).unwrap();
+            }
+            sim.inject(Nanos(2_050_000_000), NodeIdx(0), Msg::Restart);
+            sim.run_until(Nanos::from_millis(3_000));
+            let Node::Site(s) = sim.node(NodeIdx(0)) else {
+                panic!()
+            };
+            assert_eq!(s.wal_errors, 1, "{damage}");
+            if damage == "undecodable" {
+                let why = s.wal_failed().unwrap();
+                assert!(why.contains("cannot decode"), "{why}");
+                assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log is kept");
+            } else {
+                assert!(s.wal_failed().is_some());
+                assert!(log.is_dir(), "nothing was written over the log");
+            }
+            assert_eq!(s.epoch(), 1);
+            let Node::Collector(c) = sim.node(coord) else {
+                panic!()
+            };
+            // A fresh sequence space under the new epoch, and the site
+            // keeps beaconing.
+            assert_eq!(c.hellos[0].0, 0, "{damage}: the Hello restarts at seq 0");
+            assert_eq!(c.hellos[0].1, 1);
+            let after = c
+                .batch_times
+                .iter()
+                .filter(|&&t| t > Nanos(2_050_000_000))
+                .count();
+            assert!(after >= 9, "{damage}: {after} batches after the restart");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!
 //! 24 seeded runs: 12 seeds × {plan sharing on/off}, each with its own
 //! kill point derived from the seed (different watermark phases, snapshot phases,
-//! and in-flight message populations at crash time).
+//! and in-flight message populations at crash time). Every run carries
+//! padding a seed-chosen size ([`pad`]), so the coordinator's log crosses
+//! the compaction rule at seed-dependent points and most kills land
+//! after at least one snapshot.
 //!
 //! Why equivalence holds — the argument the suite checks: the WAL records
 //! every input the coordinator *consumed in order* before its effects
@@ -22,7 +25,7 @@
 
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{Scenario, ScenarioBuilder, SplitMix64};
-use decs::snoop::{Context, EventExpr as E, Occurrence};
+use decs::snoop::{Context, EventExpr as E, Occurrence, Value};
 use decs_chronos::{Granularity, Nanos};
 use std::path::PathBuf;
 
@@ -63,12 +66,38 @@ fn defs() -> Vec<(&'static str, E, Context)> {
     ]
 }
 
+/// The definitions' three primitive events, and `PAD`, which none reads.
+const PRIMITIVES: [&str; 4] = ["A", "B", "C", "PAD"];
+
 fn engine(seed: u64, mut config: EngineConfig, wal_dir: Option<&PathBuf>) -> Engine {
     config.durability = wal_dir.is_some();
-    config.snapshot_interval = 1 + (seed % 7); // vary snapshot cadence too
     config.wal_dir = wal_dir.map(|p| p.to_string_lossy().into_owned());
     let d = defs();
-    Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap()
+    let mut e = Engine::new(&scenario(seed), config, &PRIMITIVES, &d).unwrap();
+    pad(&mut e, seed);
+    e
+}
+
+/// Log volume, so the coordinator compacts: every site injects a `PAD`
+/// with a string parameter every 20 ms while the workload runs. The
+/// string is 1 to 3 KiB, chosen by the seed, which varies when the log
+/// crosses the compaction rule (about one snapshot per two or three
+/// global ticks at 2 KiB). No definition reads `PAD`, so detections do not
+/// change; without the padding a run logs about 20 KiB in all, below the
+/// rule's 64 KiB floor, and would never compact.
+fn pad(e: &mut Engine, seed: u64) {
+    let bytes = 1_024 + (seed % 5) as usize * 512;
+    for ms in (5..WORKLOAD_END_MS).step_by(20) {
+        for site in 0..SITES {
+            e.inject(
+                Nanos::from_millis(ms),
+                site,
+                "PAD",
+                vec![Value::Str("p".repeat(bytes))],
+            )
+            .unwrap();
+        }
+    }
 }
 
 fn workload(seed: u64) -> Vec<(u64, u32, &'static str)> {
@@ -106,9 +135,10 @@ fn keys(det: Vec<Detection>) -> Vec<Key> {
 
 /// One kill-anywhere case. The kill point is the true time of a
 /// seed-chosen workload event plus a seed-chosen sub-second offset, so
-/// crashes land mid-stabilization, mid-snapshot-interval, and between
-/// heartbeats with equal indifference.
-fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
+/// crashes land mid-stabilization, between snapshots, and between
+/// heartbeats with equal indifference. Returns whether the coordinator
+/// had compacted its log before the kill.
+fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) -> bool {
     let w = workload(seed);
 
     // Reference: durability off, never crashes.
@@ -128,6 +158,7 @@ fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
     let mut e = engine(seed, config, Some(&dir));
     inject_all(&mut e, &w);
     let mut det = keys(e.run_until(Nanos::from_millis(kill_ms)));
+    let snapshotted = e.metrics().snapshots_taken > 0;
     e.crash_and_recover_coordinator()
         .unwrap_or_else(|err| panic!("seed {seed} cfg {cfg_idx}: recovery failed: {err}"));
     det.extend(keys(e.run_until(HORIZON)));
@@ -141,14 +172,26 @@ fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
     let m = e.metrics();
     assert!(m.wal_appends > 0, "seed {seed}: WAL must have logged");
     let _ = std::fs::remove_dir_all(&dir);
+    snapshotted
 }
 
+/// Run a block of seeds through both configs. At least half of a block's
+/// kills must come after a compaction, so what the block checks is
+/// replay from a snapshot; `tests/recovery_failures.rs` checks replay
+/// from genesis with logs too small to compact.
 fn run_block(seeds: std::ops::Range<u64>) {
-    for seed in seeds {
+    let mut cases = 0;
+    let mut snapshotted = 0;
+    for seed in seeds.clone() {
         for (cfg_idx, config) in matrix().into_iter().enumerate() {
-            recovery_case(seed, cfg_idx, config);
+            cases += 1;
+            snapshotted += usize::from(recovery_case(seed, cfg_idx, config));
         }
     }
+    assert!(
+        2 * snapshotted >= cases,
+        "seeds {seeds:?}: only {snapshotted} of {cases} kills came after a snapshot"
+    );
 }
 
 #[test]
@@ -172,6 +215,7 @@ fn kill_anywhere_block2_replays_equivalently() {
 /// stamps of fires that already happened (logged part-by-part).
 #[test]
 fn temporal_definitions_survive_crashes() {
+    let mut snapshotted = 0;
     for seed in 0..8u64 {
         let d = vec![
             (
@@ -184,7 +228,8 @@ fn temporal_definitions_survive_crashes() {
         let config = EngineConfig::default();
         let w = workload(seed);
 
-        let mut clean = Engine::new(&scenario(seed), config.clone(), &["A", "B", "C"], &d).unwrap();
+        let mut clean = Engine::new(&scenario(seed), config.clone(), &PRIMITIVES, &d).unwrap();
+        pad(&mut clean, seed);
         inject_all(&mut clean, &w);
         let expect = keys(clean.run_until(HORIZON));
         assert!(
@@ -201,13 +246,14 @@ fn temporal_definitions_survive_crashes() {
         let kill_ms = rng.next_range(500, 4_000);
         let durable = EngineConfig {
             durability: true,
-            snapshot_interval: 2,
             wal_dir: Some(dir.to_string_lossy().into_owned()),
             ..config
         };
-        let mut e = Engine::new(&scenario(seed), durable, &["A", "B", "C"], &d).unwrap();
+        let mut e = Engine::new(&scenario(seed), durable, &PRIMITIVES, &d).unwrap();
+        pad(&mut e, seed);
         inject_all(&mut e, &w);
         let mut det = keys(e.run_until(Nanos::from_millis(kill_ms)));
+        snapshotted += usize::from(e.metrics().snapshots_taken > 0);
         e.crash_and_recover_coordinator().unwrap();
         det.extend(keys(e.run_until(HORIZON)));
         assert_eq!(
@@ -216,6 +262,10 @@ fn temporal_definitions_survive_crashes() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(
+        snapshotted >= 4,
+        "timers must also be restored from snapshots: {snapshotted} of 8 kills after one"
+    );
 }
 
 /// Crashing twice in one run composes: recover, run, crash again, recover

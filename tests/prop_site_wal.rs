@@ -24,17 +24,25 @@
 //!   inside a recovered (or acked) carrying message.
 //!
 //! The uncut log must fold to exactly the live site's outbound state.
+//!
+//! A site also rewrites its log to an image of that state
+//! (`WalWriter::compact`: temporary file, sync, rename, directory sync).
+//! A kill during the rewrite must meet the same three guarantees: before
+//! the rename, a leftover or partial `wal.log.tmp` is ignored and the old
+//! log recovers (itself cut anywhere a power loss could cut it); after the
+//! rename, the image recovers, holding every pending occurrence.
 
 use decs::core::cts;
 use decs::distrib::durability::{
-    fold_records, scan_bytes_as, to_bytes, SiteWalRecord, SiteWalState, WalSink, WalTail, WalWriter,
+    compaction_records, fold_records, frame_record, scan_bytes_as, to_bytes, SiteWalRecord,
+    SiteWalState, WalSink, WalTail, WalWriter, WAL_FILE, WAL_TMP_FILE,
 };
 use decs::distrib::Msg;
 use decs::snoop::{EventId, Occurrence};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Bytes written so far, and how many of them the last sync made durable.
@@ -174,6 +182,40 @@ impl Site {
     }
 }
 
+impl Site {
+    /// How many occurrences of the pending batch the first `len` bytes of
+    /// the live log hold.
+    fn held(&self, len: usize) -> usize {
+        self.staged[self.staged.len() - self.pending.len()..]
+            .iter()
+            .take_while(|(_, end)| *end <= len)
+            .count()
+    }
+
+    /// The image a compaction rewrites the log to: the live outbound state.
+    fn image(&self) -> Vec<SiteWalRecord> {
+        compaction_records(&SiteWalState {
+            epoch: 0,
+            next_seq: self.next_seq,
+            retx: self.retx.clone(),
+            staged: self.pending.clone(),
+        })
+    }
+}
+
+/// A fresh directory for one case's log files.
+fn case_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("decs-prop-site-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Recover the log in `dir` the way a restarting site does.
+fn recover(dir: &Path) -> Vec<SiteWalRecord> {
+    WalWriter::open::<SiteWalRecord>(dir).unwrap().1
+}
+
 fn seq_of(msg: &Msg) -> u64 {
     match msg {
         Msg::Batch { seq, .. } => *seq,
@@ -188,14 +230,19 @@ fn events_of(msg: &Msg) -> &[Occurrence<decs::core::CompositeTimestamp>] {
     }
 }
 
-/// Check one recovered image against what the site did before the cut,
-/// when the last sync had made the first `synced` bytes durable. Panics
-/// on a violation; the harness reports the panic with the case.
-fn check_recovery(image: &[u8], synced: usize, site: &Site) {
-    let scan = scan_bytes_as::<SiteWalRecord>(image);
-    let st = fold_records(&scan.records);
-    let baseline = scan
-        .records
+/// Check the records recovered from a log against what the site did
+/// before the cut. The log holds the first `held` occurrences of the
+/// pending batch, and `synced(end)` says whether the staged occurrence
+/// whose frame ended at byte `end` of the live log had been synced.
+/// Panics on a violation; the harness reports the panic with the case.
+fn check_recovery(
+    records: &[SiteWalRecord],
+    held: usize,
+    synced: impl Fn(usize) -> bool,
+    site: &Site,
+) {
+    let st = fold_records(records);
+    let baseline = records
         .iter()
         .filter_map(|r| match r {
             SiteWalRecord::Acked { cum_seq } => Some(*cum_seq),
@@ -217,21 +264,16 @@ fn check_recovery(image: &[u8], synced: usize, site: &Site) {
     }
     // A power loss may drop the staged frames written since the last
     // sync, so the recovered batch is the pending batch cut after the
-    // last `Staged` frame the image holds.
-    let pending = &site.staged[site.staged.len() - site.pending.len()..];
-    let in_image = pending
-        .iter()
-        .take_while(|(_, end)| *end <= image.len())
-        .count();
+    // last `Staged` frame the log holds.
     assert_eq!(
         st.staged,
-        site.pending[..in_image],
-        "recovered staged occurrences are not the pending prefix the image holds"
+        site.pending[..held],
+        "recovered staged occurrences are not the pending prefix the log holds"
     );
     // The contract: every occurrence staged before the last sync survives,
     // still staged or shipped in a carrying message that was acked or is
     // recovered for retransmission.
-    for (occ, _) in site.staged.iter().filter(|(_, end)| *end <= synced) {
+    for (occ, _) in site.staged.iter().filter(|(_, end)| synced(*end)) {
         let shipped = site.carrying.iter().any(|m| {
             let seq = seq_of(m);
             (seq < baseline || st.retx.contains_key(&seq)) && events_of(m).contains(occ)
@@ -260,9 +302,13 @@ proptest! {
         let disk = disk.lock().unwrap();
         // Power loss: the synced prefix survives, and the page cache may
         // have written back any amount of the unsynced rest.
-        check_recovery(&disk.written[..disk.synced], disk.synced, &site);
-        let partial = disk.synced + extra % (disk.written.len() - disk.synced + 1);
-        check_recovery(&disk.written[..partial], disk.synced, &site);
+        for len in [
+            disk.synced,
+            disk.synced + extra % (disk.written.len() - disk.synced + 1),
+        ] {
+            let records = scan_bytes_as::<SiteWalRecord>(&disk.written[..len]).records;
+            check_recovery(&records, site.held(len), |end| end <= disk.synced, &site);
+        }
         // Uncut, the log folds to exactly the live outbound state.
         let scan = scan_bytes_as::<SiteWalRecord>(&disk.written);
         prop_assert_eq!(scan.tail, WalTail::Clean);
@@ -273,5 +319,50 @@ proptest! {
             staged: site.pending.clone(),
         };
         prop_assert_eq!(fold_records(&scan.records), live);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_kill_during_compaction_recovers_the_old_log_or_the_image(
+        steps in proptest::collection::vec(step(), 0..64),
+        extra in 0usize..10_000,
+        torn in 0usize..10_000,
+        renamed in 0u8..2,
+    ) {
+        let disk = Arc::new(Mutex::new(Disk::default()));
+        let mut site = Site::new(&disk);
+        for &s in &steps {
+            site.apply(s);
+        }
+        let disk = disk.lock().unwrap();
+        let dir = case_dir();
+        let image = site.image();
+        if renamed == 0 {
+            // Killed before the rename: the old log, cut anywhere a power
+            // loss could cut it, beside part (or all) of the image in the
+            // temporary file.
+            let len = disk.synced + extra % (disk.written.len() - disk.synced + 1);
+            std::fs::write(dir.join(WAL_FILE), &disk.written[..len]).unwrap();
+            let tmp: Vec<u8> = image.iter().flat_map(frame_record).collect();
+            std::fs::write(dir.join(WAL_TMP_FILE), &tmp[..torn % (tmp.len() + 1)]).unwrap();
+            let records = recover(&dir);
+            let old = scan_bytes_as::<SiteWalRecord>(&disk.written[..len]).records;
+            prop_assert_eq!(&records, &old, "the old log recovers, not the image");
+            check_recovery(&records, site.held(len), |end| end <= disk.synced, &site);
+        } else {
+            // Killed after the rename: the image is the log.
+            std::fs::write(dir.join(WAL_FILE), &disk.written).unwrap();
+            let (mut w, _) = WalWriter::open::<SiteWalRecord>(&dir).unwrap();
+            w.compact(&image).unwrap();
+            drop(w);
+            prop_assert!(!dir.join(WAL_TMP_FILE).exists());
+            let records = recover(&dir);
+            prop_assert_eq!(&records, &image);
+            check_recovery(&records, site.pending.len(), |_| true, &site);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

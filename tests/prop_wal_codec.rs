@@ -18,7 +18,7 @@
 //!   as `Undecodable`, not `Corrupt`, with every frame before it kept.
 
 use decs::distrib::durability::{
-    crc32, frame_record, scan_bytes, ArmedTimer, CoordinatorSnapshot, WalRecord, WalTail,
+    crc32, frame_record, scan_bytes_as, ArmedTimer, CoordinatorSnapshot, WalRecord, WalTail,
 };
 use decs::distrib::{Metrics, Msg};
 use decs::snoop::{EventId, Occurrence, PlanState, Value};
@@ -173,7 +173,7 @@ proptest! {
     #[test]
     fn roundtrip_is_exact(records in proptest::collection::vec(record(), 0..12)) {
         let (bytes, _) = image(&records);
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         prop_assert_eq!(scan.records, records);
         prop_assert_eq!(scan.valid_len, bytes.len() as u64);
         prop_assert_eq!(scan.tail, WalTail::Clean);
@@ -187,7 +187,7 @@ proptest! {
         let (bytes, boundaries) = image(&records);
         // Scale the selector onto 0..=len so every cut point is reachable.
         let cut = ((bytes.len() as u64 + 1) * cut_sel / 1_000_000) as usize;
-        let scan = scan_bytes(&bytes[..cut]);
+        let scan = scan_bytes_as::<WalRecord>(&bytes[..cut]);
         let whole = frames_below(&boundaries, cut);
         // Exactly the whole frames before the cut survive; a cut on a
         // frame boundary is a clean tail, anywhere else is torn.
@@ -215,7 +215,7 @@ proptest! {
         // a CRC collision that still decodes — in which case the decoded
         // record could differ, so we only assert the prefix property for
         // frames strictly before the damaged one.
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         let damaged_frame = boundaries[1..]
             .iter()
             .position(|&b| pos < b)
@@ -229,7 +229,7 @@ proptest! {
 
     #[test]
     fn arbitrary_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         // The valid prefix re-frames to exactly the bytes it claims.
         let (reframed, _) = image(&scan.records);
         prop_assert_eq!(reframed.len() as u64, scan.valid_len);
@@ -259,7 +259,7 @@ proptest! {
             })
             .collect();
         let (bytes, _) = image(&records);
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         prop_assert_eq!(scan.tail, WalTail::Clean);
         prop_assert_eq!(&scan.records[..], &records[..]);
         let mut back = Vec::new();
@@ -296,7 +296,7 @@ proptest! {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&image(&after).0);
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         prop_assert_eq!(&scan.records[..], &before[..]);
         prop_assert_eq!(scan.valid_len, valid as u64);
         prop_assert_eq!(scan.tail, WalTail::Undecodable { discarded: bytes.len() - valid });
@@ -311,7 +311,7 @@ proptest! {
         let k = (records.len() as u64 * frame_sel / 1_000_000) as usize;
         // Flip a byte of frame k's stored CRC (offset 4..8 in the frame).
         bytes[boundaries[k] + 5] ^= 0xFF;
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes_as::<WalRecord>(&bytes);
         prop_assert_eq!(scan.records.len(), k);
         prop_assert_eq!(&scan.records[..], &records[..k]);
         prop_assert!(matches!(scan.tail, WalTail::Corrupt { .. }), "tail must be corrupt");

@@ -11,11 +11,12 @@
 //! lost.*
 
 use decs::distrib::durability::{
-    crc32, frame_record, read_wal, WalRecord, WalTail, WAL_FILE, WAL_TMP_FILE,
+    crc32, fold_records, frame_record, read_wal_as, SiteWalRecord, WalRecord, WalTail, WalWriter,
+    COMPACT_MIN_BYTES, WAL_FILE, WAL_TMP_FILE,
 };
 use decs::distrib::{Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder};
-use decs::snoop::{Context, EventExpr as E};
+use decs::snoop::{Context, EventExpr as E, Value};
 use decs_chronos::{Granularity, Nanos, Timeout};
 use std::path::{Path, PathBuf};
 
@@ -36,15 +37,50 @@ fn defs() -> Vec<(&'static str, E, Context)> {
     ]
 }
 
-fn engine(seed: u64, wal_dir: Option<&Path>, snapshot_interval: u64) -> Engine {
+/// The primitive events: the definitions' three, and `PAD`, which no
+/// definition reads (see [`pad`]).
+const PRIMITIVES: [&str; 4] = ["A", "B", "C", "PAD"];
+
+fn engine(seed: u64, wal_dir: Option<&Path>) -> Engine {
     let config = EngineConfig {
         durability: wal_dir.is_some(),
-        snapshot_interval,
         wal_dir: wal_dir.map(|p| p.to_string_lossy().into_owned()),
         ..EngineConfig::default()
     };
     let d = defs();
-    Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap()
+    Engine::new(&scenario(seed), config, &PRIMITIVES, &d).unwrap()
+}
+
+/// Log volume for the compaction tests: every site injects a `PAD` with a
+/// `bytes`-long string every 20 ms up to 4 s. No definition reads `PAD`, so
+/// detections do not change, but each occurrence rides a logged batch,
+/// which drives the coordinator's log past the compaction floor
+/// ([`COMPACT_MIN_BYTES`]). At 2 KiB that is about 30 KiB a global tick:
+/// a compaction every two or three ticks, where the unpadded workload
+/// logs about 20 KiB over the whole run and never compacts. The number
+/// of records does not depend on `bytes`: the padding rides the batches
+/// every site sends anyway.
+fn pad(e: &mut Engine, bytes: usize) {
+    for ms in (10..4_000).step_by(20) {
+        for site in 0..SITES {
+            e.inject(
+                Nanos::from_millis(ms),
+                site,
+                "PAD",
+                vec![Value::Str("p".repeat(bytes))],
+            )
+            .unwrap();
+        }
+    }
+}
+
+/// A coordinator-durable engine running the workload and 2 KiB of
+/// padding, so its log compacts every few ticks.
+fn compacting_engine(seed: u64, wal_dir: &Path) -> Engine {
+    let mut e = engine(seed, Some(wal_dir));
+    inject_all(&mut e, &workload());
+    pad(&mut e, 2_048);
+    e
 }
 
 /// Engine with *site* durability only: each site logs its outbound window
@@ -56,7 +92,7 @@ fn site_durable_engine(seed: u64, wal_dir: &Path) -> Engine {
         ..EngineConfig::default()
     };
     let d = defs();
-    Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap()
+    Engine::new(&scenario(seed), config, &PRIMITIVES, &d).unwrap()
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -105,7 +141,7 @@ fn uninterrupted() -> Vec<(
     String,
     decs::snoop::Occurrence<decs::core::CompositeTimestamp>,
 )> {
-    let mut e = engine(11, None, 0);
+    let mut e = engine(11, None);
     inject_all(&mut e, &workload());
     keys(e.run_until(HORIZON))
 }
@@ -115,43 +151,46 @@ fn crash_and_recover_mid_run_matches_uninterrupted() {
     let expect = uninterrupted();
     assert!(!expect.is_empty(), "workload must produce detections");
     let dir = tmp_dir("midrun");
-    let mut e = engine(11, Some(&dir), 4);
-    inject_all(&mut e, &workload());
+    let mut e = compacting_engine(11, &dir);
     let mut det = keys(e.run_until(Nanos::from_millis(1_700)));
     e.crash_and_recover_coordinator().unwrap();
     det.extend(keys(e.run_until(HORIZON)));
     assert_eq!(det, expect, "recovered run must match uninterrupted run");
     let m = e.metrics();
     assert!(m.wal_appends > 0, "durability must actually log");
-    assert!(m.snapshots_taken > 0, "interval 4 must trigger snapshots");
+    assert!(m.snapshots_taken > 0, "the padded log must compact");
     assert!(m.recovery_replayed > 0, "recovery must replay a WAL suffix");
     assert!(m.recovery_ns > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Snapshots exist to bound replay: killed at the same instant, the
-/// coordinator that snapshots every watermark tick re-consumes strictly
-/// fewer WAL records than the one that never snapshots, and both recover
-/// to the uninterrupted detections.
+/// coordinator whose log crossed the compaction rule re-consumes strictly
+/// fewer WAL records than one that logged the same records in too few
+/// bytes to compact, and both recover to the uninterrupted detections.
 #[test]
 fn snapshots_shorten_replay_at_the_same_kill_point() {
     let expect = uninterrupted();
-    let replayed = |tag: &str, snapshot_interval: u64| {
+    let replayed = |tag: &str, bytes: usize| {
         let dir = tmp_dir(tag);
-        let mut e = engine(11, Some(&dir), snapshot_interval);
+        let mut e = engine(11, Some(&dir));
         inject_all(&mut e, &workload());
+        pad(&mut e, bytes);
         let mut det = keys(e.run_until(Nanos::from_millis(2_000)));
+        let snapshots = e.metrics().snapshots_taken;
         e.crash_and_recover_coordinator().unwrap();
         det.extend(keys(e.run_until(HORIZON)));
         assert_eq!(
             det, expect,
-            "snapshot interval {snapshot_interval}: recovered run must match uninterrupted run"
+            "{bytes}-byte padding: recovered run must match uninterrupted run"
         );
         let _ = std::fs::remove_dir_all(&dir);
-        e.metrics().recovery_replayed
+        (snapshots, e.metrics().recovery_replayed)
     };
-    let without = replayed("replay-nosnap", u64::MAX);
-    let with = replayed("replay-snap1", 1);
+    let (none, without) = replayed("replay-nosnap", 1);
+    let (some, with) = replayed("replay-snap", 2_048);
+    assert_eq!(none, 0, "one-byte padding stays under the floor");
+    assert!(some > 0, "2 KiB padding compacts");
     assert!(
         with < without,
         "snapshots must shorten replay: {with} records with, {without} without"
@@ -162,8 +201,9 @@ fn snapshots_shorten_replay_at_the_same_kill_point() {
 /// their true times, so replay re-derives every suspicion and
 /// auto-eviction. Site 2 dies at 50 ms and, 1 s of silence later, is
 /// suspected (and, with `auto_evict`, evicted); the coordinator crashes
-/// after that with no snapshot taken since genesis, so all of its stall
-/// state comes from replay. Both legs must end exactly where the
+/// after that with no snapshot taken since genesis (its log stays far
+/// below the compaction floor), so all of its stall state comes from
+/// replay. Both legs must end exactly where the
 /// uninterrupted run does.
 #[test]
 fn recovered_stall_state_matches_uninterrupted() {
@@ -172,12 +212,10 @@ fn recovered_stall_state_matches_uninterrupted() {
             auto_evict,
             stall_timeout: Timeout::from_millis::<1_000>(),
             durability: wal_dir.is_some(),
-            // Larger than the run's whole watermark advance: no snapshot.
-            snapshot_interval: 1_000,
             wal_dir: wal_dir.map(|p| p.to_string_lossy().into_owned()),
             ..EngineConfig::default()
         };
-        let mut e = Engine::new(&scenario(11), config, &["A", "B", "C"], &defs()).unwrap();
+        let mut e = Engine::new(&scenario(11), config, &PRIMITIVES, &defs()).unwrap();
         e.crash_site(Nanos::from_millis(50), 2);
         // The workload on the surviving sites only.
         let w: Vec<_> = workload().into_iter().filter(|&(_, s, _)| s != 2).collect();
@@ -201,6 +239,7 @@ fn recovered_stall_state_matches_uninterrupted() {
             (1, u64::from(auto_evict)),
             "auto_evict {auto_evict}: site 2 is suspect before the crash"
         );
+        assert_eq!(before.snapshots_taken, 0, "no compaction before the crash");
         e.crash_and_recover_coordinator().unwrap();
         det.extend(keys(e.run_until(horizon)));
         let got = e.metrics();
@@ -227,20 +266,22 @@ fn recovered_stall_state_matches_uninterrupted() {
 fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
     let expect = uninterrupted();
     let dir = tmp_dir("torn");
-    // Huge snapshot interval: no snapshots, so recovery replays the whole
-    // valid WAL prefix and `recovery_replayed` counts it exactly.
-    let mut e = engine(11, Some(&dir), u64::MAX);
+    // Unpadded, the log stays under the compaction floor: no snapshots, so
+    // recovery replays the whole valid WAL prefix and `recovery_replayed`
+    // counts it exactly.
+    let mut e = engine(11, Some(&dir));
     inject_all(&mut e, &workload());
     let mut det = keys(e.run_until(Nanos::from_millis(2_000)));
+    assert_eq!(e.metrics().snapshots_taken, 0);
 
     // Tear the log mid-frame: chop bytes off the end, leaving a partial
     // final frame (any cut not on a frame boundary works).
     let wal_path = dir.join(WAL_FILE);
     let bytes = std::fs::read(&wal_path).unwrap();
-    let scan_before = decs::distrib::durability::scan_bytes(&bytes);
+    let scan_before = decs::distrib::durability::scan_bytes_as::<WalRecord>(&bytes);
     assert!(scan_before.tail == WalTail::Clean && scan_before.records.len() > 10);
     std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
-    let scan = read_wal(&dir).unwrap();
+    let scan = read_wal_as::<WalRecord>(&dir).unwrap();
     let valid = scan.records.len() as u64;
     assert!(matches!(scan.tail, WalTail::Torn { .. }));
     assert!(valid < scan_before.records.len() as u64);
@@ -255,7 +296,7 @@ fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
     // log lost — those inputs are gone for good, exactly like a sync gap.
     // The torn tail itself must be physically truncated so future appends
     // extend a clean log.
-    let rescan = read_wal(&dir).unwrap();
+    let rescan = read_wal_as::<WalRecord>(&dir).unwrap();
     assert_eq!(rescan.tail, WalTail::Clean);
     assert_eq!(rescan.records.len() as u64, valid);
 
@@ -282,8 +323,7 @@ fn torn_tail_is_truncated_and_replay_stops_at_last_valid_frame() {
 fn compaction_keeps_one_snapshot_record_and_the_suffix_since() {
     let expect = uninterrupted();
     let dir = tmp_dir("compact");
-    let mut e = engine(11, Some(&dir), 4);
-    inject_all(&mut e, &workload());
+    let mut e = compacting_engine(11, &dir);
     let mut det = keys(e.run_until(Nanos::from_millis(2_000)));
     let before = e.metrics();
     assert!(
@@ -292,7 +332,7 @@ fn compaction_keeps_one_snapshot_record_and_the_suffix_since() {
         before.snapshots_taken
     );
 
-    let scan = read_wal(&dir).unwrap();
+    let scan = read_wal_as::<WalRecord>(&dir).unwrap();
     assert_eq!(scan.tail, WalTail::Clean);
     let WalRecord::Snapshot(image) = &scan.records[0] else {
         panic!("the log must start with its snapshot record");
@@ -338,10 +378,9 @@ fn compaction_keeps_one_snapshot_record_and_the_suffix_since() {
 fn a_partial_compaction_temp_file_is_ignored_and_overwritten() {
     let expect = uninterrupted();
     let dir = tmp_dir("tmpfile");
-    let mut e = engine(11, Some(&dir), 4);
-    inject_all(&mut e, &workload());
+    let mut e = compacting_engine(11, &dir);
     let mut det = keys(e.run_until(Nanos::from_millis(1_700)));
-    let valid = read_wal(&dir).unwrap();
+    let valid = read_wal_as::<WalRecord>(&dir).unwrap();
     assert!(matches!(valid.records[0], WalRecord::Snapshot(_)));
     let partial = frame_record(&valid.records[0]);
     std::fs::write(dir.join(WAL_TMP_FILE), &partial[..partial.len() / 2]).unwrap();
@@ -353,7 +392,7 @@ fn a_partial_compaction_temp_file_is_ignored_and_overwritten() {
     assert_eq!(det, expect, "recovered run must match uninterrupted run");
     assert!(e.metrics().snapshots_taken > m.snapshots_taken);
     assert!(!dir.join(WAL_TMP_FILE).exists(), "renamed over the log");
-    let scan = read_wal(&dir).unwrap();
+    let scan = read_wal_as::<WalRecord>(&dir).unwrap();
     assert_eq!(scan.tail, WalTail::Clean);
     assert!(matches!(scan.records[0], WalRecord::Snapshot(_)));
     let _ = std::fs::remove_dir_all(&dir);
@@ -367,8 +406,7 @@ fn a_partial_compaction_temp_file_is_ignored_and_overwritten() {
 fn a_failed_compaction_fail_stops_and_the_old_log_recovers() {
     let expect = uninterrupted();
     let dir = tmp_dir("compactfail");
-    let mut e = engine(11, Some(&dir), 4);
-    inject_all(&mut e, &workload());
+    let mut e = compacting_engine(11, &dir);
     let mut det = keys(e.run_until(Nanos::from_millis(1_000)));
     assert!(e.metrics().snapshots_taken > 0);
     assert_eq!(e.coordinator_wal_failed(), None);
@@ -386,7 +424,7 @@ fn a_failed_compaction_fail_stops_and_the_old_log_recovers() {
         stopped,
         "a fail-stopped coordinator writes nothing more"
     );
-    let scan = read_wal(&dir).unwrap();
+    let scan = read_wal_as::<WalRecord>(&dir).unwrap();
     assert_eq!(scan.tail, WalTail::Clean);
     assert!(matches!(scan.records[0], WalRecord::Snapshot(_)));
 
@@ -402,15 +440,14 @@ fn a_failed_compaction_fail_stops_and_the_old_log_recovers() {
 /// A coordinator whose compaction fails after a release round detected
 /// something must not hand those detections out: the drain can no longer
 /// be logged, so the replacement's replay would report them again.
-/// Swept over the run, with a compaction at every watermark rise, the
-/// failure lands on detecting rounds too.
+/// Swept over the run one global tick apart, with a compaction every few
+/// ticks, the failure lands on detecting rounds too.
 #[test]
 fn detections_of_a_fail_stopped_round_are_reported_once() {
     let expect = uninterrupted();
     for fail_ms in (300..3_400).step_by(100) {
         let dir = tmp_dir(&format!("failround-{fail_ms}"));
-        let mut e = engine(11, Some(&dir), 1);
-        inject_all(&mut e, &workload());
+        let mut e = compacting_engine(11, &dir);
         let mut det = keys(e.run_until(Nanos::from_millis(fail_ms)));
         std::fs::create_dir(dir.join(WAL_TMP_FILE)).unwrap();
         det.extend(keys(e.run_until(Nanos::from_millis(fail_ms + 600))));
@@ -429,12 +466,12 @@ fn detections_of_a_fail_stopped_round_are_reported_once() {
 #[test]
 fn an_undecodable_frame_refuses_recovery_and_keeps_the_log() {
     let dir = tmp_dir("undecodable");
-    let mut e = engine(11, Some(&dir), u64::MAX);
+    let mut e = engine(11, Some(&dir));
     inject_all(&mut e, &workload());
     e.run_until(Nanos::from_millis(2_000));
     let wal_path = dir.join(WAL_FILE);
     let mut bytes = std::fs::read(&wal_path).unwrap();
-    let scan = decs::distrib::durability::scan_bytes(&bytes);
+    let scan = decs::distrib::durability::scan_bytes_as::<WalRecord>(&bytes);
     assert!(scan.tail == WalTail::Clean && scan.records.len() > 10);
     // Valid frames, then a CRC-valid frame with an unknown record tag,
     // then more valid frames.
@@ -461,7 +498,7 @@ fn an_undecodable_frame_refuses_recovery_and_keeps_the_log() {
 fn missing_durability_dir_recovers_to_a_fresh_engine() {
     let expect = uninterrupted();
     let dir = tmp_dir("missing");
-    let mut e = engine(11, Some(&dir), 4);
+    let mut e = engine(11, Some(&dir));
     // Nothing has run yet; simulate losing the durable state entirely.
     std::fs::remove_dir_all(&dir).unwrap();
     e.crash_and_recover_coordinator().unwrap();
@@ -482,7 +519,7 @@ fn missing_durability_dir_recovers_to_a_fresh_engine() {
 
 #[test]
 fn recovery_without_durability_is_an_error() {
-    let mut e = engine(11, None, 0);
+    let mut e = engine(11, None);
     assert!(e.crash_and_recover_coordinator().is_err());
 }
 
@@ -505,7 +542,7 @@ fn site_crash_after_log_before_send_delivers_exactly_once() {
         (4_000, 2, "C"),
     ];
     let expect = {
-        let mut clean = engine(31, None, 0);
+        let mut clean = engine(31, None);
         inject_all(&mut clean, &w);
         keys(clean.run_until(HORIZON))
     };
@@ -542,7 +579,7 @@ fn restarted_site_retransmits_delivered_prefix_which_is_deduped() {
     // delivered prefix as duplicates — under the new epoch — rather than
     // re-consume it.
     let expect = {
-        let mut clean = engine(37, None, 0);
+        let mut clean = engine(37, None);
         inject_all(&mut clean, &workload());
         keys(clean.run_until(Nanos::from_secs(25)))
     };
@@ -582,7 +619,7 @@ fn restart_dedup_drops_retransmitted_prefix() {
     // retransmissions of seqs below it must be recognized as duplicates
     // and dropped, not re-consumed.
     let expect = {
-        let mut clean = engine(23, None, 0);
+        let mut clean = engine(23, None);
         for site in 0..SITES {
             clean.set_link_pair(site, LinkConfig::lan().with_faults(150_000, 0));
         }
@@ -592,7 +629,7 @@ fn restart_dedup_drops_retransmitted_prefix() {
     assert!(!expect.is_empty());
 
     let dir = tmp_dir("dedup");
-    let mut e = engine(23, Some(&dir), 4);
+    let mut e = engine(23, Some(&dir));
     for site in 0..SITES {
         e.set_link_pair(site, LinkConfig::lan().with_faults(150_000, 0));
     }
@@ -624,16 +661,89 @@ fn site_wal_syncs_are_counted_across_restarts() {
     let before = e.site_wal_syncs(0);
     assert_eq!(before, 3);
     e.run_until(Nanos::from_millis(2_300));
-    // The new incarnation's compaction image and its Hello add one each
-    // to the crashed incarnation's count rather than restarting it. The
-    // `A` staged at 2.3 s waits for the 2.4 s edge batch.
+    // The new incarnation's `Epoch` frame and its Hello add one each to
+    // the crashed incarnation's count rather than restarting it. The `A`
+    // staged at 2.3 s waits for the 2.4 s edge batch.
     assert_eq!(e.site_wal_syncs(0), before + 2);
     assert_eq!(e.site_wal_syncs(SITES), 0, "the coordinator index");
     assert_eq!(e.metrics().wal_errors, 0);
 
-    let mut plain = engine(41, None, 0);
+    let mut plain = engine(41, None);
     inject_all(&mut plain, &workload());
     plain.run_until(Nanos::from_millis(2_300));
     assert_eq!(plain.site_wal_syncs(0), 0, "durability off");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable site's log is bounded by the compaction rule, however long
+/// the site runs: four durable sites on lossless links stage five events
+/// each per global tick for 1,000 ticks, and at every tick each site's
+/// `wal.log` stays under the floor plus the slack of one quiescent point.
+/// A site's image is its unacked window plus its staged events, a few
+/// hundred bytes here, so its rule is the floor; compaction happens at
+/// the first ack or tick edge past it, and a tick logs under 1 KiB. The
+/// uncompacted log would reach about 700 KB. After the run each log still
+/// folds to the live window.
+#[test]
+fn a_durable_sites_log_stays_bounded() {
+    const DURABLE_SITES: u32 = 4;
+    const TICK_MS: u64 = 100;
+    const TICKS: u64 = 1_000;
+    let bound = COMPACT_MIN_BYTES + 4 * 1024;
+    let dir = tmp_dir("bounded");
+    let scenario = ScenarioBuilder::new(DURABLE_SITES, 5)
+        .global_granularity(Granularity::per_second(10).unwrap())
+        .max_offset_ns(1_000_000)
+        .link(LinkConfig::lan())
+        .build()
+        .unwrap();
+    let config = EngineConfig {
+        site_durability: true,
+        wal_dir: Some(dir.to_string_lossy().into_owned()),
+        ..EngineConfig::default()
+    };
+    let mut e = Engine::new(&scenario, config, &PRIMITIVES, &defs()).unwrap();
+    for tick in 0..TICKS {
+        for site in 0..DURABLE_SITES {
+            for k in 0..5 {
+                let ms = tick * TICK_MS + 5 + 19 * k;
+                e.inject(
+                    Nanos::from_millis(ms),
+                    site,
+                    ["A", "B", "C"][k as usize % 3],
+                    vec![],
+                )
+                .unwrap();
+            }
+        }
+    }
+    let log = |site: u32| dir.join(format!("site-{site}")).join(WAL_FILE);
+    let mut largest = 0;
+    for tick in 1..=TICKS {
+        e.run_until(Nanos::from_millis(tick * TICK_MS + 50));
+        for site in 0..DURABLE_SITES {
+            let len = std::fs::metadata(log(site)).unwrap().len();
+            assert!(len < bound, "tick {tick}: site {site}'s log is {len} B");
+            largest = largest.max(len);
+        }
+    }
+    assert!(
+        largest > COMPACT_MIN_BYTES / 2,
+        "the logs grew: {largest} B"
+    );
+    assert_eq!(e.metrics().wal_errors, 0);
+    assert_eq!(
+        e.metrics().events_received,
+        TICKS * 5 * u64::from(DURABLE_SITES)
+    );
+    for site in 0..DURABLE_SITES {
+        let (_, records) = WalWriter::open::<SiteWalRecord>(log(site).parent().unwrap()).unwrap();
+        let st = fold_records(&records);
+        assert_eq!(st.retx.len(), e.unacked(site), "site {site}");
+        assert!(
+            st.staged.is_empty(),
+            "site {site}: the last edge shipped all"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
