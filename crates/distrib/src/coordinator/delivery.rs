@@ -201,6 +201,12 @@ impl CoordinatorNode {
         self.release_round(ctx);
     }
 
+    /// Whether stream `stream` is a peer replica's relay stream rather
+    /// than a site's.
+    fn is_peer(&self, stream: usize) -> bool {
+        self.part.as_ref().is_some_and(|p| stream >= p.n_sites)
+    }
+
     /// Send `site`'s cumulative ack, scoped to its current epoch (a site
     /// ignores acks from an epoch other than its own).
     pub(super) fn send_ack(&mut self, to: NodeIdx, site: usize, ctx: &mut impl CoordCtx) {
@@ -286,7 +292,7 @@ impl CoordinatorNode {
             // A peer replica acking our relay stream (sites never ack the
             // coordinator). Classic deployments fall through to the
             // seq gate below, which drops the echo.
-            if self.part.is_some() && site >= self.part.as_ref().expect("partitioned").n_sites {
+            if self.is_peer(site) {
                 self.on_peer_ack(site, cum_seq);
                 return;
             }
@@ -379,6 +385,14 @@ impl CoordinatorNode {
                     self.metrics.parked_dropped += 1;
                 }
                 self.metrics.parked_peak = self.metrics.parked_peak.max(self.parked_total);
+                if stream.parked.contains_key(&seq) && !self.is_peer(site) {
+                    // Gap ack: the same cumulative ack, naming the first
+                    // missing sequence number, which the site resends at
+                    // once. Nothing parked is acked, and a message the cap
+                    // just discarded sends none. Relay streams keep
+                    // timer-only repair.
+                    self.send_ack(from, site, ctx);
+                }
             }
             std::cmp::Ordering::Less => {
                 // An already-delivered sequence number: a retransmitted or

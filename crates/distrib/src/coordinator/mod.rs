@@ -3,8 +3,9 @@
 //! Receives stamped primitive-event notifications and watermarks from
 //! every site in `Msg::Batch`es — one per tick edge, an empty one being
 //! the site's heartbeat — reassembles each site's FIFO stream, acks every
-//! in-order delivery (and re-acks every duplicate), runs the stall
-//! detector whenever a site's watermark rises, buffers notifications in
+//! in-order delivery (and re-acks every duplicate; a newly parked message
+//! sends the same ack, naming the gap), runs the stall detector
+//! whenever a site's watermark rises, buffers notifications in
 //! one FIFO per site until the watermark stability rule releases them,
 //! merges the stable heads of those FIFOs in watermark-bounded batches
 //! into a [`PlanDetector`] — the hash-consed shared plan by default, or
@@ -503,15 +504,20 @@ mod tests {
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
         c.deliver(s0, hb(1, 6), &mut p);
         assert_eq!(p.acks(), vec![(0, 1, 0), (0, 2, 0)]);
-        // Parking acks nothing; the drain that consumes the parked
-        // successors acks once for all of them.
+        // Each newly parked message sends one gap ack naming the frontier
+        // (seq 2, the first missing); a second copy of a parked message
+        // sends none. The drain that consumes the parked successors acks
+        // once for all of them.
         c.deliver(s0, ev(1, 3, 0, 6, 61), &mut p);
         c.deliver(s0, hb(4, 7), &mut p);
-        assert!(p.acks().is_empty());
+        assert_eq!(p.acks(), vec![(0, 2, 0), (0, 2, 0)]);
+        c.deliver(s0, hb(4, 7), &mut p);
+        assert!(p.acks().is_empty(), "a re-parked copy is not acked");
         c.deliver(s0, ev(1, 2, 0, 6, 60), &mut p);
         assert_eq!(p.acks(), vec![(0, 5, 0)]);
         assert_eq!(c.metrics.reassembly_parks, 2);
-        assert_eq!(c.metrics.acks_sent, 3);
+        assert_eq!(c.metrics.duplicates_dropped, 1);
+        assert_eq!(c.metrics.acks_sent, 5);
         assert_eq!(c.metrics.events_received, 3);
     }
 
@@ -708,20 +714,23 @@ mod tests {
         let s0 = NodeIdx(0);
         let cap = PARKED_CAP as u64;
         // Seq 0 is late: seqs 1..=cap + 1 all park, one more than the cap,
-        // so the farthest from the frontier (cap + 1) is discarded.
+        // so the farthest from the frontier (cap + 1) is discarded. Each
+        // message that stays parked sends one gap ack naming seq 0; the
+        // discarded one sends none.
         for seq in 1..=cap + 1 {
             c.deliver(s0, ev(0, seq, 0, 5, 50 + seq), &mut p);
         }
         assert_eq!(c.metrics.parked_dropped, 1);
         assert_eq!(c.metrics.parked_peak, PARKED_CAP);
-        assert!(p.acks().is_empty());
+        assert_eq!(p.acks(), vec![(0, 0, 0); PARKED_CAP]);
         c.deliver(s0, ev(0, 0, 0, 5, 50), &mut p);
         assert_eq!(p.acks(), vec![(0, cap + 1, 0)]);
         assert_eq!(c.metrics.events_received, cap + 1);
-        // A heartbeat behind the gap parks; the retransmitted copy of the
-        // discarded message fills the gap and both are consumed in order.
+        // A heartbeat behind the gap parks and names the gap; the
+        // retransmitted copy of the discarded message fills it and both
+        // are consumed in order.
         c.deliver(s0, hb(cap + 2, 6), &mut p);
-        assert!(p.acks().is_empty());
+        assert_eq!(p.acks(), vec![(0, cap + 1, 0)]);
         c.deliver(s0, ev(0, cap + 1, 0, 5, 51 + cap), &mut p);
         assert_eq!(p.acks(), vec![(0, cap + 3, 0)]);
         assert_eq!(c.metrics.events_received, cap + 2);

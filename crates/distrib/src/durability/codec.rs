@@ -758,6 +758,9 @@ impl Decode for Metrics {
             relay_retransmits: r.u64()?,
             relays_received: r.u64()?,
             routed_received: r.u64()?,
+            // Site-held and summed by the engine, so a coordinator's copy
+            // is always 0; not persisted, which keeps the record format.
+            gap_resends: 0,
             // Deliberately not persisted: engine-side wall-clock timing of
             // the *current* process, meaningless to a recovered successor.
             busy_ns: 0,

@@ -447,10 +447,10 @@ impl Engine {
         if config.trace_capacity > 0 {
             sim.enable_trace(config.trace_capacity);
         }
-        // Start every node: a site starts its beacons; a coordinator has
+        // Start every site's beacons. Coordinators and replicas have
         // nothing to start (a replica arms its relay retransmission round
         // when it relays).
-        for i in 0..n + replicas as u32 {
+        for i in 0..n {
             sim.inject(Nanos::ZERO, NodeIdx(i), Msg::Start);
         }
         Ok(Engine {
@@ -826,9 +826,10 @@ impl Engine {
         out
     }
 
-    /// Coordinator metrics snapshot, with site-held counters (retransmits)
-    /// aggregated in. Partitioned deployments sum the replicas' counters
-    /// (and take the maximum of high-water marks).
+    /// Coordinator metrics snapshot, with site-held counters
+    /// (retransmits, gap resends) aggregated in. Partitioned deployments
+    /// sum the replicas' counters (and take the maximum of high-water
+    /// marks).
     pub fn metrics(&self) -> Metrics {
         let Node::Coordinator(c) = self.sim.node(self.coordinator) else {
             unreachable!("coordinator index")
@@ -891,6 +892,7 @@ impl Engine {
         for i in 0..self.coordinator.0 {
             if let Node::Site(s) = self.sim.node(NodeIdx(i)) {
                 m.retransmits += s.retransmits;
+                m.gap_resends += s.gap_resends;
                 m.site_restarts += s.restarts;
                 m.wal_errors += s.wal_errors;
             }

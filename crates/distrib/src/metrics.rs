@@ -50,9 +50,13 @@ pub struct Metrics {
     /// Topological stages of the definition dependency DAG (1 when every
     /// definition is independent).
     pub stage_count: usize,
-    /// Messages resent by site retransmission timers (aggregated over
-    /// sites by the engine; 0 in a bare coordinator).
+    /// Messages sites resent: by retransmission timers, restart backlog
+    /// bursts and gap acks (aggregated over sites by the engine; 0 in a
+    /// bare coordinator).
     pub retransmits: u64,
+    /// The part of [`Metrics::retransmits`] resent at once on a gap ack
+    /// (the coordinator parked a later message), not by a timer.
+    pub gap_resends: u64,
     /// Cumulative acknowledgements the coordinator sent.
     pub acks_sent: u64,
     /// Already-delivered sequence numbers received again (retransmitted or

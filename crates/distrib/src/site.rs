@@ -115,6 +115,10 @@ struct Link {
     /// messages whose acks are still in flight are not resent. A timer
     /// that fires before it re-arms for the remainder instead.
     deadline: Nanos,
+    /// The sequence number last resent on a gap ack (see
+    /// [`SiteNode::on_ack`]), so each is fast-resent at most once per
+    /// incarnation.
+    gap_resent: Option<u64>,
 }
 
 impl Link {
@@ -127,6 +131,7 @@ impl Link {
             backoff: base,
             armed: false,
             deadline: Nanos::ZERO,
+            gap_resent: None,
         }
     }
 }
@@ -164,8 +169,11 @@ pub struct SiteNode {
     /// up to this bound, then stays there — retries never stop, so any
     /// partition that eventually heals is eventually crossed.
     retx_cap: Nanos,
-    /// Messages resent by the retransmission timer.
+    /// Messages resent, by the retransmission timer, a restart's backlog
+    /// burst or a gap ack.
     pub retransmits: u64,
+    /// The part of [`Self::retransmits`] resent on a gap ack.
+    pub gap_resends: u64,
     /// Incarnation epoch: 0 for the first incarnation, bumped on every
     /// restart. Stamped on every outbound message so the coordinator can
     /// tell incarnations apart.
@@ -228,6 +236,7 @@ impl SiteNode {
             retx_base,
             retx_cap: retx_cap.max(retx_base.get()),
             retransmits: 0,
+            gap_resends: 0,
             epoch: 0,
             gen: 0,
             restarts: 0,
@@ -484,13 +493,19 @@ impl SiteNode {
     }
 
     /// Trim the window of the stream `from` acks (a replica's uplink, or
-    /// the stream to the coordinator) on a cumulative ack at true time
-    /// `now`; progress resets its backoff to the base and restarts its
-    /// retransmission deadline. Acks stamped by a previous incarnation's
-    /// traffic are ignored — after a non-durable restart the sequence
-    /// space restarted from 0, and an old ack would wrongly release new
-    /// allocations that happen to share numbers.
-    fn on_ack(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64, now: Nanos) {
+    /// the stream to the coordinator) on a cumulative ack; progress resets
+    /// its backoff to the base and restarts its retransmission deadline.
+    /// Acks stamped by a previous incarnation's traffic are ignored —
+    /// after a non-durable restart the sequence space restarted from 0,
+    /// and an old ack would wrongly release new allocations that happen
+    /// to share numbers.
+    ///
+    /// An ack that trims nothing and names the window's oldest message is
+    /// a gap ack: the receiver parked a later message, so exactly that one
+    /// is missing. It is resent at once (fast retransmit, RFC 5681), at
+    /// most once per sequence number per incarnation; the timer stays the
+    /// fallback for a lost resend and for losses no later message reveals.
+    fn on_ack(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64, ctx: &mut Ctx<'_, Msg>) {
         if epoch != self.epoch {
             return;
         }
@@ -505,10 +520,17 @@ impl SiteNode {
         };
         if link.window.ack(cum_seq) > 0 {
             link.backoff = base;
-            link.deadline = now.saturating_add(base.get());
+            link.deadline = ctx.true_now().saturating_add(base.get());
             if u.is_none() && self.wal.is_some() {
                 self.wal_log(|| SiteWalRecord::Acked { cum_seq });
                 self.maybe_compact();
+            }
+        } else if let Some((seq, msg)) = link.window.front() {
+            if seq == cum_seq && link.gap_resent != Some(seq) {
+                link.gap_resent = Some(seq);
+                self.retransmits += 1;
+                self.gap_resends += 1;
+                ctx.send(link.node, msg.clone());
             }
         }
     }
@@ -868,7 +890,7 @@ impl Actor for SiteNode {
                     Err(_) => self.dropped_pre_epoch += 1,
                 }
             }
-            Msg::Ack { cum_seq, epoch } => self.on_ack(from, cum_seq, epoch, ctx.true_now()),
+            Msg::Ack { cum_seq, epoch } => self.on_ack(from, cum_seq, epoch, ctx),
             // Sites do not receive protocol traffic in the star topology.
             Msg::Batch { .. }
             | Msg::Hello { .. }
@@ -1284,6 +1306,91 @@ mod tests {
             panic!()
         };
         assert!(s.unacked() > 0, "ack was processed while crashed");
+    }
+
+    /// A gap ack (one that trims nothing and names the window's oldest
+    /// message) resends exactly that message, once per sequence number per
+    /// incarnation; the timer keeps its own schedule.
+    #[test]
+    fn gap_ack_resends_only_the_named_message_once() {
+        let coord = NodeIdx(1);
+        let slow = SiteNode::new(coord, Timeout::from_millis::<1_000>(), Nanos::from_secs(4));
+        let nodes = vec![
+            (Node::Site(slow), source(0)),
+            (Node::Collector(Collector::mute()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        sim.inject(Nanos::ZERO, NodeIdx(0), Msg::Start);
+        let ack = |sim: &mut Simulation<Node>, ms: u64, cum_seq: u64, epoch: u64| {
+            sim.inject(
+                Nanos::from_millis(ms),
+                NodeIdx(0),
+                Msg::Ack { cum_seq, epoch },
+            );
+        };
+        // Sequence numbers of the batches that arrived at `ms` (instant
+        // links: sent then too).
+        let arrived_at = |sim: &Simulation<Node>, ms: u64| -> Vec<u64> {
+            let Node::Collector(c) = sim.node(coord) else {
+                panic!("collector expected")
+            };
+            c.batches
+                .iter()
+                .zip(&c.batch_times)
+                .filter(|(_, &t)| t == Nanos::from_millis(ms))
+                .map(|((seq, _, _), _)| *seq)
+                .collect()
+        };
+        let counts = |sim: &Simulation<Node>| {
+            let Node::Site(s) = sim.node(NodeIdx(0)) else {
+                panic!("site expected")
+            };
+            (s.retransmits, s.gap_resends, s.link.backoff)
+        };
+        // Start at 0 and the edges at 100 and 200 ms: seqs 0, 1 and 2 are
+        // unacked. An ack naming seq 0 resends seq 0 alone; its repeat
+        // and an ack from another epoch resend nothing.
+        ack(&mut sim, 250, 0, 0);
+        ack(&mut sim, 260, 0, 0);
+        ack(&mut sim, 270, 0, 1);
+        sim.run_until(Nanos::from_millis(280));
+        assert_eq!(arrived_at(&sim, 250), vec![0]);
+        assert!(arrived_at(&sim, 260).is_empty(), "a repeat resends nothing");
+        assert!(arrived_at(&sim, 270).is_empty(), "another epoch's ack");
+        let base = Nanos::from_secs(1);
+        assert_eq!(counts(&sim), (1, 1, base));
+        // The timer still fires on its own schedule: its 1 s round resends
+        // the window (seqs 0..=9, or 0..=10 if the 1 s edge went first)
+        // and doubles the backoff.
+        sim.run_until(Nanos::from_millis(1_050));
+        let (timer_round, _, backoff) = counts(&sim);
+        assert!((11..=12).contains(&timer_round), "{timer_round}");
+        assert_eq!(backoff, Nanos::from_secs(2));
+        // An ack that trims resets the backoff; a stale ack below the
+        // front resends nothing; the next front (seq 1) gets its own fast
+        // resend.
+        ack(&mut sim, 1_150, 1, 0);
+        ack(&mut sim, 1_155, 0, 0);
+        ack(&mut sim, 1_160, 1, 0);
+        sim.run_until(Nanos::from_millis(1_170));
+        assert!(arrived_at(&sim, 1_150).is_empty(), "a trimming ack");
+        assert!(arrived_at(&sim, 1_155).is_empty(), "a stale ack");
+        assert_eq!(arrived_at(&sim, 1_160), vec![1]);
+        assert_eq!(counts(&sim), (timer_round + 1, 2, base));
+        // A non-durable restart reuses seq 1 in epoch 1 (the Hello is seq
+        // 0, the 1.4 s edge seq 1): its gap is fast-resent again.
+        sim.inject(Nanos::from_millis(1_200), NodeIdx(0), Msg::Crash);
+        sim.inject(Nanos::from_millis(1_300), NodeIdx(0), Msg::Restart);
+        ack(&mut sim, 1_450, 1, 1);
+        ack(&mut sim, 1_460, 1, 1);
+        sim.run_until(Nanos::from_millis(1_470));
+        assert!(arrived_at(&sim, 1_450).is_empty(), "the Hello's ack trims");
+        assert_eq!(arrived_at(&sim, 1_460), vec![1]);
+        assert_eq!(counts(&sim), (timer_round + 2, 3, base));
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!("collector expected")
+        };
+        assert_eq!(c.hellos, vec![(0, 1, 13)]);
     }
 
     #[test]

@@ -45,6 +45,11 @@ impl SendWindow {
         self.0.is_empty()
     }
 
+    /// The oldest unacked message and its sequence number.
+    pub(crate) fn front(&self) -> Option<(u64, &Msg)> {
+        self.0.front().map(|(seq, m)| (*seq, m))
+    }
+
     /// The unacked messages, oldest first.
     pub(crate) fn messages(&self) -> impl Iterator<Item = &Msg> {
         self.0.iter().map(|(_, m)| m)
@@ -159,12 +164,15 @@ mod tests {
     fn ack_edges() {
         let mut w = SendWindow::default();
         assert_eq!(w.ack(5), 0, "ack on an empty window");
+        assert!(w.front().is_none());
         for s in 3..8 {
             w.push(s, hb(s, 0));
         }
         assert_eq!(w.ack(0), 0, "zero ack");
         assert_eq!(w.ack(3), 0, "ack at the head trims nothing");
+        assert_eq!(w.front(), Some((3, &hb(3, 0))));
         assert_eq!(w.ack(5), 2);
+        assert_eq!(w.front().map(|(seq, _)| seq), Some(5));
         assert_eq!(w.ack(5), 0, "duplicate ack");
         assert_eq!(w.ack(4), 0, "stale ack");
         assert_eq!(w.ack(100), 3, "ack beyond the tail empties the window");
